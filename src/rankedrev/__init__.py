@@ -11,7 +11,9 @@ from .errors import (
     ParseError,
     RankedRevError,
     RankFileError,
+    SamplingError,
     SearchExhaustedError,
+    SignatureError,
     SignatureTooLargeError,
     UnknownAtomError,
     WitnessNotFoundError,

@@ -21,6 +21,11 @@ class UnknownAtomError(ParseError):
         self.atom = atom
 
 
+class SignatureError(RankedRevError, ValueError):
+    """Atom names that cannot form a signature: too few or too many,
+    duplicated, malformed or reserved."""
+
+
 class RankFileError(RankedRevError):
     """Rank-function file does not follow the level-per-line format."""
 
@@ -31,6 +36,10 @@ class SignatureTooLargeError(RankedRevError):
 
 class DomainTooLargeError(RankedRevError):
     """Quantifier domain too large for exhaustive checking; use sampled mode."""
+
+
+class SamplingError(RankedRevError, ValueError):
+    """Sampled mode asked for without a seed or with fewer than one sample."""
 
 
 class SearchExhaustedError(RankedRevError):

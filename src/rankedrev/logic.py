@@ -24,7 +24,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterator
 
-from .errors import ParseError, UnknownAtomError
+from .errors import ParseError, SignatureError, UnknownAtomError
 
 MAX_ATOMS = 16
 
@@ -42,15 +42,15 @@ class Signature:
         atoms = tuple(self.atoms)
         object.__setattr__(self, "atoms", atoms)
         if not 1 <= len(atoms) <= MAX_ATOMS:
-            raise ValueError(f"need between 1 and {MAX_ATOMS} atoms, got {len(atoms)}")
+            raise SignatureError(f"need between 1 and {MAX_ATOMS} atoms, got {len(atoms)}")
         if len(set(atoms)) != len(atoms):
-            raise ValueError(f"duplicate atom names in {atoms}")
+            raise SignatureError(f"duplicate atom names in {atoms}")
         for name in atoms:
             if not _ATOM_NAME_RE.match(name):
-                raise ValueError(f"bad atom name {name!r}")
+                raise SignatureError(f"bad atom name {name!r}")
             if name in _RESERVED_WORDS:
                 # 'true' and 'false' are constants of the formula grammar.
-                raise ValueError(f"atom name {name!r} is reserved")
+                raise SignatureError(f"atom name {name!r} is reserved")
         n = len(atoms)
         object.__setattr__(self, "_index", {a: i for i, a in enumerate(atoms)})
         masks = []

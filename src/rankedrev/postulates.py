@@ -16,6 +16,7 @@ the revision reproduces the clause failure.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import random
 from dataclasses import dataclass
 from enum import Enum
@@ -23,13 +24,14 @@ from typing import Callable, Iterable, Optional, Union
 
 from .errors import (
     DomainTooLargeError,
+    SamplingError,
     SearchExhaustedError,
     WitnessNotFoundError,
 )
 from .logic import PropSet, Signature, Theory
 from .ranking import RankFunction, enumerate_rank_functions
 from .render import dnf_text, theory_text
-from .revision import RankedRevision, Revision
+from .revision import TABLE_MAX_ATOMS, RankedRevision, Revision
 
 
 class PostulateId(Enum):
@@ -248,76 +250,336 @@ def _o_iter(rev, K, Kp, phi, psi):
     return rev(rev(K, psi), phi)
 
 
+# Exhaustive checking runs on packed rows. At n <= 3 a model mask fits
+# in a byte, so row K of the revision table packs into one int whose byte
+# phi is rev(K, phi). Each clause's packed form binds a packed table and
+# returns a function of one outer binding, (K, -) for KF, (K, K') for KKF
+# and (K, phi) for KFF, that gives a violation vector over the innermost
+# quantifier: its byte x is nonzero exactly when the clause fails with x
+# bound there. Antecedents enter as vectors whose fields are 0xFF or 0.
+# The lowest nonzero byte of the first nonzero vector is the
+# lexicographically first counterexample.
+
+_NONZERO = bytes([0] + [255] * 255)  # bytes.translate table: b -> b != 0
+_ZERO = bytes([255] + [0] * 255)  # bytes.translate table: b -> b == 0
+
+
+def _ints(rows) -> list[int]:
+    return [int.from_bytes(r, "little") for r in rows]
+
+
+class _Masks:
+    """Vectors and gather tables that depend only on the signature. Each
+    family is indexed by a mask a; x ranges over the formula classes."""
+
+    def __init__(self, nmasks: int):
+        xs = range(nmasks)
+        ones = int.from_bytes(b"\1" * nmasks, "little")
+        byte_and = [bytes(a & b for b in range(256)) for a in xs]
+        self.and_idx = [r[:nmasks] for r in byte_and]  # gather index a & x
+        self.or_idx = [bytes(a | x for x in xs) for a in xs]  # gather index a | x
+        self.ident = int.from_bytes(bytes(xs), "little")  # x
+        self.spread = [a * ones for a in xs]  # a
+        self.inter = _ints(self.and_idx)  # a & x
+        self.meet = _ints(r.translate(_NONZERO) for r in self.and_idx)  # a & x != 0
+        self.apart = _ints(r.translate(_ZERO) for r in self.and_idx)  # a & x == 0
+        self.sub = _ints(bytes(255 if a & x == a else 0 for x in xs) for a in xs)  # a ⊆ x
+        # translate tables over byte values b: b & a != 0, and b & a == 0
+        self.meet_t = [r.translate(_NONZERO) for r in byte_and]
+        self.apart_t = [r.translate(_ZERO) for r in byte_and]
+
+
+@functools.cache
+def _masks(nmasks: int) -> _Masks:
+    return _Masks(nmasks)
+
+
+class _Packed:
+    """A revision table packed one row per int, with the signature's masks.
+
+    Cells outside 0..universe_mask are packed as 0 and flagged in
+    ``bad``, which only K1 reads; every other clause sees such a cell as
+    the empty model set.
+    """
+
+    def __init__(self, table, uni: int):
+        self.nmasks = uni + 1
+        self.m = _masks(self.nmasks)
+        self.rows, self.bad = [], []
+        for row in table:
+            try:
+                packed = bytes(row)
+                in_range = max(packed) <= uni
+            except ValueError:  # a cell outside 0..255
+                in_range = False
+            if in_range:
+                self.rows.append(packed)
+                self.bad.append(0)
+            else:
+                ok = [0 <= c <= uni for c in row]
+                self.rows.append(bytes(c if good else 0 for c, good in zip(row, ok)))
+                self.bad.append(int.from_bytes(bytes(0 if good else 255 for good in ok),
+                                               "little"))
+        self.P = _ints(self.rows)
+        # rows and columns zero-padded to 256 bytes, as bytes.translate tables
+        pad = bytes(256 - self.nmasks)
+        self.tab = [r + pad for r in self.rows]
+
+    @functools.cached_property
+    def cols(self) -> list[bytes]:
+        """Column phi as a translate table: byte t -> rev(t, phi)."""
+        pad = bytes(256 - self.nmasks)
+        return [bytes(c) + pad for c in zip(*self.rows)]
+
+    def conj(self, K: int, phi: int) -> int:
+        """Over x: rev(K, phi & x)."""
+        return int.from_bytes(self.m.and_idx[phi].translate(self.tab[K]), "little")
+
+    def iterated(self, K: int, phi: int) -> int:
+        """Over x: rev(rev(K, x), phi)."""
+        return int.from_bytes(self.rows[K].translate(self.cols[phi]), "little")
+
+
+def _pk1(t):
+    bad = t.bad
+    return lambda K, _: bad[K]
+
+
+def _pk2(t):
+    P, ident = t.P, t.m.ident
+    return lambda K, _: P[K] & ~ident
+
+
+def _pk3(t):
+    P, inter = t.P, t.m.inter
+    return lambda K, _: inter[K] & ~P[K]
+
+
+def _pk4(t):
+    P, inter, meet = t.P, t.m.inter, t.m.meet
+    return lambda K, _: P[K] & ~inter[K] & meet[K]
+
+
+def _pk5(t):
+    rows = t.rows
+    return lambda K, _: int.from_bytes(rows[K].translate(_ZERO), "little") & ~0xFF
+
+
+def _pk6(t):
+    return lambda K, _: 0
+
+
+def _pk9_1(t):
+    P, apart = t.P, t.m.apart
+    return lambda K, _: P[0] & ~P[K] & apart[K]
+
+
+def _pk9_2(t):
+    P, apart = t.P, t.m.apart
+    return lambda K, _: P[K] & ~P[0] & apart[K]
+
+
+def _pk9(t):
+    P, apart = t.P, t.m.apart
+    return lambda K, Kp: (P[K] ^ P[Kp]) & apart[K] & apart[Kp]
+
+
+def _pu8(t):
+    P = t.P
+    return lambda K, Kp: P[K | Kp] ^ (P[K] | P[Kp])
+
+
+def _pu8_1(t):
+    P = t.P
+    return lambda K, Kp: P[Kp] & ~P[K] if (Kp | K) == K else 0
+
+
+def _pu8_2(t):
+    P = t.P
+    return lambda K, Kp: P[K | Kp] & ~(P[K] | P[Kp])
+
+
+def _pkm1(t):
+    P, meet = t.P, t.m.meet
+    return lambda K, Kp: (P[K | Kp] ^ (P[K] | P[Kp])) & meet[K] & meet[Kp]
+
+
+def _pk9u81(t):
+    P, apart = t.P, t.m.apart
+    return lambda K, Kp: (P[K | Kp] ^ (P[K] | P[Kp])) & apart[K] & apart[Kp]
+
+
+def _pk7(t):
+    rows, inter, conj = t.rows, t.m.inter, t.conj
+    return lambda K, phi: inter[rows[K][phi]] & ~conj(K, phi)
+
+
+def _pk8(t):
+    rows, inter, meet, conj = t.rows, t.m.inter, t.m.meet, t.conj
+
+    def vec(K, phi):
+        r = rows[K][phi]
+        return conj(K, phi) & ~inter[r] & meet[r]
+    return vec
+
+
+def _pk9_2p(t):
+    rows, sub = t.rows, t.m.sub
+    return lambda K, phi: sub[K] & sub[rows[0][phi]] & ~sub[rows[K][phi]]
+
+
+def _iterated_equal(t, antecedent):
+    """Over x: rev(rev(K, x), phi) == rev(K, phi) where ``antecedent[phi]`` is set."""
+    rows, spread, it = t.rows, t.m.spread, t.iterated
+    return lambda K, phi: (it(K, phi) ^ spread[rows[K][phi]]) & antecedent[phi]
+
+
+def _pc1(t):
+    return _iterated_equal(t, t.m.sub)
+
+
+def _pc2(t):
+    return _iterated_equal(t, t.m.apart)
+
+
+def _pc2p(t):
+    vec = _iterated_equal(t, t.m.apart)
+    return lambda K, phi: 0 if K & phi else vec(K, phi)
+
+
+def _pc3(t):
+    rows, sub, ident, it = t.rows, t.m.sub, t.m.ident, t.iterated
+    return lambda K, phi: it(K, phi) & ~ident & sub[rows[K][phi]]
+
+
+def _pc4(t):
+    rows, meet, ident, it = t.rows, t.m.meet, t.m.ident, t.iterated
+    n = t.nmasks
+
+    def vec(K, phi):
+        disjoint = (it(K, phi) & ident).to_bytes(n, "little").translate(_ZERO)
+        return meet[rows[K][phi]] & int.from_bytes(disjoint, "little")
+    return vec
+
+
+def _pphiandpsi(t):
+    rows, meet_t, it, conj = t.rows, t.m.meet_t, t.iterated, t.conj
+
+    def vec(K, phi):
+        ante = int.from_bytes(rows[K].translate(meet_t[phi]), "little")
+        return ante & (it(K, phi) ^ conj(K, phi))
+    return vec
+
+
+def _ppsi(t):
+    rows, tab, spread, it = t.rows, t.tab, t.m.spread, t.iterated
+    or_idx, apart_t = t.m.or_idx, t.m.apart_t
+
+    def vec(K, phi):
+        ante = or_idx[phi].translate(tab[K]).translate(apart_t[phi])
+        return int.from_bytes(ante, "little") & (it(K, phi) ^ spread[rows[K][phi]])
+    return vec
+
+
+def _pgen(t):
+    rows, sub, spread, it = t.rows, t.m.sub, t.m.spread, t.iterated
+
+    def vec(K, phi):
+        r = rows[K][phi]
+        return (it(K, phi) ^ spread[r]) & sub[r]
+    return vec
+
+
 @dataclass(frozen=True)
 class _Clause:
     shape: str  # "KF": (K, phi); "KKF": (K, K', phi); "KFF": (K, phi, psi)
     holds: Callable[..., bool]
+    packed: Callable[[_Packed], Callable[[int, int], int]]
     observed: Callable[..., int]
     required: str
 
 
 _CLAUSES: dict[PostulateId, _Clause] = {
-    PostulateId.K1: _Clause("KF", _h_k1, _o_row, "K*phi is a theory over the signature"),
-    PostulateId.K2: _Clause("KF", _h_k2, _o_row, "phi ∈ K*phi"),
-    PostulateId.K3: _Clause("KF", _h_k3, _o_row, "K*phi ⊆ Cn(K, phi)"),
-    PostulateId.K4: _Clause("KF", _h_k4, _o_row, "if ¬phi ∉ K then Cn(K, phi) ⊆ K*phi"),
-    PostulateId.K5: _Clause("KF", _h_k5, _o_row, "K*phi inconsistent only if phi ≡ false"),
-    PostulateId.K6: _Clause("KF", _h_k6, _o_row, "equivalent inputs revise equally"),
-    PostulateId.K7: _Clause("KFF", _h_k7, _o_conj, "K*(phi ∧ psi) ⊆ Cn(K*phi, psi)"),
-    PostulateId.K8: _Clause("KFF", _h_k8, _o_conj,
+    PostulateId.K1: _Clause("KF", _h_k1, _pk1, _o_row, "K*phi is a theory over the signature"),
+    PostulateId.K2: _Clause("KF", _h_k2, _pk2, _o_row, "phi ∈ K*phi"),
+    PostulateId.K3: _Clause("KF", _h_k3, _pk3, _o_row, "K*phi ⊆ Cn(K, phi)"),
+    PostulateId.K4: _Clause("KF", _h_k4, _pk4, _o_row, "if ¬phi ∉ K then Cn(K, phi) ⊆ K*phi"),
+    PostulateId.K5: _Clause("KF", _h_k5, _pk5, _o_row, "K*phi inconsistent only if phi ≡ false"),
+    PostulateId.K6: _Clause("KF", _h_k6, _pk6, _o_row, "equivalent inputs revise equally"),
+    PostulateId.K7: _Clause("KFF", _h_k7, _pk7, _o_conj, "K*(phi ∧ psi) ⊆ Cn(K*phi, psi)"),
+    PostulateId.K8: _Clause("KFF", _h_k8, _pk8, _o_conj,
                             "if ¬psi ∉ K*phi then Cn(K*phi, psi) ⊆ K*(phi ∧ psi)"),
-    PostulateId.K9: _Clause("KKF", _h_k9, _o_prime,
+    PostulateId.K9: _Clause("KKF", _h_k9, _pk9, _o_prime,
                             "if ¬phi ∈ K and ¬phi ∈ K' then K*phi = K'*phi"),
-    PostulateId.K9_1: _Clause("KF", _h_k9_1, _o_row,
+    PostulateId.K9_1: _Clause("KF", _h_k9_1, _pk9_1, _o_row,
                               "if ¬phi ∈ K then K*phi ⊆ bot*phi"),
-    PostulateId.K9_2: _Clause("KF", _h_k9_2, _o_row,
+    PostulateId.K9_2: _Clause("KF", _h_k9_2, _pk9_2, _o_row,
                               "if ¬phi ∈ K then bot*phi ⊆ K*phi"),
-    PostulateId.K9_2P: _Clause("KFF", _h_k9_2p, _o_row,
+    PostulateId.K9_2P: _Clause("KFF", _h_k9_2p, _pk9_2p, _o_row,
                                "if psi ∈ K and psi ∈ bot*phi then psi ∈ K*phi"),
-    PostulateId.U8: _Clause("KKF", _h_u8, _o_union,
+    PostulateId.U8: _Clause("KKF", _h_u8, _pu8, _o_union,
                             "(K ∩ K')*phi = (K*phi) ∩ (K'*phi)"),
-    PostulateId.U8_1: _Clause("KKF", _h_u8_1, _o_prime,
+    PostulateId.U8_1: _Clause("KKF", _h_u8_1, _pu8_1, _o_prime,
                               "if K ⊆ K' then K*phi ⊆ K'*phi"),
-    PostulateId.U8_2: _Clause("KKF", _h_u8_2, _o_union,
+    PostulateId.U8_2: _Clause("KKF", _h_u8_2, _pu8_2, _o_union,
                               "(K*phi) ∩ (K'*phi) ⊆ (K ∩ K')*phi"),
-    PostulateId.C1: _Clause("KFF", _h_c1, _o_iter,
+    PostulateId.C1: _Clause("KFF", _h_c1, _pc1, _o_iter,
                             "if phi ⊨ psi then (K*psi)*phi = K*phi"),
-    PostulateId.C2: _Clause("KFF", _h_c2, _o_iter,
+    PostulateId.C2: _Clause("KFF", _h_c2, _pc2, _o_iter,
                             "if phi ⊨ ¬psi then (K*psi)*phi = K*phi"),
-    PostulateId.C2P: _Clause("KFF", _h_c2p, _o_iter,
+    PostulateId.C2P: _Clause("KFF", _h_c2p, _pc2p, _o_iter,
                              "if ¬phi ∈ K and phi ⊨ ¬psi then (K*psi)*phi = K*phi"),
-    PostulateId.C3: _Clause("KFF", _h_c3, _o_iter,
+    PostulateId.C3: _Clause("KFF", _h_c3, _pc3, _o_iter,
                             "if psi ∈ K*phi then psi ∈ (K*psi)*phi"),
-    PostulateId.C4: _Clause("KFF", _h_c4, _o_iter,
+    PostulateId.C4: _Clause("KFF", _h_c4, _pc4, _o_iter,
                             "if ¬psi ∉ K*phi then ¬psi ∉ (K*psi)*phi"),
-    PostulateId.P_PHIANDPSI: _Clause("KFF", _h_phiandpsi, _o_iter,
+    PostulateId.P_PHIANDPSI: _Clause("KFF", _h_phiandpsi, _pphiandpsi, _o_iter,
                                      "if ¬phi ∉ K*psi then (K*psi)*phi = K*(psi ∧ phi)"),
-    PostulateId.P_PSI: _Clause("KFF", _h_psi, _o_iter,
+    PostulateId.P_PSI: _Clause("KFF", _h_psi, _ppsi, _o_iter,
                                "if ¬phi ∈ K*(psi ∨ phi) then (K*psi)*phi = K*phi"),
-    PostulateId.P_GEN: _Clause("KFF", _h_gen, _o_iter,
+    PostulateId.P_GEN: _Clause("KFF", _h_gen, _pgen, _o_iter,
                                "if psi ∈ K*phi then (K*psi)*phi = K*phi"),
-    PostulateId.P_KM1: _Clause("KKF", _h_km1, _o_union,
+    PostulateId.P_KM1: _Clause("KKF", _h_km1, _pkm1, _o_union,
                                "if ¬phi ∉ K and ¬phi ∉ K' then "
                                "(K ∩ K')*phi = (K*phi) ∩ (K'*phi)"),
-    PostulateId.P_K9U81: _Clause("KKF", _h_k9u81, _o_union,
+    PostulateId.P_K9U81: _Clause("KKF", _h_k9u81, _pk9u81, _o_union,
                                  "if ¬phi ∈ K and ¬phi ∈ K' then "
                                  "(K*phi) ∩ (K'*phi) = (K ∩ K')*phi"),
 }
 
-# exhaustive-mode atom caps per quantifier shape; (K, phi, psi) clauses
-# blow up fastest
-_EXHAUSTIVE_MAX = {"KF": 3, "KKF": 3, "KFF": 2}
+def _first_failure(clause: _Clause, t: _Packed) -> Optional[tuple[int, int, int, int]]:
+    """The lexicographically first failing binding (K, K', phi, psi), with
+    0 for unbound quantifiers, or None. The loops run over the outer
+    binding (a, b), b only for KKF and KFF clauses; the innermost
+    quantifier is the lowest nonzero byte of the violation vector."""
+    vec = clause.packed(t)
+    inner = range(t.nmasks) if clause.shape != "KF" else (0,)
+    for a in range(t.nmasks):
+        for b in inner:
+            v = vec(a, b)
+            if v:
+                c = ((v & -v).bit_length() - 1) >> 3
+                if clause.shape == "KF":
+                    return a, 0, c, 0
+                if clause.shape == "KKF":
+                    return a, b, c, 0
+                return a, 0, b, c
+    return None
 
 
 @dataclass(frozen=True)
 class Violation:
     """Witness record for a failed postulate; ``replay`` re-derives the
-    failure from the bindings, so violations are self-certifying."""
+    failure from the bindings, so violations are self-certifying.
+
+    ``observed`` is None when the revision returned a value that is not
+    a model mask over the signature, which K1 reports.
+    """
 
     postulate: PostulateId
     k: Theory
     phi: PropSet
-    observed: Theory
+    observed: Optional[Theory]
     required: str
     kprime: Optional[Theory] = None
     psi: Optional[PropSet] = None
@@ -341,7 +603,7 @@ class Violation:
         parts.append(f"phi={dnf_text(self.phi)}")
         if self.psi is not None:
             parts.append(f"psi={dnf_text(self.psi)}")
-        parts.append(f"observed={theory_text(self.observed)}")
+        parts.append(f"observed={self._observed_text()}")
         parts.append(f"required={self.required}")
         return "; ".join(parts)
 
@@ -352,9 +614,14 @@ class Violation:
         out["phi"] = dnf_text(self.phi)
         if self.psi is not None:
             out["psi"] = dnf_text(self.psi)
-        out["observed"] = theory_text(self.observed)
+        out["observed"] = self._observed_text()
         out["required"] = self.required
         return out
+
+    def _observed_text(self) -> str:
+        if self.observed is None:
+            return "not a theory over the signature"
+        return theory_text(self.observed)
 
 
 def _make_violation(rv: Revision, pid: PostulateId, K: int, Kp: int,
@@ -362,13 +629,15 @@ def _make_violation(rv: Revision, pid: PostulateId, K: int, Kp: int,
     sig = rv.sig
     clause = _CLAUSES[pid]
     shape = clause.shape
+    observed = clause.observed(rv.revise_mask, K, Kp, phi, psi)
     return Violation(
         postulate=pid,
         k=Theory(PropSet(sig, K)),
         kprime=Theory(PropSet(sig, Kp)) if shape == "KKF" else None,
         phi=PropSet(sig, phi),
         psi=PropSet(sig, psi) if shape == "KFF" else None,
-        observed=Theory(PropSet(sig, clause.observed(rv.revise_mask, K, Kp, phi, psi))),
+        observed=(Theory(PropSet(sig, observed))
+                  if 0 <= observed <= sig.universe_mask else None),
         required=clause.required,
     )
 
@@ -384,53 +653,34 @@ def check_postulate(
     """Evaluate one postulate; None means it holds everywhere checked.
 
     Exhaustive mode sweeps the whole binding domain in lexicographic
-    order and needs n <= 2 for (K, phi, psi) clauses, n <= 3 otherwise.
+    order on packed table rows and needs n <= 3.
     Sampled mode draws ``samples`` bindings from random.Random(seed), one
     randrange per quantifier in binding order.
     """
     clause = _CLAUSES[pid]
     sig = rv.sig
-    nmasks = sig.universe_mask + 1
     uni = sig.universe_mask
-    holds = clause.holds
     shape = clause.shape
 
     if mode == "exhaustive":
-        if sig.n > _EXHAUSTIVE_MAX[shape]:
+        if sig.n > TABLE_MAX_ATOMS:
             raise DomainTooLargeError(
                 f"{pid.name} quantifies over too many bindings at {sig.n} atoms; "
                 "run in sampled mode instead"
             )
-        table = rv.table()
-
-        def rev(k, f, _t=table):
-            return _t[k][f]
-
-        if shape == "KF":
-            for K in range(nmasks):
-                for phi in range(nmasks):
-                    if not holds(rev, uni, K, 0, phi, 0):
-                        return _make_violation(rv, pid, K, 0, phi, 0)
-        elif shape == "KKF":
-            for K in range(nmasks):
-                for Kp in range(nmasks):
-                    for phi in range(nmasks):
-                        if not holds(rev, uni, K, Kp, phi, 0):
-                            return _make_violation(rv, pid, K, Kp, phi, 0)
-        else:
-            for K in range(nmasks):
-                for phi in range(nmasks):
-                    for psi in range(nmasks):
-                        if not holds(rev, uni, K, 0, phi, psi):
-                            return _make_violation(rv, pid, K, 0, phi, psi)
-        return None
+        hit = _first_failure(clause, _Packed(rv.table(), uni))
+        return None if hit is None else _make_violation(rv, pid, *hit)
 
     if mode != "sampled":
         raise ValueError(f"mode must be 'exhaustive' or 'sampled', got {mode!r}")
     if seed is None:
-        raise ValueError("sampled mode needs a seed")
+        raise SamplingError("sampled mode needs a seed")
+    if samples < 1:
+        raise SamplingError(f"sampled mode needs at least one sample, got {samples}")
     rng = random.Random(seed)
     rev = rv.revise_mask
+    holds = clause.holds
+    nmasks = uni + 1
     for _ in range(samples):
         K = rng.randrange(nmasks)
         Kp = rng.randrange(nmasks) if shape == "KKF" else 0

@@ -14,6 +14,7 @@ from rankedrev import (
 SIG1 = Signature(("p",))
 SIG2 = Signature(("p", "q"))
 SIG3 = Signature(("p", "q", "r"))
+SIG4 = Signature(("p", "q", "r", "s"))
 
 # running example: 11 most plausible, then 01 and 10, then 00
 R0 = RankFunction(SIG2, (2, 1, 1, 0))

@@ -3,8 +3,9 @@
 Everything here recomputes expected values from first principles,
 without going through the code paths under test: a per-valuation truth
 evaluator, a binomial-recurrence counter for ordered set partitions, a
-sort-based minimum-rank extractor, and a constraint search that finds
-every rational choice table at small sizes.
+sort-based minimum-rank extractor, a constraint search that finds every
+rational choice table at small sizes, and the per-binding postulate
+sweep that exhaustive checking is compared against.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import math
 
 from rankedrev import And, Atom, Const, Iff, Implies, Not, Or
+from rankedrev.postulates import _CLAUSES
 
 
 def fubini(m: int) -> int:
@@ -122,3 +124,40 @@ def rational_choice_tables(m: int) -> set:
 
     search(0)
     return found
+
+
+def first_violation(rv, pid):
+    """Exhaustive check of one clause, one scalar ``holds`` call per
+    binding in lexicographic order (K, then K', then phi, then psi).
+
+    Returns the first failing binding as (K, K', phi, psi) masks, with 0
+    for the quantifiers the clause does not bind, or None when the
+    clause holds everywhere.
+    """
+    clause = _CLAUSES[pid]
+    holds = clause.holds
+    uni = rv.sig.universe_mask
+    nmasks = uni + 1
+    table = rv.table()
+
+    def rev(k, f, _t=table):
+        return _t[k][f]
+
+    if clause.shape == "KF":
+        for K in range(nmasks):
+            for phi in range(nmasks):
+                if not holds(rev, uni, K, 0, phi, 0):
+                    return K, 0, phi, 0
+    elif clause.shape == "KKF":
+        for K in range(nmasks):
+            for Kp in range(nmasks):
+                for phi in range(nmasks):
+                    if not holds(rev, uni, K, Kp, phi, 0):
+                        return K, Kp, phi, 0
+    else:
+        for K in range(nmasks):
+            for phi in range(nmasks):
+                for psi in range(nmasks):
+                    if not holds(rev, uni, K, 0, phi, psi):
+                        return K, 0, phi, psi
+    return None

@@ -7,7 +7,7 @@ import pytest
 from rankedrev import format_rank_file, random_rank_function
 from rankedrev.cli import main
 
-from helpers import R0, SIG3
+from helpers import R0, SIG3, SIG4
 
 R0_FILE = "atoms: p q\n0: 11\n1: 01 10\n2: 00\n"
 
@@ -23,6 +23,13 @@ def rank_path(tmp_path):
 def rank3_path(tmp_path):
     path = tmp_path / "three.rnk"
     path.write_text(format_rank_file(random_rank_function(SIG3, 3, 1)))
+    return str(path)
+
+
+@pytest.fixture
+def rank4_path(tmp_path):
+    path = tmp_path / "four.rnk"
+    path.write_text(format_rank_file(random_rank_function(SIG4, 3, 1)))
     return str(path)
 
 
@@ -90,10 +97,21 @@ class TestCheck:
         assert code == 2
         assert "NOPE" in err
 
-    def test_domain_error_exit_two(self, capsys, rank3_path):
-        code, _, err = run(capsys, "check", "--rank", rank3_path, "--postulates", "K7")
+    def test_domain_error_exit_two(self, capsys, rank4_path):
+        code, _, err = run(capsys, "check", "--rank", rank4_path, "--postulates", "K7")
         assert code == 2
         assert "sampled" in err
+
+    @pytest.mark.parametrize("extra, message", [
+        ((), "seed"),
+        (("--seed", "1", "--samples", "0"), "sample"),
+        (("--seed", "1", "--samples", "-5"), "sample"),
+    ])
+    def test_bad_sampling_exit_two(self, capsys, rank_path, extra, message):
+        code, out, err = run(capsys, "check", "--rank", rank_path, "--postulates", "K7",
+                             "--mode", "sampled", *extra)
+        assert code == 2
+        assert out == "" and message in err
 
     def test_atom_count_mismatch_exit_two(self, capsys, rank_path):
         code, _, _ = run(capsys, "check", "--rank", rank_path,
@@ -111,6 +129,12 @@ class TestEnumerate:
         code, out, _ = run(capsys, "enumerate", "--atoms", "p,q", "--count-only")
         assert code == 0
         assert out.strip() == "75"
+
+    @pytest.mark.parametrize("atoms", ["p,p", "true"])
+    def test_bad_atoms_exit_two(self, capsys, atoms):
+        code, out, err = run(capsys, "enumerate", "--atoms", atoms)
+        assert code == 2
+        assert out == "" and err.startswith("error:")
 
 
 class TestWitness:

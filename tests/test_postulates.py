@@ -3,6 +3,7 @@ under-determination searches."""
 
 import json
 import random
+from itertools import islice
 
 import pytest
 
@@ -13,6 +14,7 @@ from rankedrev import (
     PostulateId,
     PropSet,
     RankedRevision,
+    Revision,
     TableRevision,
     Theory,
     Violation,
@@ -30,7 +32,8 @@ from rankedrev import (
     with_theory_floor,
 )
 
-from helpers import SIG1, SIG3, ps, th
+from helpers import SIG1, SIG2, SIG3, SIG4, ps, th
+from oracles import first_violation
 
 DERIVED_IDS = (
     PostulateId.U8_2,
@@ -127,8 +130,8 @@ class TestCheckPostulate:
         assert ps(sig2, "q").mask == v.phi.mask
         assert th(sig2, "!q").models.mask in (v.k.models.mask, v.kprime.models.mask)
 
-    def test_exhaustive_triple_clause_rejected_at_three_atoms(self):
-        rv = RankedRevision(random_rank_function(SIG3, 3, 1))
+    def test_exhaustive_clause_rejected_at_four_atoms(self):
+        rv = RankedRevision(random_rank_function(SIG4, 3, 1))
         with pytest.raises(DomainTooLargeError) as exc:
             check_postulate(rv, PostulateId.K7)
         assert "sampled" in str(exc.value)
@@ -143,6 +146,91 @@ class TestCheckPostulate:
     def test_sampled_mode_requires_seed(self, rv0):
         with pytest.raises(ValueError):
             check_postulate(rv0, PostulateId.K7, mode="sampled")
+
+
+def _bindings(v):
+    """A violation's bindings as the oracle reports them."""
+    if v is None:
+        return None
+    return (v.k.models.mask, v.kprime.models.mask if v.kprime is not None else 0,
+            v.phi.mask, v.psi.mask if v.psi is not None else 0)
+
+
+def _assert_matches_reference(rv, pids):
+    for pid in pids:
+        assert _bindings(check_postulate(rv, pid)) == first_violation(rv, pid), pid
+
+
+class _OutOfRange(Revision):
+    """A revision that returns values outside the signature's model masks
+    at some cells, which only K1 rejects."""
+
+    def __init__(self, base, cells):
+        super().__init__(base.sig)
+        self.base = base
+        self.cells = cells
+
+    def revise_mask(self, k_mask, f_mask):
+        return self.cells.get((k_mask, f_mask), self.base.revise_mask(k_mask, f_mask))
+
+
+class TestPackedKernelsMatchReference:
+    """Exhaustive mode against the per-binding reference sweep: the same
+    verdict and the same lexicographically first witness."""
+
+    def test_two_atom_ranked_revisions(self, revs75):
+        for rv in revs75:
+            _assert_matches_reference(rv, PostulateId)
+
+    def test_two_atom_perturbed_tables(self, revs75):
+        # one to three cells changed, mostly in late rows, so that many
+        # witnesses come late in the binding order
+        rng = random.Random(2002)
+        late = 0
+        for _ in range(200):
+            rv = revs75[rng.randrange(len(revs75))]
+            for _ in range(rng.randint(1, 3)):
+                rv = _perturbed_table(rv, rng.randrange(rng.choice((1, 8)), 16),
+                                      rng.randrange(16), rng.randrange(16))
+            for pid in PostulateId:
+                v = check_postulate(rv, pid)
+                assert _bindings(v) == first_violation(rv, pid), pid
+                late += v is not None and v.k.models.mask >= 8
+        assert late >= 1000
+
+    def test_three_atom_ranked_revisions(self, sig3):
+        # the clauses the reference can sweep in test time: every KF
+        # clause in full, and the KKF and KFF clauses that fail early
+        pids = [PostulateId[name] for name in ("K1", "K2", "K3", "K4", "K5", "K6",
+                                               "K9_1", "K9_2", "U8", "U8_1", "C2")]
+        for index in (0, 4321):
+            rank = next(islice(enumerate_rank_functions(sig3), index, None))
+            _assert_matches_reference(RankedRevision(rank), pids)
+
+    def test_three_atom_late_witnesses(self, sig3):
+        rank = next(islice(enumerate_rank_functions(sig3), 4321, None))
+        rv = _perturbed_table(RankedRevision(rank), 1, 200, 8)
+        compared = 0
+        for pid in PostulateId:
+            v = check_postulate(rv, pid)
+            if v is not None and v.k.models.mask <= 1:
+                # the reference reaches these within two values of K
+                assert _bindings(v) == first_violation(rv, pid), pid
+                compared += 1
+        assert compared >= 12
+
+    @pytest.mark.parametrize("sig, cells", [
+        (SIG2, {(3, 5): -1, (7, 2): 16, (9, 9): 300}),
+        (SIG3, {(200, 17): 256, (201, 3): -7}),
+    ])
+    def test_cells_outside_the_signature(self, sig, cells):
+        rv = _OutOfRange(RankedRevision(random_rank_function(sig, 3, 1)), cells)
+        v = check_postulate(rv, PostulateId.K1)
+        assert _bindings(v) == first_violation(rv, PostulateId.K1)
+        assert v.observed is None and v.replay(rv)
+        assert "observed=not a theory over the signature" in v.describe()
+        if sig.n == 2:
+            run_suite(rv, PostulateId)
 
 
 class TestSuiteReport:
