@@ -30,6 +30,7 @@ from .postulates import (
 )
 from .ranking import (
     RankFunction,
+    count_rank_functions,
     enumerate_rank_functions,
     format_rank_file,
     parse_rank_file,
@@ -162,7 +163,7 @@ def _cmd_check(args) -> int:
 def _cmd_enumerate(args) -> int:
     sig = Signature(_parse_atom_spec(args.atoms))
     if args.count_only:
-        print(sum(1 for _ in enumerate_rank_functions(sig)))
+        print(count_rank_functions(sig))
         return 0
     for r in enumerate_rank_functions(sig):
         print(" ".join(str(x) for x in r.ranks))

@@ -23,7 +23,8 @@ class UnknownAtomError(ParseError):
 
 class SignatureError(RankedRevError, ValueError):
     """Atom names that cannot form a signature: too few or too many,
-    duplicated, malformed or reserved."""
+    duplicated, malformed or reserved; or a signature other than the one
+    the value it is used with was built over."""
 
 
 class RankFileError(RankedRevError):

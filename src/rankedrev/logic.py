@@ -20,6 +20,7 @@ across concurrent workers.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from typing import Iterator
@@ -196,6 +197,53 @@ def theory_contains(k: Theory, f: PropSet) -> bool:
 def theory_intersect(k: Theory, k2: Theory) -> Theory:
     """Intersection of the formula sets; unions the model sets."""
     return Theory(k.models | k2.models)
+
+
+# --- packed vectors -------------------------------------------------------
+#
+# Exhaustive checks at n <= 3 work on packed vectors: a model mask fits in
+# a byte, so a map over all formula classes x packs into one int whose
+# byte x is the value at x. Conditions enter as vectors whose bytes are
+# 0xFF or 0, and a vector that is nonzero exactly where a property fails
+# has its first counterexample at its lowest nonzero byte.
+
+_NONZERO = bytes([0] + [255] * 255)  # bytes.translate table: b -> b != 0
+_ZERO = bytes([255] + [0] * 255)  # bytes.translate table: b -> b == 0
+
+
+def _ints(rows) -> list[int]:
+    return [int.from_bytes(r, "little") for r in rows]
+
+
+def _first_byte(v: int) -> int:
+    """Index of the lowest nonzero byte of a nonzero vector."""
+    return ((v & -v).bit_length() - 1) >> 3
+
+
+class _Masks:
+    """Vectors and gather tables that depend only on the signature. Each
+    family is indexed by a mask a; x ranges over the formula classes."""
+
+    def __init__(self, nmasks: int):
+        xs = range(nmasks)
+        ones = int.from_bytes(b"\1" * nmasks, "little")
+        byte_and = [bytes(a & b for b in range(256)) for a in xs]
+        self.and_idx = [r[:nmasks] for r in byte_and]  # gather index a & x
+        self.or_idx = [bytes(a | x for x in xs) for a in xs]  # gather index a | x
+        self.ident = int.from_bytes(bytes(xs), "little")  # x
+        self.spread = [a * ones for a in xs]  # a
+        self.inter = _ints(self.and_idx)  # a & x
+        self.meet = _ints(r.translate(_NONZERO) for r in self.and_idx)  # a & x != 0
+        self.apart = _ints(r.translate(_ZERO) for r in self.and_idx)  # a & x == 0
+        self.sub = _ints(bytes(255 if a & x == a else 0 for x in xs) for a in xs)  # a ⊆ x
+        # translate tables over byte values b: b & a != 0, and b & a == 0
+        self.meet_t = [r.translate(_NONZERO) for r in byte_and]
+        self.apart_t = [r.translate(_ZERO) for r in byte_and]
+
+
+@functools.cache
+def _masks(nmasks: int) -> _Masks:
+    return _Masks(nmasks)
 
 
 # --- formulas -------------------------------------------------------------

@@ -28,7 +28,7 @@ from .errors import (
     SearchExhaustedError,
     WitnessNotFoundError,
 )
-from .logic import PropSet, Signature, Theory
+from .logic import _ZERO, PropSet, Signature, Theory, _first_byte, _ints, _masks
 from .ranking import RankFunction, enumerate_rank_functions
 from .render import dnf_text, theory_text
 from .revision import TABLE_MAX_ATOMS, RankedRevision, Revision
@@ -250,48 +250,14 @@ def _o_iter(rev, K, Kp, phi, psi):
     return rev(rev(K, psi), phi)
 
 
-# Exhaustive checking runs on packed rows. At n <= 3 a model mask fits
-# in a byte, so row K of the revision table packs into one int whose byte
-# phi is rev(K, phi). Each clause's packed form binds a packed table and
-# returns a function of one outer binding, (K, -) for KF, (K, K') for KKF
-# and (K, phi) for KFF, that gives a violation vector over the innermost
-# quantifier: its byte x is nonzero exactly when the clause fails with x
-# bound there. Antecedents enter as vectors whose fields are 0xFF or 0.
-# The lowest nonzero byte of the first nonzero vector is the
-# lexicographically first counterexample.
-
-_NONZERO = bytes([0] + [255] * 255)  # bytes.translate table: b -> b != 0
-_ZERO = bytes([255] + [0] * 255)  # bytes.translate table: b -> b == 0
-
-
-def _ints(rows) -> list[int]:
-    return [int.from_bytes(r, "little") for r in rows]
-
-
-class _Masks:
-    """Vectors and gather tables that depend only on the signature. Each
-    family is indexed by a mask a; x ranges over the formula classes."""
-
-    def __init__(self, nmasks: int):
-        xs = range(nmasks)
-        ones = int.from_bytes(b"\1" * nmasks, "little")
-        byte_and = [bytes(a & b for b in range(256)) for a in xs]
-        self.and_idx = [r[:nmasks] for r in byte_and]  # gather index a & x
-        self.or_idx = [bytes(a | x for x in xs) for a in xs]  # gather index a | x
-        self.ident = int.from_bytes(bytes(xs), "little")  # x
-        self.spread = [a * ones for a in xs]  # a
-        self.inter = _ints(self.and_idx)  # a & x
-        self.meet = _ints(r.translate(_NONZERO) for r in self.and_idx)  # a & x != 0
-        self.apart = _ints(r.translate(_ZERO) for r in self.and_idx)  # a & x == 0
-        self.sub = _ints(bytes(255 if a & x == a else 0 for x in xs) for a in xs)  # a ⊆ x
-        # translate tables over byte values b: b & a != 0, and b & a == 0
-        self.meet_t = [r.translate(_NONZERO) for r in byte_and]
-        self.apart_t = [r.translate(_ZERO) for r in byte_and]
-
-
-@functools.cache
-def _masks(nmasks: int) -> _Masks:
-    return _Masks(nmasks)
+# Exhaustive checking runs on packed rows (see logic.py): row K of the
+# revision table packs into one int whose byte phi is rev(K, phi). Each
+# clause's packed form binds a packed table and returns a function of one
+# outer binding, (K, -) for KF, (K, K') for KKF and (K, phi) for KFF, that
+# gives a violation vector over the innermost quantifier: its byte x is
+# nonzero exactly when the clause fails with x bound there. The lowest
+# nonzero byte of the first nonzero vector is the lexicographically first
+# counterexample.
 
 
 class _Packed:
@@ -299,7 +265,7 @@ class _Packed:
 
     Cells outside 0..universe_mask are packed as 0 and flagged in
     ``bad``, which only K1 reads; every other clause sees such a cell as
-    the empty model set.
+    the empty model set. Built once per revision by ``_packed``.
     """
 
     def __init__(self, table, uni: int):
@@ -338,6 +304,14 @@ class _Packed:
     def iterated(self, K: int, phi: int) -> int:
         """Over x: rev(rev(K, x), phi)."""
         return int.from_bytes(self.rows[K].translate(self.cols[phi]), "little")
+
+
+def _packed(rv: Revision) -> _Packed:
+    """The revision's packed table, built on first use and kept on the
+    revision like the table it packs."""
+    if rv._packed is None:
+        rv._packed = _Packed(rv.table(), rv.sig.universe_mask)
+    return rv._packed
 
 
 def _pk1(t):
@@ -497,6 +471,9 @@ class _Clause:
     packed: Callable[[_Packed], Callable[[int, int], int]]
     observed: Callable[..., int]
     required: str
+    # KKF only: the packed vector is the same at (K, K') and (K', K), so the
+    # first counterexample has K <= K' and the sweep skips K' < K.
+    symmetric: bool = False
 
 
 _CLAUSES: dict[PostulateId, _Clause] = {
@@ -510,7 +487,7 @@ _CLAUSES: dict[PostulateId, _Clause] = {
     PostulateId.K8: _Clause("KFF", _h_k8, _pk8, _o_conj,
                             "if ¬psi ∉ K*phi then Cn(K*phi, psi) ⊆ K*(phi ∧ psi)"),
     PostulateId.K9: _Clause("KKF", _h_k9, _pk9, _o_prime,
-                            "if ¬phi ∈ K and ¬phi ∈ K' then K*phi = K'*phi"),
+                            "if ¬phi ∈ K and ¬phi ∈ K' then K*phi = K'*phi", symmetric=True),
     PostulateId.K9_1: _Clause("KF", _h_k9_1, _pk9_1, _o_row,
                               "if ¬phi ∈ K then K*phi ⊆ bot*phi"),
     PostulateId.K9_2: _Clause("KF", _h_k9_2, _pk9_2, _o_row,
@@ -518,11 +495,11 @@ _CLAUSES: dict[PostulateId, _Clause] = {
     PostulateId.K9_2P: _Clause("KFF", _h_k9_2p, _pk9_2p, _o_row,
                                "if psi ∈ K and psi ∈ bot*phi then psi ∈ K*phi"),
     PostulateId.U8: _Clause("KKF", _h_u8, _pu8, _o_union,
-                            "(K ∩ K')*phi = (K*phi) ∩ (K'*phi)"),
+                            "(K ∩ K')*phi = (K*phi) ∩ (K'*phi)", symmetric=True),
     PostulateId.U8_1: _Clause("KKF", _h_u8_1, _pu8_1, _o_prime,
                               "if K ⊆ K' then K*phi ⊆ K'*phi"),
     PostulateId.U8_2: _Clause("KKF", _h_u8_2, _pu8_2, _o_union,
-                              "(K*phi) ∩ (K'*phi) ⊆ (K ∩ K')*phi"),
+                              "(K*phi) ∩ (K'*phi) ⊆ (K ∩ K')*phi", symmetric=True),
     PostulateId.C1: _Clause("KFF", _h_c1, _pc1, _o_iter,
                             "if phi ⊨ psi then (K*psi)*phi = K*phi"),
     PostulateId.C2: _Clause("KFF", _h_c2, _pc2, _o_iter,
@@ -541,10 +518,10 @@ _CLAUSES: dict[PostulateId, _Clause] = {
                                "if psi ∈ K*phi then (K*psi)*phi = K*phi"),
     PostulateId.P_KM1: _Clause("KKF", _h_km1, _pkm1, _o_union,
                                "if ¬phi ∉ K and ¬phi ∉ K' then "
-                               "(K ∩ K')*phi = (K*phi) ∩ (K'*phi)"),
+                               "(K ∩ K')*phi = (K*phi) ∩ (K'*phi)", symmetric=True),
     PostulateId.P_K9U81: _Clause("KKF", _h_k9u81, _pk9u81, _o_union,
                                  "if ¬phi ∈ K and ¬phi ∈ K' then "
-                                 "(K*phi) ∩ (K'*phi) = (K ∩ K')*phi"),
+                                 "(K*phi) ∩ (K'*phi) = (K ∩ K')*phi", symmetric=True),
 }
 
 def _first_failure(clause: _Clause, t: _Packed) -> Optional[tuple[int, int, int, int]]:
@@ -553,12 +530,12 @@ def _first_failure(clause: _Clause, t: _Packed) -> Optional[tuple[int, int, int,
     binding (a, b), b only for KKF and KFF clauses; the innermost
     quantifier is the lowest nonzero byte of the violation vector."""
     vec = clause.packed(t)
-    inner = range(t.nmasks) if clause.shape != "KF" else (0,)
-    for a in range(t.nmasks):
-        for b in inner:
+    n = t.nmasks
+    for a in range(n):
+        for b in (0,) if clause.shape == "KF" else range(a if clause.symmetric else 0, n):
             v = vec(a, b)
             if v:
-                c = ((v & -v).bit_length() - 1) >> 3
+                c = _first_byte(v)
                 if clause.shape == "KF":
                     return a, 0, c, 0
                 if clause.shape == "KKF":
@@ -668,7 +645,7 @@ def check_postulate(
                 f"{pid.name} quantifies over too many bindings at {sig.n} atoms; "
                 "run in sampled mode instead"
             )
-        hit = _first_failure(clause, _Packed(rv.table(), uni))
+        hit = _first_failure(clause, _packed(rv))
         return None if hit is None else _make_violation(rv, pid, *hit)
 
     if mode != "sampled":

@@ -11,6 +11,7 @@ ordered-set-partition (Fubini) number of m.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from typing import Iterator
@@ -97,6 +98,24 @@ def normalize(r: RankFunction) -> RankFunction:
     return RankFunction(r.sig, tuple(relabel[x] for x in r.ranks))
 
 
+def _check_enumerable(sig: Signature) -> None:
+    if sig.n > ENUM_MAX_ATOMS:
+        raise SignatureTooLargeError(
+            f"exhaustive enumeration supports at most {ENUM_MAX_ATOMS} atoms, got {sig.n}"
+        )
+
+
+def count_rank_functions(sig: Signature) -> int:
+    """How many functions enumerate_rank_functions yields, without
+    enumerating them: the Fubini number a(2**n), where
+    a(m) = sum over k = 1..m of C(m, k) * a(m - k) and a(0) = 1."""
+    _check_enumerable(sig)
+    a = [1]
+    for m in range(1, sig.num_valuations + 1):
+        a.append(sum(math.comb(m, k) * a[m - k] for k in range(1, m + 1)))
+    return a[-1]
+
+
 def enumerate_rank_functions(sig: Signature) -> Iterator[RankFunction]:
     """Yield every normalized rank function over the signature exactly once,
     in lexicographic order of the rank vector.
@@ -104,10 +123,7 @@ def enumerate_rank_functions(sig: Signature) -> Iterator[RankFunction]:
     The count equals the Fubini number of 2**n, so enumeration is capped
     at n <= 3 (545835 functions).
     """
-    if sig.n > ENUM_MAX_ATOMS:
-        raise SignatureTooLargeError(
-            f"exhaustive enumeration supports at most {ENUM_MAX_ATOMS} atoms, got {sig.n}"
-        )
+    _check_enumerable(sig)
     m = sig.num_valuations
     vec = [0] * m
 

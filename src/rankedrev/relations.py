@@ -8,9 +8,12 @@ models(C(phi)) ⊆ models(psi).
 
 The checker covers the standard rational set imported from the KLM
 framework: REF, LLE, RW, AND, OR, CM, RM, S (conditionalization) and
-CP (consistency preservation). Each property is evaluated by
-quantifying over all PropSet pairs or triples; the first counterexample
-in lexicographic (phi, psi) order is reported.
+CP (consistency preservation). LLE, RW and AND hold by construction of
+this representation: besides LLE above, phi |~ psi is C(phi) ⊆ psi, and
+that is closed under weakening psi and under intersecting two such psi.
+The other six are checked over all PropSet masks phi (and psi) on packed
+vectors (see logic.py); the first counterexample in lexicographic
+(phi, psi) order is reported.
 """
 
 from __future__ import annotations
@@ -18,8 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .errors import DomainTooLargeError
-from .logic import PropSet, Signature, Theory
+from .errors import DomainTooLargeError, SignatureError
+from .logic import _ZERO, PropSet, Signature, Theory, _first_byte, _ints, _masks
 from .ranking import RankFunction
 
 RATIONAL_PROPERTIES = ("REF", "LLE", "RW", "AND", "OR", "CM", "RM", "S", "CP")
@@ -110,136 +113,55 @@ class RationalityReport:
 
 def check_rationality(c: ConsequenceRelation, sig: Optional[Signature] = None) -> RationalityReport:
     """Exhaustively evaluate the nine rational properties of the relation."""
-    sig = sig or c.sig
+    if sig is not None and sig != c.sig:
+        raise SignatureError(f"relation is over atoms {c.sig.atoms}, not {sig.atoms}")
+    sig = c.sig
     if sig.n > CHECK_MAX_ATOMS:
         raise DomainTooLargeError(
             f"rationality check quantifies over 2**{sig.num_valuations} formula "
             f"classes; at most {CHECK_MAX_ATOMS} atoms supported"
         )
     M = c.consequences
-    nmasks = sig.universe_mask + 1
-    uni = sig.universe_mask
-    ps = lambda m: PropSet(sig, m)
-    out: list[tuple[str, Optional[RelationWitness]]] = []
+    m = _masks(len(M))
+    row = bytes(M)
+    P = int.from_bytes(row, "little")
+    tab = row + bytes(256 - len(M))  # as a bytes.translate table
+    # over psi, one vector per phi: C(phi ∧ psi) and C(phi ∨ psi)
+    conj = _ints(r.translate(tab) for r in m.and_idx)
+    disj = _ints(r.translate(tab) for r in m.or_idx)
+    ps = lambda mask: PropSet(sig, mask)
 
-    # REF: phi |~ phi
-    w = None
-    for phi in range(nmasks):
-        if (M[phi] | phi) != phi:
-            w = RelationWitness("REF", ps(phi), None, None,
-                                "C(phi) has a model outside phi")
-            break
-    out.append(("REF", w))
+    def over_phi(prop: str, v: int, detail: str):
+        return prop, RelationWitness(prop, ps(_first_byte(v)), None, None, detail) if v else None
 
-    # LLE holds by construction: equivalent formulas are the same PropSet.
-    out.append(("LLE", None))
+    def over_pairs(prop: str, vecs, chi, detail: str):
+        """The first (phi, psi) where the vector for phi is nonzero at psi;
+        ``chi(phi, psi)`` is the smallest chi the antecedent allows."""
+        for phi, v in enumerate(vecs):
+            if v:
+                psi = _first_byte(v)
+                return prop, RelationWitness(prop, ps(phi), ps(psi), ps(chi(phi, psi)), detail)
+        return prop, None
 
-    # RW: phi |~ psi and psi ⊨ chi imply phi |~ chi
-    w = None
-    for phi in range(nmasks):
-        if w:
-            break
-        a = M[phi]
-        for psi in range(nmasks):
-            if (a | psi) != psi:
-                continue
-            chi = psi
-            while True:  # supersets of psi in increasing mask order
-                if (a | chi) != chi:
-                    w = RelationWitness("RW", ps(phi), ps(psi), ps(chi),
-                                        "phi |~ psi, psi ⊨ chi, but not phi |~ chi")
-                    break
-                if chi == uni:
-                    break
-                chi = (chi + 1) | psi
-            if w:
-                break
-    out.append(("RW", w))
-
-    # AND: phi |~ psi and phi |~ chi imply phi |~ psi ∧ chi
-    w = None
-    for phi in range(nmasks):
-        if w:
-            break
-        a = M[phi]
-        sups = []
-        s = a
-        while True:
-            sups.append(s)
-            if s == uni:
-                break
-            s = (s + 1) | a
-        for psi in sups:
-            if w:
-                break
-            for chi in sups:
-                both = psi & chi
-                if (a | both) != both:
-                    w = RelationWitness("AND", ps(phi), ps(psi), ps(chi),
-                                        "phi |~ psi and phi |~ chi but not phi |~ psi ∧ chi")
-                    break
-    out.append(("AND", w))
-
-    # OR: phi |~ chi and psi |~ chi imply phi ∨ psi |~ chi
-    w = None
-    for phi in range(nmasks):
-        if w:
-            break
-        for psi in range(nmasks):
-            joint = M[phi] | M[psi]  # smallest chi with phi |~ chi and psi |~ chi
-            if (M[phi | psi] | joint) != joint:
-                w = RelationWitness("OR", ps(phi), ps(psi), ps(joint),
-                                    "phi |~ chi and psi |~ chi but not phi ∨ psi |~ chi")
-                break
-    out.append(("OR", w))
-
-    # CM: phi |~ psi and phi |~ chi imply phi ∧ psi |~ chi
-    w = None
-    for phi in range(nmasks):
-        if w:
-            break
-        a = M[phi]
-        for psi in range(nmasks):
-            if (a | psi) == psi and (M[phi & psi] | a) != a:
-                w = RelationWitness("CM", ps(phi), ps(psi), ps(a),
-                                    "phi |~ psi and phi |~ chi but not phi ∧ psi |~ chi")
-                break
-    out.append(("CM", w))
-
-    # RM: phi |~ chi and not phi |~ ¬psi imply phi ∧ psi |~ chi
-    w = None
-    for phi in range(nmasks):
-        if w:
-            break
-        a = M[phi]
-        for psi in range(nmasks):
-            if a & psi and (M[phi & psi] | a) != a:
-                w = RelationWitness("RM", ps(phi), ps(psi), ps(a),
-                                    "phi |~ chi, phi |~/ ¬psi, but not phi ∧ psi |~ chi")
-                break
-    out.append(("RM", w))
-
-    # S: phi ∧ psi |~ chi implies phi |~ psi -> chi
-    w = None
-    for phi in range(nmasks):
-        if w:
-            break
-        a = M[phi]
-        for psi in range(nmasks):
-            b = M[phi & psi]  # smallest chi with phi ∧ psi |~ chi
-            if ((a & psi) | b) != b:
-                w = RelationWitness("S", ps(phi), ps(psi), ps(b),
-                                    "phi ∧ psi |~ chi but not phi |~ psi -> chi")
-                break
-    out.append(("S", w))
-
-    # CP: phi |~ false only for phi ≡ false
-    w = None
-    for phi in range(1, nmasks):
-        if M[phi] == 0:
-            w = RelationWitness("CP", ps(phi), None, None,
-                                "consistent phi with C(phi) inconsistent")
-            break
-    out.append(("CP", w))
-
-    return RationalityReport(tuple(out))
+    return RationalityReport((
+        over_phi("REF", P & ~m.ident, "C(phi) has a model outside phi"),
+        # By construction: phi |~ psi is C(phi) ⊆ psi, so C(phi) ⊆ psi ⊆ chi
+        # gives RW, and C(phi) ⊆ psi, C(phi) ⊆ chi give C(phi) ⊆ psi ∩ chi, AND.
+        ("LLE", None),
+        ("RW", None),
+        ("AND", None),
+        over_pairs("OR", (disj[phi] & ~(m.spread[a] | P) for phi, a in enumerate(M)),
+                   lambda phi, psi: M[phi] | M[psi],
+                   "phi |~ chi and psi |~ chi but not phi ∨ psi |~ chi"),
+        over_pairs("CM", (m.sub[a] & conj[phi] & ~m.spread[a] for phi, a in enumerate(M)),
+                   lambda phi, psi: M[phi],
+                   "phi |~ psi and phi |~ chi but not phi ∧ psi |~ chi"),
+        over_pairs("RM", (m.meet[a] & conj[phi] & ~m.spread[a] for phi, a in enumerate(M)),
+                   lambda phi, psi: M[phi],
+                   "phi |~ chi, phi |~/ ¬psi, but not phi ∧ psi |~ chi"),
+        over_pairs("S", (m.inter[a] & ~conj[phi] for phi, a in enumerate(M)),
+                   lambda phi, psi: M[phi & psi],
+                   "phi ∧ psi |~ chi but not phi |~ psi -> chi"),
+        over_phi("CP", int.from_bytes(row.translate(_ZERO), "little") & ~0xFF,
+                 "consistent phi with C(phi) inconsistent"),
+    ))

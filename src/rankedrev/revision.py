@@ -50,8 +50,9 @@ class Revision:
     """Abstract two-argument revision operator.
 
     Subclasses implement ``revise_mask`` on raw masks; the table of all
-    cells is cached for the exhaustive checkers. Two revisions are the
-    same revision when they agree pointwise over the finite domain.
+    cells is cached for the exhaustive checkers, which also keep their
+    packed form of it in ``_packed``. Two revisions are the same revision
+    when they agree pointwise over the finite domain.
     """
 
     tag: str = "abstract"
@@ -59,6 +60,7 @@ class Revision:
     def __init__(self, sig: Signature):
         self.sig = sig
         self._table = None
+        self._packed = None
 
     def revise_mask(self, k_mask: int, f_mask: int) -> int:
         raise NotImplementedError

@@ -4,8 +4,8 @@ Everything here recomputes expected values from first principles,
 without going through the code paths under test: a per-valuation truth
 evaluator, a binomial-recurrence counter for ordered set partitions, a
 sort-based minimum-rank extractor, a constraint search that finds every
-rational choice table at small sizes, and the per-binding postulate
-sweep that exhaustive checking is compared against.
+rational choice table at small sizes, and the per-binding postulate and
+rationality sweeps that the packed checkers are compared against.
 """
 
 from __future__ import annotations
@@ -161,3 +161,134 @@ def first_violation(rv, pid):
                     if not holds(rev, uni, K, 0, phi, psi):
                         return K, 0, phi, psi
     return None
+
+
+def rationality_reference(c):
+    """The nine rational properties checked one pair or triple at a time,
+    in lexicographic (phi, psi, chi) order.
+
+    Returns (prop, witness) per property in RATIONAL_PROPERTIES order,
+    where witness is (phi, psi, chi, detail) with masks, None for the
+    formulas a property does not bind, or None when the property holds.
+    Unlike the checker it also sweeps RW and AND, which hold by
+    construction, so tests can confirm that they never fail.
+    """
+    M = c.consequences
+    nmasks = len(M)
+    uni = nmasks - 1
+    out = []
+
+    # REF: phi |~ phi
+    w = None
+    for phi in range(nmasks):
+        if (M[phi] | phi) != phi:
+            w = (phi, None, None, "C(phi) has a model outside phi")
+            break
+    out.append(("REF", w))
+
+    # LLE holds by construction: equivalent formulas are the same mask.
+    out.append(("LLE", None))
+
+    # RW: phi |~ psi and psi ⊨ chi imply phi |~ chi
+    w = None
+    for phi in range(nmasks):
+        if w:
+            break
+        a = M[phi]
+        for psi in range(nmasks):
+            if (a | psi) != psi:
+                continue
+            chi = psi
+            while True:  # supersets of psi in increasing mask order
+                if (a | chi) != chi:
+                    w = (phi, psi, chi, "phi |~ psi, psi ⊨ chi, but not phi |~ chi")
+                    break
+                if chi == uni:
+                    break
+                chi = (chi + 1) | psi
+            if w:
+                break
+    out.append(("RW", w))
+
+    # AND: phi |~ psi and phi |~ chi imply phi |~ psi ∧ chi
+    w = None
+    for phi in range(nmasks):
+        if w:
+            break
+        a = M[phi]
+        sups = []
+        s = a
+        while True:
+            sups.append(s)
+            if s == uni:
+                break
+            s = (s + 1) | a
+        for psi in sups:
+            if w:
+                break
+            for chi in sups:
+                both = psi & chi
+                if (a | both) != both:
+                    w = (phi, psi, chi,
+                         "phi |~ psi and phi |~ chi but not phi |~ psi ∧ chi")
+                    break
+    out.append(("AND", w))
+
+    # OR: phi |~ chi and psi |~ chi imply phi ∨ psi |~ chi
+    w = None
+    for phi in range(nmasks):
+        if w:
+            break
+        for psi in range(nmasks):
+            joint = M[phi] | M[psi]  # smallest chi with phi |~ chi and psi |~ chi
+            if (M[phi | psi] | joint) != joint:
+                w = (phi, psi, joint, "phi |~ chi and psi |~ chi but not phi ∨ psi |~ chi")
+                break
+    out.append(("OR", w))
+
+    # CM: phi |~ psi and phi |~ chi imply phi ∧ psi |~ chi
+    w = None
+    for phi in range(nmasks):
+        if w:
+            break
+        a = M[phi]
+        for psi in range(nmasks):
+            if (a | psi) == psi and (M[phi & psi] | a) != a:
+                w = (phi, psi, a, "phi |~ psi and phi |~ chi but not phi ∧ psi |~ chi")
+                break
+    out.append(("CM", w))
+
+    # RM: phi |~ chi and not phi |~ ¬psi imply phi ∧ psi |~ chi
+    w = None
+    for phi in range(nmasks):
+        if w:
+            break
+        a = M[phi]
+        for psi in range(nmasks):
+            if a & psi and (M[phi & psi] | a) != a:
+                w = (phi, psi, a, "phi |~ chi, phi |~/ ¬psi, but not phi ∧ psi |~ chi")
+                break
+    out.append(("RM", w))
+
+    # S: phi ∧ psi |~ chi implies phi |~ psi -> chi
+    w = None
+    for phi in range(nmasks):
+        if w:
+            break
+        a = M[phi]
+        for psi in range(nmasks):
+            b = M[phi & psi]  # smallest chi with phi ∧ psi |~ chi
+            if ((a & psi) | b) != b:
+                w = (phi, psi, b, "phi ∧ psi |~ chi but not phi |~ psi -> chi")
+                break
+    out.append(("S", w))
+
+    # CP: phi |~ false only for phi ≡ false
+    w = None
+    for phi in range(1, nmasks):
+        if M[phi] == 0:
+            w = (phi, None, None, "consistent phi with C(phi) inconsistent")
+            break
+    out.append(("CP", w))
+
+    return tuple(out)

@@ -130,6 +130,13 @@ class TestEnumerate:
         assert code == 0
         assert out.strip() == "75"
 
+    def test_count_only_at_the_cap(self, capsys):
+        code, out, _ = run(capsys, "enumerate", "--atoms", "3", "--count-only")
+        assert code == 0 and out.strip() == "545835"
+        code, out, err = run(capsys, "enumerate", "--atoms", "4", "--count-only")
+        assert code == 2
+        assert out == "" and err.startswith("error:")
+
     @pytest.mark.parametrize("atoms", ["p,p", "true"])
     def test_bad_atoms_exit_two(self, capsys, atoms):
         code, out, err = run(capsys, "enumerate", "--atoms", atoms)

@@ -7,6 +7,8 @@ from itertools import islice
 
 import pytest
 
+from rankedrev import postulates
+
 from rankedrev import (
     AGM_PLUS_MINIMAL_INFLUENCE,
     DomainTooLargeError,
@@ -231,6 +233,58 @@ class TestPackedKernelsMatchReference:
         assert "observed=not a theory over the signature" in v.describe()
         if sig.n == 2:
             run_suite(rv, PostulateId)
+
+
+def _perturbed_revisions(revs75, count, seed):
+    """Seeded two-atom tables with one to three cells changed, mostly in
+    late rows, drawn as in TestPackedKernelsMatchReference."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        rv = revs75[rng.randrange(len(revs75))]
+        for _ in range(rng.randint(1, 3)):
+            rv = _perturbed_table(rv, rng.randrange(rng.choice((1, 8)), 16),
+                                  rng.randrange(16), rng.randrange(16))
+        yield rv
+
+
+class TestPackedKernelSweep:
+    def test_symmetric_clauses_have_symmetric_vectors(self, revs75):
+        # a clause marked symmetric is swept over K <= K' only, which is
+        # sound only when its vector at (K, K') equals the one at (K', K)
+        clauses = postulates._CLAUSES
+        assert {pid.name for pid, c in clauses.items() if c.symmetric} == {
+            "K9", "U8", "U8_2", "P_KM1", "P_K9U81"}
+        asymmetric = set()
+        for rv in [*revs75, *_perturbed_revisions(revs75, 200, 2002)]:
+            t = postulates._Packed(rv.table(), rv.sig.universe_mask)
+            for pid, clause in clauses.items():
+                if clause.shape != "KKF":
+                    continue
+                vec = clause.packed(t)
+                same = all(vec(K, Kp) == vec(Kp, K) for K in range(16) for Kp in range(K))
+                if clause.symmetric:
+                    assert same, pid
+                elif not same:
+                    asymmetric.add(pid)
+        # the check can tell: the one unmarked KKF clause is asymmetric
+        assert asymmetric == {PostulateId.U8_1}
+
+    def test_one_packed_table_per_revision(self, monkeypatch):
+        built = []
+
+        class Counting(postulates._Packed):
+            def __init__(self, table, uni):
+                built.append(self)
+                super().__init__(table, uni)
+
+        monkeypatch.setattr(postulates, "_Packed", Counting)
+        first, second = (RankedRevision(r) for r in islice(enumerate_rank_functions(SIG2), 2))
+        for rv in (first, second, first):
+            run_suite(rv, PostulateId)
+        assert built == [first._packed, second._packed]
+        assert first._packed is not second._packed
+        for rv in (first, second):
+            assert rv._packed.rows == [bytes(row) for row in rv.table()]
 
 
 class TestSuiteReport:

@@ -20,6 +20,7 @@ from rankedrev import (
     parse_rank_file,
     random_rank_function,
 )
+from rankedrev.ranking import count_rank_functions
 
 from helpers import R0, SIG1, SIG2, SIG3, ps, th
 from oracles import fubini, min_rank_valuations
@@ -106,6 +107,13 @@ class TestEnumerate:
     def test_four_atoms_rejected(self):
         with pytest.raises(SignatureTooLargeError):
             next(iter(enumerate_rank_functions(Signature(("a", "b", "c", "d")))))
+
+    def test_count_without_enumerating(self):
+        for sig in (SIG1, SIG2):
+            assert count_rank_functions(sig) == sum(1 for _ in enumerate_rank_functions(sig))
+        assert count_rank_functions(SIG3) == 545835
+        with pytest.raises(SignatureTooLargeError):
+            count_rank_functions(Signature(("a", "b", "c", "d")))
 
 
 class TestRandom:

@@ -1,6 +1,7 @@
 """Rationality checking and the small-size representation oracle."""
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -13,10 +14,11 @@ from rankedrev import (
     enumerate_rank_functions,
     random_rank_function,
     RATIONAL_PROPERTIES,
+    SignatureError,
 )
 
 from helpers import R0, SIG1, SIG2, SIG3, ps
-from oracles import rational_choice_tables
+from oracles import rational_choice_tables, rationality_reference
 
 
 def _table_relation(sig, overrides):
@@ -69,6 +71,13 @@ class TestCheckRationality:
     def test_report_covers_all_nine_properties(self):
         report = check_rationality(ConsequenceRelation.from_rank(R0))
         assert tuple(name for name, _ in report.witnesses) == RATIONAL_PROPERTIES
+
+    @pytest.mark.parametrize("sig", [SIG1, SIG3], ids=["fewer_atoms", "more_atoms"])
+    def test_other_signature_rejected(self, sig):
+        rel = ConsequenceRelation.from_rank(R0)
+        assert check_rationality(rel, SIG2).all_pass
+        with pytest.raises(SignatureError):
+            check_rationality(rel, sig)
 
     def test_too_many_atoms_rejected(self):
         sig4 = Signature(("a", "b", "c", "d"))
@@ -128,3 +137,59 @@ class TestRepresentationCompleteness:
         # and everything the oracle found passes the checker under test
         for table in oracle:
             assert check_rationality(ConsequenceRelation(SIG2, table)).all_pass
+
+
+def _assert_matches_reference(rel, failures):
+    """The checker against the per-pair sweep: the same witness, with the
+    same detail, for all nine properties; and the sweep never finds the
+    RW or AND counterexample the checker rules out by construction."""
+    ref = rationality_reference(rel)
+    got = tuple(
+        (name, None if w is None else (
+            w.phi.mask,
+            None if w.psi is None else w.psi.mask,
+            None if w.chi is None else w.chi.mask,
+            w.detail))
+        for name, w in check_rationality(rel).witnesses
+    )
+    assert got == ref
+    assert dict(ref)["RW"] is None and dict(ref)["AND"] is None
+    failures.update(name for name, w in ref if w is not None)
+
+
+_BY_SIZE = pytest.mark.parametrize("sig, count", [(SIG1, 40), (SIG2, 100), (SIG3, 8)],
+                                   ids=["1atom", "2atoms", "3atoms"])
+
+
+class TestMatchesReference:
+    def test_two_atom_rank_relations(self, ranks75):
+        failures = Counter()
+        for r in ranks75:
+            _assert_matches_reference(ConsequenceRelation.from_rank(r), failures)
+        assert not failures
+
+    @_BY_SIZE
+    def test_perturbed_rank_relations(self, sig, count):
+        # one to three entries of a rank relation changed
+        rng = random.Random(sig.n)
+        nm = sig.universe_mask + 1
+        failures = Counter()
+        for _ in range(count):
+            r = random_rank_function(sig, rng.randint(1, 5), rng.randrange(10**6))
+            table = list(r.consequence_table())
+            for _ in range(rng.randint(1, 3)):
+                table[rng.randrange(nm)] = rng.randrange(nm)
+            _assert_matches_reference(ConsequenceRelation(sig, table), failures)
+        assert sum(failures.values()) >= count
+
+    @_BY_SIZE
+    def test_random_relations(self, sig, count):
+        rng = random.Random(100 + sig.n)
+        nm = sig.universe_mask + 1
+        failures = Counter()
+        for _ in range(count):
+            table = [rng.randrange(nm) for _ in range(nm)]
+            _assert_matches_reference(ConsequenceRelation(sig, table), failures)
+        # each property the checker sweeps fails on at least an eighth of them
+        for name in ("REF", "OR", "CM", "RM", "S", "CP"):
+            assert failures[name] >= count // 8, (name, failures)
