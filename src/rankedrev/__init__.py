@@ -15,6 +15,7 @@ from .errors import (
     SearchExhaustedError,
     SignatureError,
     SignatureTooLargeError,
+    TableTooLargeError,
     UnknownAtomError,
     WitnessNotFoundError,
 )

@@ -35,6 +35,12 @@ class SignatureTooLargeError(RankedRevError):
     """Signature too large for exhaustive enumeration of rank functions."""
 
 
+class TableTooLargeError(RankedRevError, OverflowError):
+    """A table over every formula class, 2**(2**n) entries, asked for
+    beyond the atoms it fits at. Also an OverflowError, which such calls
+    raised before."""
+
+
 class DomainTooLargeError(RankedRevError):
     """Quantifier domain too large for exhaustive checking; use sampled mode."""
 

@@ -272,10 +272,11 @@ class _Packed:
         self.nmasks = uni + 1
         self.m = _masks(self.nmasks)
         self.rows, self.bad = [], []
+        valid = bytes(range(self.nmasks))
         for row in table:
             try:
                 packed = bytes(row)
-                in_range = max(packed) <= uni
+                in_range = not packed.translate(None, valid)  # nothing left once valid cells go
             except ValueError:  # a cell outside 0..255
                 in_range = False
             if in_range:
@@ -383,6 +384,97 @@ def _pk9u81(t):
     return lambda K, Kp: (P[K | Kp] ^ (P[K] | P[Kp])) & apart[K] & apart[Kp]
 
 
+# Deciders for the symmetric KKF clauses: True exactly when the clause
+# holds at every (K, K', phi), found on the packed rows without a sweep
+# over (K, K') pairs. Lane (phi, w) is bit w of byte phi; per lane, f(a)
+# is that bit of P[a], and the clause ranges over the sets a whose
+# family vector (apart, meet or every set) has the lane. "sub" is
+# f(a ∪ b) ⊆ f(a) ∪ f(b), "sup" is f(a) ∪ f(b) ⊆ f(a ∪ b); U8 is both over
+# every set, U8_2 is sub, P_KM1 both over meet and P_K9U81 both over
+# apart. Every family here is closed under union.
+
+
+def _dk9(t):
+    # If (K, K') fails at phi, so does (0, K) or (0, K'): apart[0] is all
+    # ones and P[K] != P[K'] on the lane means one of them differs from P[0].
+    P, apart = t.P, t.m.apart
+    return not any((P[0] ^ p) & a for p, a in zip(P, apart))
+
+
+def _union_generated(t, fam):
+    """sub and sup on a family that holds every subset of its members
+    (all sets, or apart): f(a) = f(0) ∪ ⋃ over v ∈ a of f({v})."""
+    P = t.P
+    gen = [P[0]]
+    for a in range(1, t.nmasks):
+        low = a & -a
+        gen.append(gen[a ^ low] | P[low])
+    return not any((p ^ g) & f for p, g, f in zip(P, gen, fam))
+
+
+@functools.cache
+def _zeta_steps(nmasks: int) -> list[tuple[list[int], list[tuple[int, list[int]]]]]:
+    """Per valuation v: the sets holding v and, per other valuation x,
+    x's bit with the sets holding both; the steps of a subset-OR
+    transform over the sets holding v."""
+    bits = [1 << v for v in range(nmasks.bit_length() - 1)]
+    return [([s for s in range(nmasks) if s & vb],
+             [(xb, [s for s in range(nmasks) if s & vb and s & xb])
+              for xb in bits if xb != vb])
+            for vb in bits]
+
+
+@functools.cache
+def _covers(nmasks: int) -> list[tuple[int, int]]:
+    """Every pair (a, a ∪ {x}) with x ∉ a."""
+    bits = [1 << v for v in range(nmasks.bit_length() - 1)]
+    return [(a, a | xb) for xb in bits for a in range(nmasks) if not a & xb]
+
+
+def _sub(t, fam):
+    """On each lane the zero sets (members a with f(a) = 0) are closed
+    under union: no s with f(s) = 1 is the union of the zero sets below
+    it. reach[s] has the lane when a zero set c ⊆ s holds v, and cover[s]
+    when that is so for every v ∈ s."""
+    P, n = t.P, t.nmasks
+    zero = [~p & f for p, f in zip(P, fam)]
+    cover = [-1] * n
+    for holding, steps in _zeta_steps(n):
+        reach = zero[:]
+        for xb, both in steps:
+            for s in both:
+                reach[s] |= reach[s ^ xb]
+        for s in holding:
+            cover[s] &= reach[s]
+    return not any(P[s] & fam[s] & cover[s] for s in range(1, n))
+
+
+def _sup(t, fam):
+    """f is monotone along every step a -> a ∪ {x} inside the family."""
+    P = t.P
+    return not any(P[a] & ~P[b] & fam[a] & fam[b] for a, b in _covers(t.nmasks))
+
+
+def _every(t):
+    return [(1 << 8 * t.nmasks) - 1] * t.nmasks
+
+
+def _du8(t):
+    return _union_generated(t, _every(t))
+
+
+def _du8_2(t):
+    return _sub(t, _every(t))
+
+
+def _dkm1(t):
+    return _sub(t, t.m.meet) and _sup(t, t.m.meet)
+
+
+def _dk9u81(t):
+    return _union_generated(t, t.m.apart)
+
+
 def _pk7(t):
     rows, inter, conj = t.rows, t.m.inter, t.conj
     return lambda K, phi: inter[rows[K][phi]] & ~conj(K, phi)
@@ -466,6 +558,12 @@ def _pgen(t):
 
 @dataclass(frozen=True)
 class _Clause:
+    """One postulate: ``holds`` checks a single binding (sampled mode and
+    replay), ``packed`` gives the violation vectors that locate the first
+    counterexample, and ``decide``, where set, tells from the packed table
+    alone whether there is one, so exhaustive mode locates only after it
+    says the clause fails."""
+
     shape: str  # "KF": (K, phi); "KKF": (K, K', phi); "KFF": (K, phi, psi)
     holds: Callable[..., bool]
     packed: Callable[[_Packed], Callable[[int, int], int]]
@@ -474,6 +572,7 @@ class _Clause:
     # KKF only: the packed vector is the same at (K, K') and (K', K), so the
     # first counterexample has K <= K' and the sweep skips K' < K.
     symmetric: bool = False
+    decide: Optional[Callable[[_Packed], bool]] = None
 
 
 _CLAUSES: dict[PostulateId, _Clause] = {
@@ -487,7 +586,8 @@ _CLAUSES: dict[PostulateId, _Clause] = {
     PostulateId.K8: _Clause("KFF", _h_k8, _pk8, _o_conj,
                             "if ¬psi ∉ K*phi then Cn(K*phi, psi) ⊆ K*(phi ∧ psi)"),
     PostulateId.K9: _Clause("KKF", _h_k9, _pk9, _o_prime,
-                            "if ¬phi ∈ K and ¬phi ∈ K' then K*phi = K'*phi", symmetric=True),
+                            "if ¬phi ∈ K and ¬phi ∈ K' then K*phi = K'*phi",
+                            symmetric=True, decide=_dk9),
     PostulateId.K9_1: _Clause("KF", _h_k9_1, _pk9_1, _o_row,
                               "if ¬phi ∈ K then K*phi ⊆ bot*phi"),
     PostulateId.K9_2: _Clause("KF", _h_k9_2, _pk9_2, _o_row,
@@ -495,11 +595,12 @@ _CLAUSES: dict[PostulateId, _Clause] = {
     PostulateId.K9_2P: _Clause("KFF", _h_k9_2p, _pk9_2p, _o_row,
                                "if psi ∈ K and psi ∈ bot*phi then psi ∈ K*phi"),
     PostulateId.U8: _Clause("KKF", _h_u8, _pu8, _o_union,
-                            "(K ∩ K')*phi = (K*phi) ∩ (K'*phi)", symmetric=True),
+                            "(K ∩ K')*phi = (K*phi) ∩ (K'*phi)", symmetric=True, decide=_du8),
     PostulateId.U8_1: _Clause("KKF", _h_u8_1, _pu8_1, _o_prime,
                               "if K ⊆ K' then K*phi ⊆ K'*phi"),
     PostulateId.U8_2: _Clause("KKF", _h_u8_2, _pu8_2, _o_union,
-                              "(K*phi) ∩ (K'*phi) ⊆ (K ∩ K')*phi", symmetric=True),
+                              "(K*phi) ∩ (K'*phi) ⊆ (K ∩ K')*phi", symmetric=True,
+                              decide=_du8_2),
     PostulateId.C1: _Clause("KFF", _h_c1, _pc1, _o_iter,
                             "if phi ⊨ psi then (K*psi)*phi = K*phi"),
     PostulateId.C2: _Clause("KFF", _h_c2, _pc2, _o_iter,
@@ -518,10 +619,12 @@ _CLAUSES: dict[PostulateId, _Clause] = {
                                "if psi ∈ K*phi then (K*psi)*phi = K*phi"),
     PostulateId.P_KM1: _Clause("KKF", _h_km1, _pkm1, _o_union,
                                "if ¬phi ∉ K and ¬phi ∉ K' then "
-                               "(K ∩ K')*phi = (K*phi) ∩ (K'*phi)", symmetric=True),
+                               "(K ∩ K')*phi = (K*phi) ∩ (K'*phi)", symmetric=True,
+                               decide=_dkm1),
     PostulateId.P_K9U81: _Clause("KKF", _h_k9u81, _pk9u81, _o_union,
                                  "if ¬phi ∈ K and ¬phi ∈ K' then "
-                                 "(K*phi) ∩ (K'*phi) = (K ∩ K')*phi", symmetric=True),
+                                 "(K*phi) ∩ (K'*phi) = (K ∩ K')*phi", symmetric=True,
+                                 decide=_dk9u81),
 }
 
 def _first_failure(clause: _Clause, t: _Packed) -> Optional[tuple[int, int, int, int]]:
@@ -629,8 +732,10 @@ def check_postulate(
 ) -> Optional[Violation]:
     """Evaluate one postulate; None means it holds everywhere checked.
 
-    Exhaustive mode sweeps the whole binding domain in lexicographic
-    order on packed table rows and needs n <= 3.
+    Exhaustive mode works on packed table rows and needs n <= 3. A
+    clause with a decider is first decided on the whole table; only when
+    it fails, or when the clause has no decider, is the binding domain
+    swept in lexicographic order to locate the first counterexample.
     Sampled mode draws ``samples`` bindings from random.Random(seed), one
     randrange per quantifier in binding order.
     """
@@ -645,7 +750,10 @@ def check_postulate(
                 f"{pid.name} quantifies over too many bindings at {sig.n} atoms; "
                 "run in sampled mode instead"
             )
-        hit = _first_failure(clause, _packed(rv))
+        t = _packed(rv)
+        if clause.decide is not None and clause.decide(t):
+            return None
+        hit = _first_failure(clause, t)
         return None if hit is None else _make_violation(rv, pid, *hit)
 
     if mode != "sampled":

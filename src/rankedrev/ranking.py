@@ -16,10 +16,11 @@ import random
 from dataclasses import dataclass
 from typing import Iterator
 
-from .errors import RankFileError, SignatureTooLargeError
+from .errors import RankFileError, SignatureTooLargeError, TableTooLargeError
 from .logic import PropSet, Signature, Theory
 
 ENUM_MAX_ATOMS = 3
+CONSEQUENCE_TABLE_MAX_ATOMS = 4  # 2**16 entries; 5 atoms would need 2**32
 
 
 @dataclass(frozen=True)
@@ -75,6 +76,11 @@ class RankFunction:
 
     def consequence_table(self) -> tuple[int, ...]:
         """min_models_mask for every PropSet mask, indexed by mask."""
+        if self.sig.n > CONSEQUENCE_TABLE_MAX_ATOMS:
+            raise TableTooLargeError(
+                f"consequence table needs 2**{self.sig.num_valuations} entries; "
+                f"at most {CONSEQUENCE_TABLE_MAX_ATOMS} atoms supported"
+            )
         levels = [self.level_mask(l) for l in range(self.height + 1)]
         table = [0] * (self.sig.universe_mask + 1)
         for f in range(1, self.sig.universe_mask + 1):

@@ -21,7 +21,7 @@ from enum import Enum
 from typing import Callable, Sequence
 
 from .errors import DomainTooLargeError
-from .logic import PropSet, Signature, Theory
+from .logic import PropSet, Signature, Theory, _masks
 from .ranking import RankFunction, normalize
 from .relations import ConsequenceRelation
 
@@ -76,16 +76,33 @@ class Revision:
                     f"full revision table needs 4**{self.sig.num_valuations} cells; "
                     f"at most {TABLE_MAX_ATOMS} atoms supported"
                 )
-            nmasks = self.sig.universe_mask + 1
-            rm = self.revise_mask
-            self._table = tuple(
-                tuple(rm(k, f) for f in range(nmasks)) for k in range(nmasks)
-            )
+            self._table = self._tabulate()
         return self._table
+
+    def _tabulate(self) -> tuple[tuple[int, ...], ...]:
+        nmasks = self.sig.universe_mask + 1
+        rm = self.revise_mask
+        return tuple(tuple(rm(k, f) for f in range(nmasks)) for k in range(nmasks))
 
     def same_revision(self, other: "Revision") -> bool:
         """Pointwise equality over the finite domain."""
         return self.sig == other.sig and self.table() == other.table()
+
+
+def _expand_or_row(rv: Revision, row: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+    """The table of a revision that expands when K ∧ phi is consistent and
+    otherwise answers row[phi], built one packed row per theory: byte phi
+    of inter[K] | (ROW & apart[K]) is K & phi when that is nonzero, else
+    row[phi]. A row with a cell outside 0..255 cannot be packed, so its
+    table is tabulated cell by cell."""
+    try:
+        packed = int.from_bytes(bytes(row), "little")
+    except ValueError:
+        return Revision._tabulate(rv)
+    nmasks = len(row)
+    m = _masks(nmasks)
+    return tuple(tuple((inter | (packed & apart)).to_bytes(nmasks, "little"))
+                 for inter, apart in zip(m.inter, m.apart))
 
 
 class RankedRevision(Revision):
@@ -109,6 +126,9 @@ class RankedRevision(Revision):
         if meet:
             return meet
         return self.consequence_masks()[f_mask]
+
+    def _tabulate(self) -> tuple[tuple[int, ...], ...]:
+        return _expand_or_row(self, self.consequence_masks())
 
 
 class TableRevision(Revision):
@@ -166,6 +186,9 @@ class ConservativeRevision(Revision):
         if meet:
             return meet
         return self._anchor_row()[f_mask]
+
+    def _tabulate(self) -> tuple[tuple[int, ...], ...]:
+        return _expand_or_row(self, self._anchor_row())
 
 
 def conservative_extension(rv: Revision, k: Theory) -> ConservativeRevision:

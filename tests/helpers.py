@@ -5,6 +5,7 @@ from __future__ import annotations
 from rankedrev import (
     PropSet,
     RankFunction,
+    Revision,
     Signature,
     Theory,
     models_of,
@@ -15,6 +16,7 @@ SIG1 = Signature(("p",))
 SIG2 = Signature(("p", "q"))
 SIG3 = Signature(("p", "q", "r"))
 SIG4 = Signature(("p", "q", "r", "s"))
+SIG5 = Signature(("p", "q", "r", "s", "t"))
 
 # running example: 11 most plausible, then 01 and 10, then 00
 R0 = RankFunction(SIG2, (2, 1, 1, 0))
@@ -28,3 +30,17 @@ def th(sig: Signature, text: str) -> Theory:
     if text == "bot":
         return Theory.bottom(sig)
     return Theory(ps(sig, text))
+
+
+class OutOfRange(Revision):
+    """A revision that returns values outside the signature's model masks
+    at the given cells, which only K1 rejects, and agrees with ``base``
+    elsewhere."""
+
+    def __init__(self, base, cells):
+        super().__init__(base.sig)
+        self.base = base
+        self.cells = cells
+
+    def revise_mask(self, k_mask, f_mask):
+        return self.cells.get((k_mask, f_mask), self.base.revise_mask(k_mask, f_mask))

@@ -7,7 +7,7 @@ import pytest
 from rankedrev import format_rank_file, random_rank_function
 from rankedrev.cli import main
 
-from helpers import R0, SIG3, SIG4
+from helpers import R0, SIG3, SIG4, SIG5
 
 R0_FILE = "atoms: p q\n0: 11\n1: 01 10\n2: 00\n"
 
@@ -30,6 +30,13 @@ def rank3_path(tmp_path):
 def rank4_path(tmp_path):
     path = tmp_path / "four.rnk"
     path.write_text(format_rank_file(random_rank_function(SIG4, 3, 1)))
+    return str(path)
+
+
+@pytest.fixture
+def rank5_path(tmp_path):
+    path = tmp_path / "five.rnk"
+    path.write_text(format_rank_file(random_rank_function(SIG5, 3, 1)))
     return str(path)
 
 
@@ -60,6 +67,15 @@ class TestRevise:
                            "--phi", "q", "--json")
         assert code == 0
         assert json.loads(out) == {"result": "p & q", "severity": "severe"}
+
+    def test_severe_revision_past_the_table_cap_exit_two(self, capsys, rank5_path):
+        code, out, err = run(capsys, "revise", "--rank", rank5_path, "--theory", "p",
+                             "--phi", "!p")
+        assert code == 2
+        assert out == "" and err.startswith("error:") and "at most 4 atoms" in err
+        code, out, _ = run(capsys, "revise", "--rank", rank5_path, "--theory", "p",
+                           "--phi", "p | q")
+        assert code == 0 and out.endswith("[mild]\n")
 
 
 class TestCheck:
@@ -112,6 +128,12 @@ class TestCheck:
                              "--mode", "sampled", *extra)
         assert code == 2
         assert out == "" and message in err
+
+    def test_sampled_past_the_table_cap_exit_two(self, capsys, rank5_path):
+        code, out, err = run(capsys, "check", "--rank", rank5_path, "--postulates", "all",
+                             "--mode", "sampled", "--seed", "1")
+        assert code == 2
+        assert out == "" and "at most 4 atoms" in err
 
     def test_atom_count_mismatch_exit_two(self, capsys, rank_path):
         code, _, _ = run(capsys, "check", "--rank", rank_path,

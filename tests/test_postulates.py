@@ -16,7 +16,6 @@ from rankedrev import (
     PostulateId,
     PropSet,
     RankedRevision,
-    Revision,
     TableRevision,
     Theory,
     Violation,
@@ -34,7 +33,7 @@ from rankedrev import (
     with_theory_floor,
 )
 
-from helpers import SIG1, SIG2, SIG3, SIG4, ps, th
+from helpers import SIG1, SIG2, SIG3, SIG4, OutOfRange, ps, th
 from oracles import first_violation
 
 DERIVED_IDS = (
@@ -163,19 +162,6 @@ def _assert_matches_reference(rv, pids):
         assert _bindings(check_postulate(rv, pid)) == first_violation(rv, pid), pid
 
 
-class _OutOfRange(Revision):
-    """A revision that returns values outside the signature's model masks
-    at some cells, which only K1 rejects."""
-
-    def __init__(self, base, cells):
-        super().__init__(base.sig)
-        self.base = base
-        self.cells = cells
-
-    def revise_mask(self, k_mask, f_mask):
-        return self.cells.get((k_mask, f_mask), self.base.revise_mask(k_mask, f_mask))
-
-
 class TestPackedKernelsMatchReference:
     """Exhaustive mode against the per-binding reference sweep: the same
     verdict and the same lexicographically first witness."""
@@ -226,7 +212,7 @@ class TestPackedKernelsMatchReference:
         (SIG3, {(200, 17): 256, (201, 3): -7}),
     ])
     def test_cells_outside_the_signature(self, sig, cells):
-        rv = _OutOfRange(RankedRevision(random_rank_function(sig, 3, 1)), cells)
+        rv = OutOfRange(RankedRevision(random_rank_function(sig, 3, 1)), cells)
         v = check_postulate(rv, PostulateId.K1)
         assert _bindings(v) == first_violation(rv, PostulateId.K1)
         assert v.observed is None and v.replay(rv)
@@ -285,6 +271,143 @@ class TestPackedKernelSweep:
         assert first._packed is not second._packed
         for rv in (first, second):
             assert rv._packed.rows == [bytes(row) for row in rv.table()]
+
+
+DECIDED = ("K9", "U8", "U8_2", "P_KM1", "P_K9U81")
+
+
+def _union_homomorphic(sig, rng):
+    """f(K, phi) = f0(phi) | OR over v ∈ K of img_v(phi), with random f0
+    and img_v: U8 holds, so U8_2, P_KM1 and P_K9U81 hold too."""
+    nm = sig.universe_mask + 1
+    f0 = [rng.randrange(nm) if rng.random() < 0.5 else 0 for _ in range(nm)]
+    img = [[rng.randrange(nm) for _ in range(nm)] for _ in range(sig.num_valuations)]
+
+    def cell(k, f):
+        out = f0[f]
+        for v, row in enumerate(img):
+            if k >> v & 1:
+                out |= row[f]
+        return out
+    return TableRevision.from_function(sig, cell)
+
+
+def _packed_sweep(rv, pid):
+    """The exhaustive sweep alone, without the decider; TestPackedKernelsMatchReference
+    checks it against first_violation at sizes where that is fast."""
+    return postulates._first_failure(postulates._CLAUSES[pid], postulates._packed(rv))
+
+
+class TestDeciders:
+    """The deciders of the symmetric KKF clauses against the per-binding
+    reference: the same verdict, and after a failing verdict the same
+    first witness."""
+
+    def _check(self, rv, oracle=first_violation):
+        verdicts = {}
+        for name in DECIDED:
+            pid = PostulateId[name]
+            expected = oracle(rv, pid)
+            decide = postulates._CLAUSES[pid].decide
+            assert decide(postulates._packed(rv)) == (expected is None), pid
+            assert _bindings(check_postulate(rv, pid)) == expected, pid
+            verdicts[name] = expected is None
+        return verdicts
+
+    def test_two_atom_ranked_revisions(self, revs75):
+        for rv in revs75:
+            assert self._check(rv) == {"K9": True, "U8": False, "U8_2": True,
+                                       "P_KM1": True, "P_K9U81": True}
+
+    @pytest.mark.parametrize("sig", [SIG1, SIG2], ids=["1atom", "2atoms"])
+    def test_perturbed_and_random_tables(self, sig, revs75):
+        rng = random.Random(4004)
+        ranked = revs75 if sig is SIG2 else [RankedRevision(r)
+                                             for r in enumerate_rank_functions(sig)]
+        nm = sig.universe_mask + 1
+        passes = dict.fromkeys(DECIDED, 0)
+        for _ in range(150):
+            rv = ranked[rng.randrange(len(ranked))]
+            for _ in range(rng.randint(1, 3)):
+                rv = _perturbed_table(rv, rng.randrange(nm), rng.randrange(nm),
+                                      rng.randrange(nm))
+            for tables in (rv, _random_table(sig, rng)):
+                for name, holds in self._check(tables).items():
+                    passes[name] += holds
+        # every clause fails somewhere, and all but U8 also hold somewhere;
+        # U8 holds on the union-homomorphic tables below
+        assert all(n < 300 for n in passes.values()), passes
+        assert all(n > 0 for name, n in passes.items() if name != "U8"), passes
+
+    @pytest.mark.parametrize("sig", [SIG1, SIG2], ids=["1atom", "2atoms"])
+    def test_union_homomorphic_tables(self, sig):
+        rng = random.Random(5005)
+        nm = sig.universe_mask + 1
+        passes = dict.fromkeys(DECIDED, 0)
+        for _ in range(100):
+            rv = _union_homomorphic(sig, rng)
+            assert {k: v for k, v in self._check(rv).items() if k != "K9"} == {
+                "U8": True, "U8_2": True, "P_KM1": True, "P_K9U81": True}
+            # one changed cell breaks some of them and keeps others
+            rv = _perturbed_table(rv, rng.randrange(nm), rng.randrange(nm),
+                                  rng.randrange(nm))
+            for name, holds in self._check(rv).items():
+                passes[name] += holds
+        assert all(0 < n < 100 for name, n in passes.items() if name != "K9"), passes
+
+    def test_three_atom_union_homomorphic_tables(self):
+        # a passing clause costs first_violation 16.7M bindings at three
+        # atoms, so the holding verdicts are compared with the packed sweep
+        rng = random.Random(6006)
+        for _ in range(2):
+            rv = _union_homomorphic(SIG3, rng)
+            assert self._check(rv, _packed_sweep) == {
+                "K9": False, "U8": True, "U8_2": True, "P_KM1": True, "P_K9U81": True}
+            v = check_postulate(rv, PostulateId.K9)
+            assert _bindings(v) == first_violation(rv, PostulateId.K9)
+
+    @pytest.mark.parametrize("name, phi", [
+        ("U8", 0), ("U8_2", 5), ("P_KM1", 3), ("P_K9U81", 4)])
+    def test_three_atom_witness_past_the_first_theory(self, name, phi):
+        # one extra model in (K ∩ K')*phi at K = {0}, K' = {1}: the first
+        # witness is (1, 2, phi), after the whole K = 0 block
+        rng = random.Random(7007)
+        base = _union_homomorphic(SIG3, rng)
+        while base.revise_mask(3, phi) == SIG3.universe_mask:
+            base = _union_homomorphic(SIG3, rng)
+        cell = base.revise_mask(3, phi)
+        extra = next(1 << w for w in range(8) if not cell >> w & 1)
+        rv = _perturbed_table(base, 3, phi, cell | extra)
+        pid = PostulateId[name]
+        assert not postulates._CLAUSES[pid].decide(postulates._packed(rv))
+        v = check_postulate(rv, pid)
+        assert _bindings(v) == first_violation(rv, pid) == (1, 2, phi, 0)
+
+    def test_three_atom_k9_witness_late_in_k_prime(self, sig3):
+        rank = next(islice(enumerate_rank_functions(sig3), 4321, None))
+        rv = RankedRevision(rank)
+        rv = _perturbed_table(rv, 96, 1, rv.revise_mask(96, 1) ^ 1)
+        assert not postulates._CLAUSES[PostulateId.K9].decide(postulates._packed(rv))
+        v = check_postulate(rv, PostulateId.K9)
+        assert _bindings(v) == first_violation(rv, PostulateId.K9) == (0, 96, 1, 0)
+
+    def test_no_sweep_where_a_decider_proves_the_clause(self, revs75, monkeypatch):
+        swept = []
+        sweep = postulates._first_failure
+
+        def counting(clause, t):
+            swept.append(clause)
+            return sweep(clause, t)
+
+        monkeypatch.setattr(postulates, "_first_failure", counting)
+        for rv in revs75[::5]:
+            swept.clear()
+            report = run_suite(rv, PostulateId)
+            decided = {pid for pid in PostulateId if pid.name in DECIDED}
+            located = {pid for pid in decided if postulates._CLAUSES[pid] in swept}
+            assert located == {pid for pid in decided if report.verdict(pid) is not None}
+            assert located == {PostulateId.U8}
+            assert len(swept) == len(PostulateId) - len(decided) + 1
 
 
 class TestSuiteReport:

@@ -9,9 +9,11 @@ from hypothesis import strategies as st
 from rankedrev import (
     PropSet,
     RankFileError,
+    RankedRevError,
     RankFunction,
     SignatureTooLargeError,
     Signature,
+    TableTooLargeError,
     Theory,
     consequences_of,
     enumerate_rank_functions,
@@ -48,6 +50,19 @@ class TestConsequences:
         for fm in range(16):
             f = PropSet(SIG2, fm)
             assert consequences_of(R0, f).models.issubset(f)
+
+    def test_table_refused_past_four_atoms(self):
+        # 2**32 entries at five atoms: refused before any work, as a typed
+        # error that is still the OverflowError callers saw at 16 atoms
+        rank = random_rank_function(Signature(tuple("pqrst")), 3, 1)
+        with pytest.raises(TableTooLargeError) as exc:
+            rank.consequence_table()
+        assert isinstance(exc.value, RankedRevError)
+        assert isinstance(exc.value, OverflowError)
+        assert "at most 4 atoms" in str(exc.value)
+        # single queries still work there
+        full = PropSet.full(rank.sig)
+        assert consequences_of(rank, full).models.mask == rank.level_mask(0)
 
 
 class TestNormalize:

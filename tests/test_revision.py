@@ -17,6 +17,7 @@ from rankedrev import (
     consequences_of,
     iterate,
     normalize,
+    random_rank_function,
     relation_of_revision,
     revision_of_relation,
     severity_of,
@@ -24,7 +25,7 @@ from rankedrev import (
     with_theory_floor,
 )
 
-from helpers import R0, ps, th
+from helpers import R0, SIG1, SIG2, SIG3, OutOfRange, ps, th
 
 
 class TestRevise:
@@ -211,3 +212,37 @@ class TestTableRevision:
         cells = list(TableRevision.from_function(sig2, rv0.revise_mask).cells)
         cells[5 * 16 + 10] = 2  # one severe cell perturbed
         assert not TableRevision(sig2, cells).same_revision(rv0)
+
+
+def _cell_by_cell(rv):
+    nm = rv.sig.universe_mask + 1
+    return tuple(tuple(rv.revise_mask(k, f) for f in range(nm)) for k in range(nm))
+
+
+class TestPackedTables:
+    """table() built from the severe or anchor row equals revise_mask
+    tabulated cell by cell."""
+
+    @pytest.mark.parametrize("sig", [SIG1, SIG2, SIG3], ids=["1atom", "2atoms", "3atoms"])
+    def test_ranked_and_conservative(self, sig):
+        rank = random_rank_function(sig, 3, 11)
+        anchor = Theory(PropSet(sig, sig.universe_mask // 3))
+        for rv in (RankedRevision(rank), conservative_extension(RankedRevision(rank), anchor)):
+            table = rv.table()
+            assert table == _cell_by_cell(rv)
+            assert all(type(row) is tuple and all(type(c) is int for c in row)
+                       for row in table)
+            assert rv.same_revision(TableRevision.from_function(sig, rv.revise_mask))
+
+    def test_every_two_atom_rank_function(self, revs75, sig2):
+        for rv in revs75:
+            assert rv.table() == _cell_by_cell(rv)
+            ext = conservative_extension(rv, th(sig2, "p | q"))
+            assert ext.table() == _cell_by_cell(ext)
+
+    def test_anchor_row_outside_the_signature(self, rv0, sig2):
+        # a row that cannot be packed is tabulated cell by cell
+        source = OutOfRange(rv0, {(7, 2): -1, (7, 9): 300})
+        ext = conservative_extension(source, Theory(PropSet(sig2, 7)))
+        assert ext.table() == _cell_by_cell(ext)
+        assert ext.table()[0][2] == -1 and ext.table()[0][9] == 300

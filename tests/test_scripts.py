@@ -1,0 +1,33 @@
+"""The experiment scripts run end to end and print the sweep's split."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_script(name):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / name)], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+@pytest.mark.parametrize("name", ["sample_iterated_laws.py", "scan_underdetermination.py"])
+def test_script_exits_zero(name):
+    done = run_script(name)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout
+
+
+def test_sweep_reports_the_three_failing_clauses():
+    done = run_script("sweep_postulates.py")
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[0].startswith("75 rank functions over atoms p,q")
+    failing = {line.split()[0] for line in lines[1:] if "75/75 violations" in line}
+    assert failing == {"U8", "U8_1", "C2"}
+    assert sum("0/75 violations  holds everywhere" in line for line in lines) == 22
