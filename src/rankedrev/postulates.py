@@ -722,6 +722,47 @@ def _make_violation(rv: Revision, pid: PostulateId, K: int, Kp: int,
     )
 
 
+def _check_mode(mode: str, seed: Optional[int], samples: int) -> None:
+    if mode not in ("exhaustive", "sampled"):
+        raise ValueError(f"mode must be 'exhaustive' or 'sampled', got {mode!r}")
+    if mode == "sampled":
+        if seed is None:
+            raise SamplingError("sampled mode needs a seed")
+        if samples < 1:
+            raise SamplingError(f"sampled mode needs at least one sample, got {samples}")
+
+
+def _sampled_pass(rv: Revision, pids: list[PostulateId], seed: int,
+                  samples: int) -> dict[PostulateId, Violation]:
+    """The first violation of each clause in ``pids``, all of one shape,
+    over ``samples`` bindings drawn from random.Random(seed), one randrange
+    per quantifier in binding order. Each binding is drawn once and
+    checked against every clause that has not failed yet, so every clause
+    sees the bindings it would see alone."""
+    shape = _CLAUSES[pids[0]].shape
+    randrange = random.Random(seed).randrange
+    rev = rv.revise_mask
+    uni = rv.sig.universe_mask
+    nmasks = uni + 1
+    live = [(pid, _CLAUSES[pid].holds) for pid in pids]
+    found: dict[PostulateId, Violation] = {}
+    for _ in range(samples):
+        K = randrange(nmasks)
+        Kp = randrange(nmasks) if shape == "KKF" else 0
+        phi = randrange(nmasks)
+        psi = randrange(nmasks) if shape == "KFF" else 0
+        failed = False
+        for pid, holds in live:
+            if not holds(rev, uni, K, Kp, phi, psi):
+                found[pid] = _make_violation(rv, pid, K, Kp, phi, psi)
+                failed = True
+        if failed:
+            live = [c for c in live if c[0] not in found]
+            if not live:
+                break
+    return found
+
+
 def check_postulate(
     rv: Revision,
     pid: PostulateId,
@@ -737,43 +778,23 @@ def check_postulate(
     it fails, or when the clause has no decider, is the binding domain
     swept in lexicographic order to locate the first counterexample.
     Sampled mode draws ``samples`` bindings from random.Random(seed), one
-    randrange per quantifier in binding order.
+    randrange per quantifier in binding order, so for a given seed every
+    clause of one shape (KF, KKF or KFF) sees the same bindings.
     """
+    _check_mode(mode, seed, samples)
+    if mode == "sampled":
+        return _sampled_pass(rv, [pid], seed, samples).get(pid)
+    if rv.sig.n > TABLE_MAX_ATOMS:
+        raise DomainTooLargeError(
+            f"{pid.name} quantifies over too many bindings at {rv.sig.n} atoms; "
+            "run in sampled mode instead"
+        )
     clause = _CLAUSES[pid]
-    sig = rv.sig
-    uni = sig.universe_mask
-    shape = clause.shape
-
-    if mode == "exhaustive":
-        if sig.n > TABLE_MAX_ATOMS:
-            raise DomainTooLargeError(
-                f"{pid.name} quantifies over too many bindings at {sig.n} atoms; "
-                "run in sampled mode instead"
-            )
-        t = _packed(rv)
-        if clause.decide is not None and clause.decide(t):
-            return None
-        hit = _first_failure(clause, t)
-        return None if hit is None else _make_violation(rv, pid, *hit)
-
-    if mode != "sampled":
-        raise ValueError(f"mode must be 'exhaustive' or 'sampled', got {mode!r}")
-    if seed is None:
-        raise SamplingError("sampled mode needs a seed")
-    if samples < 1:
-        raise SamplingError(f"sampled mode needs at least one sample, got {samples}")
-    rng = random.Random(seed)
-    rev = rv.revise_mask
-    holds = clause.holds
-    nmasks = uni + 1
-    for _ in range(samples):
-        K = rng.randrange(nmasks)
-        Kp = rng.randrange(nmasks) if shape == "KKF" else 0
-        phi = rng.randrange(nmasks)
-        psi = rng.randrange(nmasks) if shape == "KFF" else 0
-        if not holds(rev, uni, K, Kp, phi, psi):
-            return _make_violation(rv, pid, K, Kp, phi, psi)
-    return None
+    t = _packed(rv)
+    if clause.decide is not None and clause.decide(t):
+        return None
+    hit = _first_failure(clause, t)
+    return None if hit is None else _make_violation(rv, pid, *hit)
 
 
 @dataclass(frozen=True)
@@ -840,14 +861,24 @@ def run_suite(
     seed: Optional[int] = None,
     samples: int = 500,
 ) -> SuiteReport:
-    """check_postulate over a set of ids, merged in canonical order."""
+    """check_postulate over a set of ids, merged in canonical order.
+
+    Sampled mode makes one pass per clause shape: each binding is drawn
+    once and checked against every clause of that shape, which gives the
+    verdicts and witnesses of one check_postulate call per clause."""
+    _check_mode(mode, seed, samples)
     wanted = set(ids)
-    results = []
-    for pid in PostulateId:
-        if pid in wanted:
-            results.append(
-                (pid, check_postulate(rv, pid, mode=mode, seed=seed, samples=samples))
-            )
+    pids = [pid for pid in PostulateId if pid in wanted]
+    if mode == "sampled":
+        shapes: dict[str, list[PostulateId]] = {}
+        for pid in pids:
+            shapes.setdefault(_CLAUSES[pid].shape, []).append(pid)
+        found: dict[PostulateId, Violation] = {}
+        for group in shapes.values():
+            found.update(_sampled_pass(rv, group, seed, samples))
+        results = [(pid, found.get(pid)) for pid in pids]
+    else:
+        results = [(pid, check_postulate(rv, pid)) for pid in pids]
     return SuiteReport(
         sig=rv.sig,
         mode=mode,

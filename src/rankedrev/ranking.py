@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -75,21 +76,55 @@ class RankFunction:
         return out
 
     def consequence_table(self) -> tuple[int, ...]:
-        """min_models_mask for every PropSet mask, indexed by mask."""
+        """min_models_mask for every PropSet mask, indexed by mask.
+
+        At 16 valuations it is built one high byte at a time. With a the
+        first level that the high byte meets and c its part of that level,
+        the entries for all 256 low bytes are two byte planes: the low
+        plane is the low byte's own consequence where its first level is
+        at most a, the high plane is c where that level is at least a."""
         if self.sig.n > CONSEQUENCE_TABLE_MAX_ATOMS:
             raise TableTooLargeError(
                 f"consequence table needs 2**{self.sig.num_valuations} entries; "
                 f"at most {CONSEQUENCE_TABLE_MAX_ATOMS} atoms supported"
             )
+        nmasks = self.sig.universe_mask + 1
         levels = [self.level_mask(l) for l in range(self.height + 1)]
-        table = [0] * (self.sig.universe_mask + 1)
-        for f in range(1, self.sig.universe_mask + 1):
-            for lvl in levels:
-                hit = f & lvl
-                if hit:
-                    table[f] = hit
-                    break
-        return tuple(table)
+        if nmasks <= 256:
+            return tuple(_first_hits(nmasks, levels))
+        ranks = self.ranks
+
+        def level(hit: int, base: int) -> int:
+            # the empty byte meets no level
+            return ranks[base + (hit & -hit).bit_length() - 1] if hit else 255
+
+        low = _first_hits(256, levels)
+        low_level = bytes(level(hit, 0) for hit in low)
+        low_planes = {}
+        lows, highs = [], []
+        for c in _first_hits(256, [lvl >> 8 for lvl in levels]):
+            a = level(c, 8)
+            if a not in low_planes:
+                low_planes[a] = bytes(hit if b <= a else 0 for b, hit in zip(low_level, low))
+            lows.append(low_planes[a])
+            highs.append(low_level.translate(bytes(a) + bytes((c,)) * (256 - a)))
+        table = bytearray(2 * nmasks)
+        first = 0 if sys.byteorder == "little" else 1
+        table[first::2] = b"".join(lows)
+        table[1 - first::2] = b"".join(highs)
+        return tuple(memoryview(table).cast("H"))
+
+
+def _first_hits(n: int, levels: list[int]) -> list[int]:
+    """For each mask f below n, f's part of the first level it meets."""
+    out = [0] * n
+    for f in range(1, n):
+        for lvl in levels:
+            hit = f & lvl
+            if hit:
+                out[f] = hit
+                break
+    return out
 
 
 def consequences_of(r: RankFunction, f: PropSet) -> Theory:

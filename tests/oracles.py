@@ -4,16 +4,18 @@ Everything here recomputes expected values from first principles,
 without going through the code paths under test: a per-valuation truth
 evaluator, a binomial-recurrence counter for ordered set partitions, a
 sort-based minimum-rank extractor, a constraint search that finds every
-rational choice table at small sizes, and the per-binding postulate and
-rationality sweeps that the packed checkers are compared against.
+rational choice table at small sizes, the per-mask consequence table,
+the per-binding postulate and rationality sweeps that the packed checkers
+are compared against, and sampled mode run one clause at a time.
 """
 
 from __future__ import annotations
 
 import math
+import random
 
 from rankedrev import And, Atom, Const, Iff, Implies, Not, Or
-from rankedrev.postulates import _CLAUSES
+from rankedrev.postulates import _CLAUSES, _make_violation
 
 
 def fubini(m: int) -> int:
@@ -124,6 +126,45 @@ def rational_choice_tables(m: int) -> set:
 
     search(0)
     return found
+
+
+def consequence_table_reference(r):
+    """RankFunction.consequence_table one mask at a time: entry f is f's
+    part of the first level that f meets."""
+    levels = [r.level_mask(l) for l in range(r.height + 1)]
+    table = [0] * (r.sig.universe_mask + 1)
+    for f in range(1, r.sig.universe_mask + 1):
+        for lvl in levels:
+            hit = f & lvl
+            if hit:
+                table[f] = hit
+                break
+    return tuple(table)
+
+
+def sampled_reference(rv, pid, seed, samples):
+    """Sampled mode for one clause with its own generator: ``samples``
+    bindings from random.Random(seed), one randrange per quantifier in
+    binding order.
+
+    Returns (position, Violation) for the first failing sample, counted
+    from 0, or None when every sample holds.
+    """
+    clause = _CLAUSES[pid]
+    uni = rv.sig.universe_mask
+    shape = clause.shape
+    rng = random.Random(seed)
+    rev = rv.revise_mask
+    holds = clause.holds
+    nmasks = uni + 1
+    for position in range(samples):
+        K = rng.randrange(nmasks)
+        Kp = rng.randrange(nmasks) if shape == "KKF" else 0
+        phi = rng.randrange(nmasks)
+        psi = rng.randrange(nmasks) if shape == "KFF" else 0
+        if not holds(rev, uni, K, Kp, phi, psi):
+            return position, _make_violation(rv, pid, K, Kp, phi, psi)
+    return None
 
 
 def first_violation(rv, pid):

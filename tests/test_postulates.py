@@ -3,6 +3,7 @@ under-determination searches."""
 
 import json
 import random
+import tracemalloc
 from itertools import islice
 
 import pytest
@@ -16,6 +17,9 @@ from rankedrev import (
     PostulateId,
     PropSet,
     RankedRevision,
+    Revision,
+    SamplingError,
+    SuiteReport,
     TableRevision,
     Theory,
     Violation,
@@ -34,7 +38,7 @@ from rankedrev import (
 )
 
 from helpers import SIG1, SIG2, SIG3, SIG4, OutOfRange, ps, th
-from oracles import first_violation
+from oracles import first_violation, sampled_reference
 
 DERIVED_IDS = (
     PostulateId.U8_2,
@@ -408,6 +412,128 @@ class TestDeciders:
             assert located == {pid for pid in decided if report.verdict(pid) is not None}
             assert located == {PostulateId.U8}
             assert len(swept) == len(PostulateId) - len(decided) + 1
+
+
+def _sampled_against_reference(rv, seed, samples):
+    """run_suite and check_postulate in sampled mode against the reference
+    run one clause at a time: the same verdicts, witness bindings, text
+    and JSON. Returns the reference's first failing sample per clause."""
+    hits = {pid: sampled_reference(rv, pid, seed, samples) for pid in PostulateId}
+    want = SuiteReport(sig=rv.sig, mode="sampled", seed=seed, samples=samples,
+                       domain_size=rv.sig.universe_mask + 1,
+                       results=tuple((pid, hit and hit[1]) for pid, hit in hits.items()))
+    got = run_suite(rv, PostulateId, mode="sampled", seed=seed, samples=samples)
+    assert ([(pid, _bindings(v)) for pid, v in got.results]
+            == [(pid, _bindings(v)) for pid, v in want.results])
+    assert json.dumps(got.to_json_records()) == json.dumps(want.to_json_records())
+    assert got.to_text() == want.to_text()
+    for pid in (PostulateId.K1, PostulateId.U8, PostulateId.C2):
+        one = check_postulate(rv, pid, mode="sampled", seed=seed, samples=samples)
+        assert _bindings(one) == _bindings(got.verdict(pid))
+    return {pid: hit[0] for pid, hit in hits.items() if hit is not None}
+
+
+def _perturbed_small(count, seed):
+    """Seeded one- and two-atom ranked tables with one to three cells
+    changed anywhere."""
+    rng = random.Random(seed)
+    for i in range(count):
+        sig = (SIG1, SIG2)[i % 2]
+        nm = sig.universe_mask + 1
+        base = RankedRevision(random_rank_function(sig, rng.randint(1, nm), rng.randrange(999)))
+        cells = [base.revise_mask(k, f) for k in range(nm) for f in range(nm)]
+        for _ in range(rng.randint(1, 3)):
+            cells[rng.randrange(nm * nm)] = rng.randrange(nm)
+        yield TableRevision(sig, cells)
+
+
+class _Untouchable(Revision):
+    """A revision that fails the test if any clause evaluates it."""
+
+    def revise_mask(self, k_mask, f_mask):
+        raise AssertionError("a clause ran")
+
+
+class TestSampledMode:
+    """Sampled mode draws each binding once per clause shape and checks it
+    against every clause of that shape; the result must be what one
+    generator per clause gives."""
+
+    SAMPLES = (1, 7, 500)
+
+    def test_two_atom_ranked_revisions(self, revs75):
+        for i, rv in enumerate(revs75):
+            _sampled_against_reference(rv, 1000 + i, self.SAMPLES[i % 3])
+
+    @pytest.mark.parametrize("sig", [SIG3, SIG4])
+    def test_random_functions_at_every_level_count(self, sig):
+        for levels in range(1, 17):
+            rv = RankedRevision(random_rank_function(sig, levels, 40 + levels))
+            for samples in self.SAMPLES:
+                _sampled_against_reference(rv, 7 * levels + samples, samples)
+
+    def test_perturbed_tables(self):
+        staggered = 0
+        for i, rv in enumerate(_perturbed_small(60, 5)):
+            for samples in self.SAMPLES:
+                failed = _sampled_against_reference(rv, 31 * i + samples, samples)
+                by_shape = {}
+                for pid, position in failed.items():
+                    by_shape.setdefault(postulates._CLAUSES[pid].shape, set()).add(position)
+                staggered += any(len(p) > 1 for p in by_shape.values())
+        # clauses of one shape failing at different samples, so a clause
+        # that keeps going after another has failed is exercised
+        assert staggered >= 20
+
+    def test_seeded_replay_golden(self):
+        # witnesses recorded from the per-clause sampled loop
+        golden = {
+            (3, 1, 7): {"U8": (34808, 35641, 5188, 0), "C2": (34808, 0, 35641, 5188)},
+            (9, 2, 8): {"U8": (33412, 51025, 19498, 0), "U8_1": (49140, 5056, 18441, 0),
+                        "C2": (14179, 0, 27684, 603)},
+            (16, 3, 9): {"U8": (43781, 5360, 49678, 0), "C2": (4472, 0, 21128, 41024)},
+        }
+        for (levels, rank_seed, seed), want in golden.items():
+            rv = RankedRevision(random_rank_function(SIG4, levels, rank_seed))
+            report = run_suite(rv, PostulateId, mode="sampled", seed=seed, samples=200)
+            assert {p.name: _bindings(v) for p, v in report.results if v} == want
+            assert all(v.replay(rv) for v in report.violations)
+
+    @pytest.mark.parametrize("kwargs, error, message", [
+        (dict(mode="sampled"), SamplingError, "needs a seed"),
+        (dict(mode="sampled", seed=1, samples=0), SamplingError, "at least one sample"),
+        (dict(mode="sampled", seed=1, samples=-5), SamplingError, "at least one sample"),
+        (dict(mode="bogus", seed=1), ValueError, "mode must be"),
+    ])
+    def test_bad_arguments_raise_before_any_clause(self, kwargs, error, message):
+        rv = _Untouchable(SIG2)
+        with pytest.raises(error, match=message):
+            run_suite(rv, PostulateId, **kwargs)
+        with pytest.raises(error, match=message):
+            check_postulate(rv, PostulateId.K7, **kwargs)
+
+    @pytest.mark.parametrize("kwargs", [dict(), dict(mode="sampled", seed=1)])
+    def test_no_ids_no_results(self, kwargs):
+        # nothing is evaluated, not even at a size exhaustive mode refuses
+        for sig in (SIG2, SIG4):
+            assert run_suite(_Untouchable(sig), [], **kwargs).results == ()
+
+    def test_memory_does_not_grow_with_samples(self, rv0):
+        # one clause of each shape, each holding on every sample drawn
+        ids = (PostulateId.K2, PostulateId.K9, PostulateId.P_GEN)
+
+        def peak(samples):
+            tracemalloc.start()
+            try:
+                report = run_suite(rv0, ids, mode="sampled", seed=3, samples=samples)
+                top = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert report.all_pass
+            return top
+
+        peak(100)
+        assert abs(peak(100_000) - peak(100)) < 64 * 1024
 
 
 class TestSuiteReport:

@@ -24,8 +24,8 @@ from rankedrev import (
 )
 from rankedrev.ranking import count_rank_functions
 
-from helpers import R0, SIG1, SIG2, SIG3, ps, th
-from oracles import fubini, min_rank_valuations
+from helpers import R0, SIG1, SIG2, SIG3, SIG4, ps, th
+from oracles import consequence_table_reference, fubini, min_rank_valuations
 
 R0_FILE = "atoms: p q\n0: 11\n1: 01 10\n2: 00\n"
 
@@ -63,6 +63,50 @@ class TestConsequences:
         # single queries still work there
         full = PropSet.full(rank.sig)
         assert consequences_of(rank, full).models.mask == rank.level_mask(0)
+
+
+def _with_levels(sig, levels, rng):
+    """A rank function using exactly ``levels`` levels: each level gets one
+    valuation of a shuffled order, the rest go to random levels."""
+    order = list(range(sig.num_valuations))
+    rng.shuffle(order)
+    ranks = [0] * sig.num_valuations
+    for i, v in enumerate(order):
+        ranks[v] = i if i < levels else rng.randrange(levels)
+    return RankFunction(sig, tuple(ranks))
+
+
+class TestConsequenceTable:
+    """The table built by byte planes against the per-mask reference."""
+
+    @pytest.mark.parametrize("sig", [SIG1, SIG2, SIG3, SIG4])
+    def test_random_functions(self, sig):
+        for seed in range(6):
+            rank = random_rank_function(sig, 1 + seed * 3, seed)
+            assert rank.consequence_table() == consequence_table_reference(rank)
+
+    def test_every_level_count_at_four_atoms(self):
+        rng = random.Random(16)
+        for levels in range(1, 17):
+            for _ in range(2):
+                rank = _with_levels(SIG4, levels, rng)
+                assert rank.height == levels - 1
+                assert rank.consequence_table() == consequence_table_reference(rank)
+
+    @pytest.mark.parametrize("ranks", [
+        (0,) * 16,  # one level
+        tuple(range(16)),  # 16 one-valuation levels, low byte first
+        tuple(range(15, -1, -1)),  # and high byte first
+        (0,) * 8 + (1,) * 8,  # the lowest level wholly in the low byte
+        (1,) * 8 + (0,) * 8,  # wholly in the high byte
+        (1, 0, 2, 0, 1, 2, 0, 1) + (3,) * 8,  # every high-byte mask at the top
+        (3,) + (0, 1, 2) * 5,  # valuation 0 alone on the top level
+    ])
+    def test_edge_cases_at_four_atoms(self, ranks):
+        rank = RankFunction(SIG4, ranks)
+        table = rank.consequence_table()
+        assert table == consequence_table_reference(rank)
+        assert table[0] == 0 and table[1] == 1 and table[0xFFFF] == rank.level_mask(0)
 
 
 class TestNormalize:

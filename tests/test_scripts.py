@@ -10,9 +10,9 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def run_script(name):
+def run_script(name, *args):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    return subprocess.run([sys.executable, str(ROOT / "scripts" / name)], env=env,
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args], env=env,
                           capture_output=True, text=True, timeout=120)
 
 
@@ -31,3 +31,14 @@ def test_sweep_reports_the_three_failing_clauses():
     failing = {line.split()[0] for line in lines[1:] if "75/75 violations" in line}
     assert failing == {"U8", "U8_1", "C2"}
     assert sum("0/75 violations  holds everywhere" in line for line in lines) == 22
+
+
+def test_sampled_laws_replay_their_golden():
+    # output recorded from the per-clause sampled loop, without the
+    # elapsed time
+    done = run_script("sample_iterated_laws.py", "--functions", "40")
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert [line.rsplit(" (", 1)[0] for line in lines] == [
+        "40 rank functions, 120 samples per clause, base seed 20260810: 0 failures",
+    ]
