@@ -88,11 +88,14 @@ class RankFunction:
                 f"consequence table needs 2**{self.sig.num_valuations} entries; "
                 f"at most {CONSEQUENCE_TABLE_MAX_ATOMS} atoms supported"
             )
+        # relabelled onto 0..h, so at 16 valuations every level fits a
+        # byte below the empty byte's 255 whatever the ranks given
+        rank = normalize(self)
         nmasks = self.sig.universe_mask + 1
-        levels = [self.level_mask(l) for l in range(self.height + 1)]
+        levels = [rank.level_mask(l) for l in range(rank.height + 1)]
         if nmasks <= 256:
             return tuple(_first_hits(nmasks, levels))
-        ranks = self.ranks
+        ranks = rank.ranks
 
         def level(hit: int, base: int) -> int:
             # the empty byte meets no level

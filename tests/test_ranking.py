@@ -109,6 +109,21 @@ class TestConsequenceTable:
         assert table[0] == 0 and table[1] == 1 and table[0xFFFF] == rank.level_mask(0)
 
 
+    @pytest.mark.parametrize("ranks", [
+        (0,) * 15 + (256,),  # the high byte's first level exactly 256
+        (0,) * 15 + (300,),  # above 256
+        (300,) + (0,) * 15,  # a rank above 255 in the low byte
+        (0, 256, 300, 1, 2, 3, 4, 5) + (6,) * 8,  # both, in the low byte
+        (0,) * 8 + (256,) * 4 + (300,) * 4,  # both, in the high byte
+        (5, 5, 9, 20) * 4,
+    ])
+    def test_unnormalized_ranks_at_four_atoms(self, ranks):
+        rank = RankFunction(SIG4, ranks)
+        table = rank.consequence_table()
+        assert table == consequence_table_reference(rank)
+        assert table == normalize(rank).consequence_table()
+        assert table[0x8000] == 0x8000
+
 class TestNormalize:
     def test_relabels_contiguously(self):
         sig = SIG2

@@ -21,6 +21,13 @@ def test_script_exits_zero(name):
     done = run_script(name)
     assert done.returncode == 0, done.stderr
     assert done.stdout
+    if name == "sample_iterated_laws.py":
+        # its clauses hold on every ranked revision, so the summary line,
+        # minus the elapsed time, is fixed; the drawn bindings are pinned
+        # by the sampled-mode tests in test_postulates.py
+        assert [line.rsplit(" (", 1)[0] for line in done.stdout.splitlines()] == [
+            "500 rank functions, 120 samples per clause, base seed 20260810: 0 failures",
+        ]
 
 
 def test_sweep_reports_the_three_failing_clauses():
@@ -32,13 +39,3 @@ def test_sweep_reports_the_three_failing_clauses():
     assert failing == {"U8", "U8_1", "C2"}
     assert sum("0/75 violations  holds everywhere" in line for line in lines) == 22
 
-
-def test_sampled_laws_replay_their_golden():
-    # output recorded from the per-clause sampled loop, without the
-    # elapsed time
-    done = run_script("sample_iterated_laws.py", "--functions", "40")
-    assert done.returncode == 0, done.stderr
-    lines = done.stdout.splitlines()
-    assert [line.rsplit(" (", 1)[0] for line in lines] == [
-        "40 rank functions, 120 samples per clause, base seed 20260810: 0 failures",
-    ]
