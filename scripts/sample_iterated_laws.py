@@ -12,6 +12,7 @@ import time
 
 from rankedrev import (
     PostulateId,
+    RankedRevError,
     RankedRevision,
     Signature,
     random_rank_function,
@@ -27,6 +28,9 @@ def main() -> int:
     parser.add_argument("--samples", type=int, default=120, help="bindings per clause")
     parser.add_argument("--seed", type=int, default=20260810)
     args = parser.parse_args()
+    if args.functions < 1:
+        # no function checked would print "0 failures", a pass that checked nothing
+        parser.error(f"--functions must be at least 1, got {args.functions}")
 
     sig = Signature(("p", "q", "r"))
     start = time.perf_counter()
@@ -34,8 +38,12 @@ def main() -> int:
     for i in range(args.functions):
         seed = args.seed + i
         rank = random_rank_function(sig, levels=(i % sig.num_valuations) + 1, seed=seed)
-        report = run_suite(RankedRevision(rank), IDS, mode="sampled",
-                           seed=seed, samples=args.samples)
+        try:
+            report = run_suite(RankedRevision(rank), IDS, mode="sampled",
+                               seed=seed, samples=args.samples)
+        except RankedRevError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         if not report.all_pass:
             bad += 1
             for pid, violation in report.results:

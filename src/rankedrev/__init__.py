@@ -60,6 +60,7 @@ from .ranking import (
     normalize,
     parse_rank_file,
     random_rank_function,
+    sweep_orbits,
 )
 from .relations import (
     RATIONAL_PROPERTIES,

@@ -252,12 +252,13 @@ def _o_iter(rev, K, Kp, phi, psi):
 
 # Exhaustive checking runs on packed rows (see logic.py): row K of the
 # revision table packs into one int whose byte phi is rev(K, phi). Each
-# clause's packed form binds a packed table and returns a function of one
-# outer binding, (K, -) for KF, (K, K') for KKF and (K, phi) for KFF, that
-# gives a violation vector over the innermost quantifier: its byte x is
-# nonzero exactly when the clause fails with x bound there. The lowest
-# nonzero byte of the first nonzero vector is the lexicographically first
-# counterexample.
+# clause has, per outer binding, (K, -) for KF, (K, K') for KKF and
+# (K, phi) for KFF, a violation vector over the innermost quantifier: its
+# byte x is nonzero exactly when the clause fails with x bound there. The
+# lowest nonzero byte of the first nonzero vector is the lexicographically
+# first counterexample. A KF or KKF clause's packed form binds a packed
+# table and returns its vector function; the KFF vectors are written out
+# in _kff_pass, which evaluates them all in one sweep over (K, phi).
 
 
 class _Packed:
@@ -475,98 +476,18 @@ def _dk9u81(t):
     return _union_generated(t, t.m.apart)
 
 
-def _pk7(t):
-    rows, inter, conj = t.rows, t.m.inter, t.conj
-    return lambda K, phi: inter[rows[K][phi]] & ~conj(K, phi)
-
-
-def _pk8(t):
-    rows, inter, meet, conj = t.rows, t.m.inter, t.m.meet, t.conj
-
-    def vec(K, phi):
-        r = rows[K][phi]
-        return conj(K, phi) & ~inter[r] & meet[r]
-    return vec
-
-
-def _pk9_2p(t):
-    rows, sub = t.rows, t.m.sub
-    return lambda K, phi: sub[K] & sub[rows[0][phi]] & ~sub[rows[K][phi]]
-
-
-def _iterated_equal(t, antecedent):
-    """Over x: rev(rev(K, x), phi) == rev(K, phi) where ``antecedent[phi]`` is set."""
-    rows, spread, it = t.rows, t.m.spread, t.iterated
-    return lambda K, phi: (it(K, phi) ^ spread[rows[K][phi]]) & antecedent[phi]
-
-
-def _pc1(t):
-    return _iterated_equal(t, t.m.sub)
-
-
-def _pc2(t):
-    return _iterated_equal(t, t.m.apart)
-
-
-def _pc2p(t):
-    vec = _iterated_equal(t, t.m.apart)
-    return lambda K, phi: 0 if K & phi else vec(K, phi)
-
-
-def _pc3(t):
-    rows, sub, ident, it = t.rows, t.m.sub, t.m.ident, t.iterated
-    return lambda K, phi: it(K, phi) & ~ident & sub[rows[K][phi]]
-
-
-def _pc4(t):
-    rows, meet, ident, it = t.rows, t.m.meet, t.m.ident, t.iterated
-    n = t.nmasks
-
-    def vec(K, phi):
-        disjoint = (it(K, phi) & ident).to_bytes(n, "little").translate(_ZERO)
-        return meet[rows[K][phi]] & int.from_bytes(disjoint, "little")
-    return vec
-
-
-def _pphiandpsi(t):
-    rows, meet_t, it, conj = t.rows, t.m.meet_t, t.iterated, t.conj
-
-    def vec(K, phi):
-        ante = int.from_bytes(rows[K].translate(meet_t[phi]), "little")
-        return ante & (it(K, phi) ^ conj(K, phi))
-    return vec
-
-
-def _ppsi(t):
-    rows, tab, spread, it = t.rows, t.tab, t.m.spread, t.iterated
-    or_idx, apart_t = t.m.or_idx, t.m.apart_t
-
-    def vec(K, phi):
-        ante = or_idx[phi].translate(tab[K]).translate(apart_t[phi])
-        return int.from_bytes(ante, "little") & (it(K, phi) ^ spread[rows[K][phi]])
-    return vec
-
-
-def _pgen(t):
-    rows, sub, spread, it = t.rows, t.m.sub, t.m.spread, t.iterated
-
-    def vec(K, phi):
-        r = rows[K][phi]
-        return (it(K, phi) ^ spread[r]) & sub[r]
-    return vec
-
-
 @dataclass(frozen=True)
 class _Clause:
     """One postulate: ``holds`` checks a single binding (sampled mode and
     replay), ``packed`` gives the violation vectors that locate the first
-    counterexample, and ``decide``, where set, tells from the packed table
+    counterexample of a KF or KKF clause (KFF clauses are located by
+    ``_kff_pass``), and ``decide``, where set, tells from the packed table
     alone whether there is one, so exhaustive mode locates only after it
     says the clause fails."""
 
     shape: str  # "KF": (K, phi); "KKF": (K, K', phi); "KFF": (K, phi, psi)
     holds: Callable[..., bool]
-    packed: Callable[[_Packed], Callable[[int, int], int]]
+    packed: Optional[Callable[[_Packed], Callable[[int, int], int]]]
     observed: Callable[..., int]
     required: str
     # KKF only: the packed vector is the same at (K, K') and (K', K), so the
@@ -582,8 +503,8 @@ _CLAUSES: dict[PostulateId, _Clause] = {
     PostulateId.K4: _Clause("KF", _h_k4, _pk4, _o_row, "if ¬phi ∉ K then Cn(K, phi) ⊆ K*phi"),
     PostulateId.K5: _Clause("KF", _h_k5, _pk5, _o_row, "K*phi inconsistent only if phi ≡ false"),
     PostulateId.K6: _Clause("KF", _h_k6, _pk6, _o_row, "equivalent inputs revise equally"),
-    PostulateId.K7: _Clause("KFF", _h_k7, _pk7, _o_conj, "K*(phi ∧ psi) ⊆ Cn(K*phi, psi)"),
-    PostulateId.K8: _Clause("KFF", _h_k8, _pk8, _o_conj,
+    PostulateId.K7: _Clause("KFF", _h_k7, None, _o_conj, "K*(phi ∧ psi) ⊆ Cn(K*phi, psi)"),
+    PostulateId.K8: _Clause("KFF", _h_k8, None, _o_conj,
                             "if ¬psi ∉ K*phi then Cn(K*phi, psi) ⊆ K*(phi ∧ psi)"),
     PostulateId.K9: _Clause("KKF", _h_k9, _pk9, _o_prime,
                             "if ¬phi ∈ K and ¬phi ∈ K' then K*phi = K'*phi",
@@ -592,7 +513,7 @@ _CLAUSES: dict[PostulateId, _Clause] = {
                               "if ¬phi ∈ K then K*phi ⊆ bot*phi"),
     PostulateId.K9_2: _Clause("KF", _h_k9_2, _pk9_2, _o_row,
                               "if ¬phi ∈ K then bot*phi ⊆ K*phi"),
-    PostulateId.K9_2P: _Clause("KFF", _h_k9_2p, _pk9_2p, _o_row,
+    PostulateId.K9_2P: _Clause("KFF", _h_k9_2p, None, _o_row,
                                "if psi ∈ K and psi ∈ bot*phi then psi ∈ K*phi"),
     PostulateId.U8: _Clause("KKF", _h_u8, _pu8, _o_union,
                             "(K ∩ K')*phi = (K*phi) ∩ (K'*phi)", symmetric=True, decide=_du8),
@@ -601,21 +522,21 @@ _CLAUSES: dict[PostulateId, _Clause] = {
     PostulateId.U8_2: _Clause("KKF", _h_u8_2, _pu8_2, _o_union,
                               "(K*phi) ∩ (K'*phi) ⊆ (K ∩ K')*phi", symmetric=True,
                               decide=_du8_2),
-    PostulateId.C1: _Clause("KFF", _h_c1, _pc1, _o_iter,
+    PostulateId.C1: _Clause("KFF", _h_c1, None, _o_iter,
                             "if phi ⊨ psi then (K*psi)*phi = K*phi"),
-    PostulateId.C2: _Clause("KFF", _h_c2, _pc2, _o_iter,
+    PostulateId.C2: _Clause("KFF", _h_c2, None, _o_iter,
                             "if phi ⊨ ¬psi then (K*psi)*phi = K*phi"),
-    PostulateId.C2P: _Clause("KFF", _h_c2p, _pc2p, _o_iter,
+    PostulateId.C2P: _Clause("KFF", _h_c2p, None, _o_iter,
                              "if ¬phi ∈ K and phi ⊨ ¬psi then (K*psi)*phi = K*phi"),
-    PostulateId.C3: _Clause("KFF", _h_c3, _pc3, _o_iter,
+    PostulateId.C3: _Clause("KFF", _h_c3, None, _o_iter,
                             "if psi ∈ K*phi then psi ∈ (K*psi)*phi"),
-    PostulateId.C4: _Clause("KFF", _h_c4, _pc4, _o_iter,
+    PostulateId.C4: _Clause("KFF", _h_c4, None, _o_iter,
                             "if ¬psi ∉ K*phi then ¬psi ∉ (K*psi)*phi"),
-    PostulateId.P_PHIANDPSI: _Clause("KFF", _h_phiandpsi, _pphiandpsi, _o_iter,
+    PostulateId.P_PHIANDPSI: _Clause("KFF", _h_phiandpsi, None, _o_iter,
                                      "if ¬phi ∉ K*psi then (K*psi)*phi = K*(psi ∧ phi)"),
-    PostulateId.P_PSI: _Clause("KFF", _h_psi, _ppsi, _o_iter,
+    PostulateId.P_PSI: _Clause("KFF", _h_psi, None, _o_iter,
                                "if ¬phi ∈ K*(psi ∨ phi) then (K*psi)*phi = K*phi"),
-    PostulateId.P_GEN: _Clause("KFF", _h_gen, _pgen, _o_iter,
+    PostulateId.P_GEN: _Clause("KFF", _h_gen, None, _o_iter,
                                "if psi ∈ K*phi then (K*psi)*phi = K*phi"),
     PostulateId.P_KM1: _Clause("KKF", _h_km1, _pkm1, _o_union,
                                "if ¬phi ∉ K and ¬phi ∉ K' then "
@@ -627,24 +548,77 @@ _CLAUSES: dict[PostulateId, _Clause] = {
                                  decide=_dk9u81),
 }
 
+
 def _first_failure(clause: _Clause, t: _Packed) -> Optional[tuple[int, int, int, int]]:
-    """The lexicographically first failing binding (K, K', phi, psi), with
-    0 for unbound quantifiers, or None. The loops run over the outer
-    binding (a, b), b only for KKF and KFF clauses; the innermost
-    quantifier is the lowest nonzero byte of the violation vector."""
+    """The lexicographically first failing binding (K, K', phi, 0) of a KF
+    or KKF clause, with K' = 0 for KF, or None. The loops run over (K, K'),
+    K' only for KKF clauses; phi is the lowest nonzero byte of the
+    violation vector."""
     vec = clause.packed(t)
     n = t.nmasks
     for a in range(n):
         for b in (0,) if clause.shape == "KF" else range(a if clause.symmetric else 0, n):
             v = vec(a, b)
             if v:
-                c = _first_byte(v)
-                if clause.shape == "KF":
-                    return a, 0, c, 0
-                if clause.shape == "KKF":
-                    return a, b, c, 0
-                return a, 0, b, c
+                return a, b, _first_byte(v), 0
     return None
+
+
+# The KFF clauses in canonical order: bit i of the fused pass's live mask
+# stands for _KFF[i], and its vector is entry i of the pass's tuple.
+_KFF = tuple(pid for pid, clause in _CLAUSES.items() if clause.shape == "KFF")
+_USES_ITERATED = 0b11111111000  # C1, C2, C2P, C3, C4, P_PHIANDPSI, P_PSI, P_GEN
+_USES_CONJ = 0b00100000011  # K7, K8, P_PHIANDPSI
+
+
+def _kff_pass(t: _Packed, pids: list[PostulateId]) -> dict[PostulateId, tuple[int, ...]]:
+    """The lexicographically first failing binding (K, 0, phi, psi) of each
+    KFF clause in ``pids`` that fails. One sweep over (K, phi) computes
+    rev(K, phi), the iterated and conjoined vectors over psi once per
+    binding and checks them against every clause that has not failed
+    yet; psi is the lowest nonzero byte of the clause's violation vector."""
+    m, n = t.m, t.nmasks
+    inter, meet, sub, apart, spread, ident = m.inter, m.meet, m.sub, m.apart, m.spread, m.ident
+    meet_t, or_idx, apart_t = m.meet_t, m.or_idx, m.apart_t
+    rows, row0 = t.rows, t.rows[0]
+    live = 0
+    for pid in pids:
+        live |= 1 << _KFF.index(pid)
+    found = {}
+    for K in range(n):
+        row, padded, subK = rows[K], t.tab[K], sub[K]
+        for phi in range(n):
+            r = row[phi]
+            it = t.iterated(K, phi) if live & _USES_ITERATED else 0
+            cj = t.conj(K, phi) if live & _USES_CONJ else 0
+            eq = it ^ spread[r]  # over psi: rev(rev(K, psi), phi) ^ rev(K, phi)
+            vecs = (
+                inter[r] & ~cj if live & 1 else 0,  # K7
+                cj & ~inter[r] & meet[r] if live & 2 else 0,  # K8
+                subK & sub[row0[phi]] & ~sub[r] if live & 4 else 0,  # K9_2P
+                eq & sub[phi] if live & 8 else 0,  # C1
+                eq & apart[phi] if live & 16 else 0,  # C2
+                eq & apart[phi] if live & 32 and not K & phi else 0,  # C2P
+                it & ~ident & sub[r] if live & 64 else 0,  # C3
+                # C4: psi meets rev(K, phi) but not rev(rev(K, psi), phi)
+                meet[r] & int.from_bytes((it & ident).to_bytes(n, "little").translate(_ZERO),
+                                         "little") if live & 128 else 0,
+                # P_PHIANDPSI: phi meets rev(K, psi)
+                int.from_bytes(row.translate(meet_t[phi]), "little") & (it ^ cj)
+                if live & 256 else 0,
+                # P_PSI: phi misses rev(K, psi | phi)
+                int.from_bytes(or_idx[phi].translate(padded).translate(apart_t[phi]), "little")
+                & eq if live & 512 else 0,
+                eq & sub[r] if live & 1024 else 0,  # P_GEN
+            )
+            if any(vecs):
+                for i, v in enumerate(vecs):
+                    if v:
+                        found[_KFF[i]] = K, 0, phi, _first_byte(v)
+                        live &= ~(1 << i)
+                if not live:
+                    return found
+    return found
 
 
 @dataclass(frozen=True)
@@ -763,6 +737,30 @@ def _sampled_pass(rv: Revision, pids: list[PostulateId], seed: int,
     return found
 
 
+def _exhaustive_pass(rv: Revision, pids: list[PostulateId]) -> dict[PostulateId, Violation]:
+    """The first violation of each clause in ``pids``, which is not empty,
+    in lexicographic binding order. The KFF clauses share one
+    ``_kff_pass``; a KF or KKF clause with a decider is first decided on
+    the whole table, and only when it fails, or when the clause has no
+    decider, is its binding domain swept to locate the first
+    counterexample."""
+    if rv.sig.n > TABLE_MAX_ATOMS:
+        raise DomainTooLargeError(
+            f"{pids[0].name} quantifies over too many bindings at {rv.sig.n} atoms; "
+            "run in sampled mode instead"
+        )
+    t = _packed(rv)
+    kff = [pid for pid in pids if _CLAUSES[pid].shape == "KFF"]
+    hits = _kff_pass(t, kff) if kff else {}
+    for pid in pids:
+        clause = _CLAUSES[pid]
+        if clause.shape != "KFF" and not (clause.decide is not None and clause.decide(t)):
+            hit = _first_failure(clause, t)
+            if hit is not None:
+                hits[pid] = hit
+    return {pid: _make_violation(rv, pid, *hit) for pid, hit in hits.items()}
+
+
 def check_postulate(
     rv: Revision,
     pid: PostulateId,
@@ -776,7 +774,9 @@ def check_postulate(
     Exhaustive mode works on packed table rows and needs n <= 3. A
     clause with a decider is first decided on the whole table; only when
     it fails, or when the clause has no decider, is the binding domain
-    swept in lexicographic order to locate the first counterexample.
+    swept in lexicographic order to locate the first counterexample. A
+    KFF clause is located by the same one pass over (K, phi) that
+    run_suite makes for all its KFF clauses together.
     Sampled mode draws ``samples`` bindings from random.Random(seed), one
     randrange per quantifier in binding order, so for a given seed every
     clause of one shape (KF, KKF or KFF) sees the same bindings.
@@ -784,17 +784,7 @@ def check_postulate(
     _check_mode(mode, seed, samples)
     if mode == "sampled":
         return _sampled_pass(rv, [pid], seed, samples).get(pid)
-    if rv.sig.n > TABLE_MAX_ATOMS:
-        raise DomainTooLargeError(
-            f"{pid.name} quantifies over too many bindings at {rv.sig.n} atoms; "
-            "run in sampled mode instead"
-        )
-    clause = _CLAUSES[pid]
-    t = _packed(rv)
-    if clause.decide is not None and clause.decide(t):
-        return None
-    hit = _first_failure(clause, t)
-    return None if hit is None else _make_violation(rv, pid, *hit)
+    return _exhaustive_pass(rv, [pid]).get(pid)
 
 
 @dataclass(frozen=True)
@@ -863,22 +853,25 @@ def run_suite(
 ) -> SuiteReport:
     """check_postulate over a set of ids, merged in canonical order.
 
-    Sampled mode makes one pass per clause shape: each binding is drawn
-    once and checked against every clause of that shape, which gives the
-    verdicts and witnesses of one check_postulate call per clause."""
+    Both modes make one pass per clause shape, which gives the verdicts
+    and witnesses of one check_postulate call per clause. Sampled mode
+    draws each binding once and checks it against every clause of that
+    shape. Exhaustive mode sweeps (K, phi) once for all the KFF clauses,
+    computing the vectors they share once per binding, and decides or
+    sweeps each KF and KKF clause on the same packed table."""
     _check_mode(mode, seed, samples)
     wanted = set(ids)
     pids = [pid for pid in PostulateId if pid in wanted]
+    found: dict[PostulateId, Violation] = {}
     if mode == "sampled":
         shapes: dict[str, list[PostulateId]] = {}
         for pid in pids:
             shapes.setdefault(_CLAUSES[pid].shape, []).append(pid)
-        found: dict[PostulateId, Violation] = {}
         for group in shapes.values():
             found.update(_sampled_pass(rv, group, seed, samples))
-        results = [(pid, found.get(pid)) for pid in pids]
-    else:
-        results = [(pid, check_postulate(rv, pid)) for pid in pids]
+    elif pids:
+        found = _exhaustive_pass(rv, pids)
+    results = [(pid, found.get(pid)) for pid in pids]
     return SuiteReport(
         sig=rv.sig,
         mode=mode,

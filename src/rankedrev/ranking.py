@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import random
 import sys
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -185,6 +186,30 @@ def enumerate_rank_functions(sig: Signature) -> Iterator[RankFunction]:
                 yield from rec(i + 1, new_used, new_top)
 
     return rec(0, 0, -1)
+
+
+def sweep_orbits(sig: Signature) -> Iterator[tuple[RankFunction, int]]:
+    """Yield one normalized rank function per orbit under permutations of
+    the valuations, with the orbit's size: 2**(2**n - 1) pairs, 8 at two
+    atoms and 128 at three.
+
+    An orbit is fixed by its level sizes, a composition of 2**n. Its
+    representative puts the valuations in order on levels of those sizes,
+    lowest first, and its size is the multinomial coefficient
+    (2**n)! / prod(size!). The sizes sum to count_rank_functions(sig).
+    Every postulate is stated on model sets through ∩, ∪, ⊆ and ∅, so a
+    clause holds on every function of an orbit or on none.
+    """
+    _check_enumerable(sig)
+    m = sig.num_valuations
+
+    def orbit(cuts: int) -> tuple[RankFunction, int]:
+        # bit i of cuts set: valuation i + 1 starts a new level
+        ranks = tuple((cuts & ((1 << v) - 1)).bit_count() for v in range(m))
+        sizes = Counter(ranks).values()
+        return RankFunction(sig, ranks), math.factorial(m) // math.prod(map(math.factorial, sizes))
+
+    return map(orbit, range(1 << (m - 1)))
 
 
 def random_rank_function(sig: Signature, levels: int, seed: int) -> RankFunction:

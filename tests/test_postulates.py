@@ -4,6 +4,7 @@ under-determination searches."""
 import json
 import random
 import tracemalloc
+from collections import Counter
 from itertools import islice
 
 import pytest
@@ -34,6 +35,7 @@ from rankedrev import (
     random_rank_function,
     relation_of_revision,
     run_suite,
+    sweep_orbits,
     with_theory_floor,
 )
 
@@ -277,6 +279,118 @@ class TestPackedKernelSweep:
             assert rv._packed.rows == [bytes(row) for row in rv.table()]
 
 
+KFF = tuple(pid for pid, clause in postulates._CLAUSES.items() if clause.shape == "KFF")
+
+
+def _suite_matches_reference(rv):
+    """Exhaustive run_suite against first_violation, clause by clause;
+    returns the KFF clauses' witnesses."""
+    report = run_suite(rv, PostulateId)
+    for pid in PostulateId:
+        assert _bindings(report.verdict(pid)) == first_violation(rv, pid), pid
+    return {pid: _bindings(report.verdict(pid)) for pid in KFF}
+
+
+class TestFusedKffPass:
+    """The eleven KFF clauses share one sweep over (K, phi) in exhaustive
+    run_suite; each still gets its own lexicographically first witness."""
+
+    def test_eleven_clauses(self):
+        assert [pid.name for pid in KFF] == [
+            "K7", "K8", "K9_2P", "C1", "C2", "C2P", "C3", "C4",
+            "P_PHIANDPSI", "P_PSI", "P_GEN"]
+        assert KFF == postulates._KFF
+
+    def test_two_atom_ranked_revisions(self, revs75):
+        for rv in revs75:
+            _suite_matches_reference(rv)
+
+    def test_two_atom_perturbed_tables(self, revs75):
+        # the tables of TestPackedKernelsMatchReference, where several KFF
+        # clauses fail in one table, at the same (K, phi) or at different ones
+        apart = together = 0
+        for rv in _perturbed_revisions(revs75, 200, 2002):
+            outer = [hit[:3] for hit in _suite_matches_reference(rv).values() if hit]
+            apart += len(set(outer)) > 1
+            together += len(set(outer)) < len(outer)
+        assert apart >= 100 and together >= 100, (apart, together)
+
+    def test_three_atom_late_witnesses(self, sig3):
+        rank = next(islice(enumerate_rank_functions(sig3), 4321, None))
+        rv = _perturbed_table(RankedRevision(rank), 1, 200, 8)
+        report = run_suite(rv, PostulateId)
+        compared = 0
+        for pid in KFF:
+            v = report.verdict(pid)
+            if v is not None and v.k.models.mask <= 1:
+                # the reference reaches these within two values of K
+                assert _bindings(v) == first_violation(rv, pid), pid
+                compared += 1
+        assert compared >= 10
+
+    def test_check_postulate_is_the_pass_over_one_clause(self, revs75):
+        for rv in [*revs75[::7], *_perturbed_revisions(revs75, 40, 2002)]:
+            report = run_suite(rv, PostulateId)
+            for pid in KFF:
+                assert _bindings(check_postulate(rv, pid)) == _bindings(report.verdict(pid))
+
+    @pytest.mark.parametrize("ids", [
+        list(PostulateId), KFF, KFF[:1], KFF[3:], (PostulateId.K7, PostulateId.P_PHIANDPSI)],
+        ids=["all", "kff", "k7", "iterated", "conj"])
+    def test_shared_vectors_once_per_binding(self, monkeypatch, ids):
+        calls = Counter()
+
+        class Counting(postulates._Packed):
+            def iterated(self, K, phi):
+                calls["iterated", K, phi] += 1
+                return super().iterated(K, phi)
+
+            def conj(self, K, phi):
+                calls["conj", K, phi] += 1
+                return super().conj(K, phi)
+
+        monkeypatch.setattr(postulates, "_Packed", Counting)
+        ranks = list(islice(enumerate_rank_functions(SIG2), 0, 75, 15))
+        # ranked tables, and perturbed ones where clauses drop out mid-pass
+        for rv in [*map(RankedRevision, ranks),
+                   *(_perturbed_table(RankedRevision(r), 3, 6, 9) for r in ranks)]:
+            calls.clear()
+            assert run_suite(rv, ids).results
+            assert calls and max(calls.values()) == 1, calls.most_common(1)
+            kinds = {kind for kind, _, _ in calls}
+            assert ("iterated" in kinds) == any(pid in KFF[3:] for pid in ids)
+            assert ("conj" in kinds) == any(pid.name in ("K7", "K8", "P_PHIANDPSI")
+                                            for pid in ids)
+
+
+class TestOrbitSweep:
+    """Weighting one representative per orbit counts the clauses' failures
+    over every rank function."""
+
+    @pytest.mark.parametrize("sig", [SIG1, SIG2], ids=["1atom", "2atoms"])
+    def test_weighted_counts_equal_brute_force(self, sig):
+        brute, weighted = Counter(), Counter()
+        for rank in enumerate_rank_functions(sig):
+            brute.update(pid for pid, v in run_suite(RankedRevision(rank), PostulateId).results
+                         if v is not None)
+        for rank, weight in sweep_orbits(sig):
+            for pid, v in run_suite(RankedRevision(rank), PostulateId).results:
+                weighted[pid] += weight if v is not None else 0
+        for pid in PostulateId:
+            assert weighted[pid] == brute[pid], pid
+
+    def test_one_verdict_vector_per_orbit(self, revs75):
+        def verdicts(rv):
+            return tuple(v is None for _, v in run_suite(rv, PostulateId).results)
+
+        def sizes(rank):
+            return tuple(rank.ranks.count(l) for l in range(rank.height + 1))
+
+        expected = {sizes(r): verdicts(RankedRevision(r)) for r, _ in sweep_orbits(SIG2)}
+        for rv in revs75:
+            assert verdicts(rv) == expected[sizes(rv.rank)]
+
+
 DECIDED = ("K9", "U8", "U8_2", "P_KM1", "P_K9U81")
 
 
@@ -396,22 +510,33 @@ class TestDeciders:
         assert _bindings(v) == first_violation(rv, PostulateId.K9) == (0, 96, 1, 0)
 
     def test_no_sweep_where_a_decider_proves_the_clause(self, revs75, monkeypatch):
-        swept = []
-        sweep = postulates._first_failure
+        # every undecided clause is located exactly once: a KF or KKF clause
+        # by its own sweep, the KFF clauses together by one fused pass
+        swept, passes = [], []
+        sweep, fused = postulates._first_failure, postulates._kff_pass
 
         def counting(clause, t):
             swept.append(clause)
             return sweep(clause, t)
 
+        def counting_fused(t, pids):
+            passes.append(pids)
+            swept.extend(postulates._CLAUSES[pid] for pid in pids)
+            return fused(t, pids)
+
         monkeypatch.setattr(postulates, "_first_failure", counting)
+        monkeypatch.setattr(postulates, "_kff_pass", counting_fused)
         for rv in revs75[::5]:
             swept.clear()
+            passes.clear()
             report = run_suite(rv, PostulateId)
+            assert len(passes) == 1
             decided = {pid for pid in PostulateId if pid.name in DECIDED}
             located = {pid for pid in decided if postulates._CLAUSES[pid] in swept}
             assert located == {pid for pid in decided if report.verdict(pid) is not None}
             assert located == {PostulateId.U8}
             assert len(swept) == len(PostulateId) - len(decided) + 1
+            assert len({id(clause) for clause in swept}) == len(swept)
 
 
 def _sampled_against_reference(rv, seed, samples):

@@ -21,6 +21,7 @@ from rankedrev import (
     normalize,
     parse_rank_file,
     random_rank_function,
+    sweep_orbits,
 )
 from rankedrev.ranking import count_rank_functions
 
@@ -188,6 +189,36 @@ class TestEnumerate:
         assert count_rank_functions(SIG3) == 545835
         with pytest.raises(SignatureTooLargeError):
             count_rank_functions(Signature(("a", "b", "c", "d")))
+
+
+class TestOrbits:
+    @pytest.mark.parametrize("sig, orbits", [(SIG1, 2), (SIG2, 8), (SIG3, 128)])
+    def test_weights_sum_to_the_count(self, sig, orbits):
+        pairs = list(sweep_orbits(sig))
+        assert len(pairs) == orbits
+        assert sum(weight for _, weight in pairs) == count_rank_functions(sig)
+
+    @pytest.mark.parametrize("sig", [SIG1, SIG2, SIG3])
+    def test_one_representative_per_level_size_tuple(self, sig):
+        sizes = [tuple(r.ranks.count(l) for l in range(r.height + 1))
+                 for r, _ in sweep_orbits(sig)]
+        assert len(set(sizes)) == len(sizes)
+        for r, _ in sweep_orbits(sig):
+            assert r.is_normalized and list(r.ranks) == sorted(r.ranks)
+
+    @pytest.mark.parametrize("sig", [SIG1, SIG2])
+    def test_weights_are_orbit_sizes(self, sig):
+        # the level sizes of every enumerated function, counted
+        by_sizes = {}
+        for r in enumerate_rank_functions(sig):
+            key = tuple(r.ranks.count(l) for l in range(r.height + 1))
+            by_sizes[key] = by_sizes.get(key, 0) + 1
+        assert {tuple(r.ranks.count(l) for l in range(r.height + 1)): weight
+                for r, weight in sweep_orbits(sig)} == by_sizes
+
+    def test_refused_past_three_atoms(self):
+        with pytest.raises(SignatureTooLargeError):
+            sweep_orbits(SIG4)
 
 
 class TestRandom:

@@ -38,4 +38,30 @@ def test_sweep_reports_the_three_failing_clauses():
     failing = {line.split()[0] for line in lines[1:] if "75/75 violations" in line}
     assert failing == {"U8", "U8_1", "C2"}
     assert sum("0/75 violations  holds everywhere" in line for line in lines) == 22
+    assert "checked on 8 orbit representatives" in lines[0]
+
+
+def test_sweep_at_one_atom():
+    done = run_script("sweep_postulates.py", "--atoms", "p")
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[0].startswith("3 rank functions over atoms p, checked on 2 orbit representatives")
+    assert {line.split()[0] for line in lines[1:] if "3/3 violations" in line} == {
+        "U8", "U8_1", "C2"}
+    assert sum("0/3 violations  holds everywhere" in line for line in lines) == 22
+
+
+@pytest.mark.parametrize("name, args, message", [
+    ("sweep_postulates.py", ("--atoms", "p,q,r,s"), "at most 3 atoms"),
+    ("sweep_postulates.py", ("--atoms", "p,p"), "duplicate atom names"),
+    ("sample_iterated_laws.py", ("--samples", "0"), "at least one sample"),
+    ("sample_iterated_laws.py", ("--functions", "0"), "--functions must be at least 1"),
+])
+def test_typed_errors_exit_two(name, args, message):
+    # exit 1 means a clause was violated; a run that cannot start exits 2
+    done = run_script(name, *args)
+    assert done.returncode == 2, done.stderr
+    assert "Traceback" not in done.stderr
+    assert "error: " in done.stderr and message in done.stderr
+    assert "failures" not in done.stdout
 
