@@ -197,14 +197,10 @@ class TestOrbits:
         pairs = list(sweep_orbits(sig))
         assert len(pairs) == orbits
         assert sum(weight for _, weight in pairs) == count_rank_functions(sig)
-
-    @pytest.mark.parametrize("sig", [SIG1, SIG2, SIG3])
-    def test_one_representative_per_level_size_tuple(self, sig):
-        sizes = [tuple(r.ranks.count(l) for l in range(r.height + 1))
-                 for r, _ in sweep_orbits(sig)]
-        assert len(set(sizes)) == len(sizes)
-        for r, _ in sweep_orbits(sig):
-            assert r.is_normalized and list(r.ranks) == sorted(r.ranks)
+        # one representative per tuple of level sizes, its levels in valuation order
+        sizes = {tuple(r.ranks.count(l) for l in range(r.height + 1)) for r, _ in pairs}
+        assert len(sizes) == orbits
+        assert all(r.is_normalized and list(r.ranks) == sorted(r.ranks) for r, _ in pairs)
 
     @pytest.mark.parametrize("sig", [SIG1, SIG2])
     def test_weights_are_orbit_sizes(self, sig):
