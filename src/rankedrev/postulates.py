@@ -600,13 +600,13 @@ def _kff_pass(t: _Packed, pids: list[PostulateId]) -> dict[PostulateId, tuple[in
                 eq & apart[phi] if live & 16 else 0,  # C2
                 eq & apart[phi] if live & 32 and not K & phi else 0,  # C2P
                 it & ~ident & sub[r] if live & 64 else 0,  # C3
-                # C4: psi meets rev(K, phi) but not rev(rev(K, psi), phi)
+                # C4: psi meets rev(K, phi) but misses rev(rev(K, psi), phi)
                 meet[r] & int.from_bytes((it & ident).to_bytes(n, "little").translate(_ZERO),
                                          "little") if live & 128 else 0,
-                # P_PHIANDPSI: phi meets rev(K, psi)
+                # P_PHIANDPSI, where phi meets rev(K, psi)
                 int.from_bytes(row.translate(meet_t[phi]), "little") & (it ^ cj)
                 if live & 256 else 0,
-                # P_PSI: phi misses rev(K, psi | phi)
+                # P_PSI, where phi misses rev(K, psi | phi)
                 int.from_bytes(or_idx[phi].translate(padded).translate(apart_t[phi]), "little")
                 & eq if live & 512 else 0,
                 eq & sub[r] if live & 1024 else 0,  # P_GEN
