@@ -16,6 +16,7 @@ if the atoms do not form a signature of at most three atoms.
 """
 
 import argparse
+import statistics
 import sys
 import time
 from collections import Counter
@@ -42,18 +43,20 @@ def main() -> int:
     except RankedRevError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    start = time.perf_counter()
     fail_counts: Counter = Counter()
+    seconds = []
     for rank, weight in orbits:
+        start = time.perf_counter()
         report = run_suite(RankedRevision(rank), list(PostulateId))
+        seconds.append(time.perf_counter() - start)
         for pid, violation in report.results:
             if violation is not None:
                 fail_counts[pid] += weight
-    elapsed = time.perf_counter() - start
     total = sum(weight for _, weight in orbits)
 
     print(f"{total} rank functions over atoms {args.atoms}, "
-          f"checked on {len(orbits)} orbit representatives ({elapsed:.2f}s)")
+          f"checked on {len(orbits)} orbit representatives ({sum(seconds):.2f}s, "
+          f"median {statistics.median(seconds):.4f}s per representative)")
     ok = True
     width = max(4, len(str(total)))
     for pid in PostulateId:

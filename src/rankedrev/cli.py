@@ -19,7 +19,7 @@ import re
 import sys
 from typing import Optional
 
-from .errors import RankedRevError
+from .errors import RankedRevError, RankFileError
 from .logic import Formula, Signature, Theory, format_formula, models_of, parse_formula
 from .postulates import (
     ImpossibilityTarget,
@@ -62,7 +62,10 @@ def _load_rank(path: Optional[str]) -> Optional[RankFunction]:
     if path is None:
         return None
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_rank_file(fh.read())
+        try:
+            return parse_rank_file(fh.read())
+        except UnicodeDecodeError as exc:
+            raise RankFileError(f"{path} is not UTF-8 text: {exc.reason}") from None
 
 
 def _resolve_sig(atoms: Optional[str], rank: Optional[RankFunction]) -> Signature:

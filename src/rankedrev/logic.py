@@ -227,8 +227,7 @@ class _Masks:
     def __init__(self, nmasks: int):
         xs = range(nmasks)
         ones = int.from_bytes(b"\1" * nmasks, "little")
-        byte_and = [bytes(a & b for b in range(256)) for a in xs]
-        self.and_idx = [r[:nmasks] for r in byte_and]  # gather index a & x
+        self.and_idx = [bytes(a & x for x in xs) for a in xs]  # gather index a & x
         self.or_idx = [bytes(a | x for x in xs) for a in xs]  # gather index a | x
         self.ident = int.from_bytes(bytes(xs), "little")  # x
         self.spread = [a * ones for a in xs]  # a
@@ -236,9 +235,6 @@ class _Masks:
         self.meet = _ints(r.translate(_NONZERO) for r in self.and_idx)  # a & x != 0
         self.apart = _ints(r.translate(_ZERO) for r in self.and_idx)  # a & x == 0
         self.sub = _ints(bytes(255 if a & x == a else 0 for x in xs) for a in xs)  # a ⊆ x
-        # translate tables over byte values b: b & a != 0, and b & a == 0
-        self.meet_t = [r.translate(_NONZERO) for r in byte_and]
-        self.apart_t = [r.translate(_ZERO) for r in byte_and]
 
 
 @functools.cache

@@ -6,7 +6,8 @@ evaluator, a binomial-recurrence counter for ordered set partitions, a
 sort-based minimum-rank extractor, a constraint search that finds every
 rational choice table at small sizes, the per-mask consequence table,
 the per-binding postulate and rationality sweeps that the packed checkers
-are compared against, and sampled mode run one clause at a time.
+are compared against, the exhaustive (K, phi, psi) pass one (K, phi) at
+a time, and sampled mode run one clause at a time.
 """
 
 from __future__ import annotations
@@ -15,7 +16,8 @@ import math
 import random
 
 from rankedrev import And, Atom, Const, Iff, Implies, Not, Or
-from rankedrev.postulates import _CLAUSES, _make_violation
+from rankedrev.logic import _NONZERO, _ZERO, _first_byte
+from rankedrev.postulates import _CLAUSES, _KFF, _USES_CONJ, _USES_ITERATED, _make_violation
 
 
 def fubini(m: int) -> int:
@@ -202,6 +204,65 @@ def first_violation(rv, pid):
                     if not holds(rev, uni, K, 0, phi, psi):
                         return K, 0, phi, psi
     return None
+
+
+def kff_pass_reference(t, pids):
+    """The exhaustive pass over the KFF clauses in ``pids`` one (K, phi)
+    binding at a time, with vectors over psi: the same dict as
+    postulates._kff_pass, {pid: (K, 0, phi, psi)} for each clause that
+    fails. ``t`` is a postulates._Packed table."""
+    m, n = t.m, t.nmasks
+    inter, meet, sub, apart, spread, ident = m.inter, m.meet, m.sub, m.apart, m.spread, m.ident
+    or_idx = m.or_idx
+    # translate tables over byte values b: b & a != 0, and b & a == 0
+    meet_t = [bytes(b & a for b in range(256)).translate(_NONZERO) for a in range(n)]
+    apart_t = [bytes(b & a for b in range(256)).translate(_ZERO) for a in range(n)]
+
+    def conj(K, phi):  # over x: rev(K, phi & x)
+        return int.from_bytes(m.and_idx[phi].translate(t.tab[K]), "little")
+
+    def iterated(K, phi):  # over x: rev(rev(K, x), phi)
+        return int.from_bytes(t.rows[K].translate(t.cols[phi]), "little")
+
+    rows, row0 = t.rows, t.rows[0]
+    live = 0
+    for pid in pids:
+        live |= 1 << _KFF.index(pid)
+    found = {}
+    for K in range(n):
+        row, padded, subK = rows[K], t.tab[K], sub[K]
+        for phi in range(n):
+            r = row[phi]
+            it = iterated(K, phi) if live & _USES_ITERATED else 0
+            cj = conj(K, phi) if live & _USES_CONJ else 0
+            eq = it ^ spread[r]  # over psi: rev(rev(K, psi), phi) ^ rev(K, phi)
+            vecs = (
+                inter[r] & ~cj if live & 1 else 0,  # K7
+                cj & ~inter[r] & meet[r] if live & 2 else 0,  # K8
+                subK & sub[row0[phi]] & ~sub[r] if live & 4 else 0,  # K9_2P
+                eq & sub[phi] if live & 8 else 0,  # C1
+                eq & apart[phi] if live & 16 else 0,  # C2
+                eq & apart[phi] if live & 32 and not K & phi else 0,  # C2P
+                it & ~ident & sub[r] if live & 64 else 0,  # C3
+                # C4: psi meets rev(K, phi) but misses rev(rev(K, psi), phi)
+                meet[r] & int.from_bytes((it & ident).to_bytes(n, "little").translate(_ZERO),
+                                         "little") if live & 128 else 0,
+                # P_PHIANDPSI, where phi meets rev(K, psi)
+                int.from_bytes(row.translate(meet_t[phi]), "little") & (it ^ cj)
+                if live & 256 else 0,
+                # P_PSI, where phi misses rev(K, psi | phi)
+                int.from_bytes(or_idx[phi].translate(padded).translate(apart_t[phi]), "little")
+                & eq if live & 512 else 0,
+                eq & sub[r] if live & 1024 else 0,  # P_GEN
+            )
+            if any(vecs):
+                for i, v in enumerate(vecs):
+                    if v:
+                        found[_KFF[i]] = K, 0, phi, _first_byte(v)
+                        live &= ~(1 << i)
+                if not live:
+                    return found
+    return found
 
 
 def rationality_reference(c):

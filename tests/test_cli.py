@@ -113,6 +113,14 @@ class TestCheck:
         assert code == 2
         assert "NOPE" in err
 
+    def test_rank_file_not_utf8_exit_two(self, capsys, tmp_path):
+        path = tmp_path / "binary.rnk"
+        path.write_bytes(b"\xff\xfe")
+        code, out, err = run(capsys, "check", "--rank", str(path), "--postulates", "all")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "not UTF-8" in err
+
     def test_domain_error_exit_two(self, capsys, rank4_path):
         code, _, err = run(capsys, "check", "--rank", rank4_path, "--postulates", "K7")
         assert code == 2

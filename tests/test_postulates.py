@@ -40,7 +40,7 @@ from rankedrev import (
 )
 
 from helpers import SIG1, SIG2, SIG3, SIG4, OutOfRange, ps, th
-from oracles import first_violation, sampled_reference
+from oracles import first_violation, kff_pass_reference, sampled_reference
 
 DERIVED_IDS = (
     PostulateId.U8_2,
@@ -338,29 +338,84 @@ class TestFusedKffPass:
         list(PostulateId), KFF, KFF[:1], KFF[3:], (PostulateId.K7, PostulateId.P_PHIANDPSI)],
         ids=["all", "kff", "k7", "iterated", "conj"])
     def test_shared_vectors_once_per_binding(self, monkeypatch, ids):
+        # the pass builds its blocks over (phi, psi) per binding of K: the
+        # iterated and the conjoined block each at most once per K, and only
+        # while a clause that reads it has not failed
         calls = Counter()
 
         class Counting(postulates._Packed):
-            def iterated(self, K, phi):
-                calls["iterated", K, phi] += 1
-                return super().iterated(K, phi)
+            def iterated_block(self, K):
+                calls["iterated", K] += 1
+                return super().iterated_block(K)
 
-            def conj(self, K, phi):
-                calls["conj", K, phi] += 1
-                return super().conj(K, phi)
+            def block(self, K, index):
+                if index is postulates._pairs(self.nmasks).at_conj:
+                    calls["conj", K] += 1
+                return super().block(K, index)
 
         monkeypatch.setattr(postulates, "_Packed", Counting)
+        readers = {"iterated": set(KFF[3:]), "conj": {PostulateId.K7, PostulateId.K8,
+                                                      PostulateId.P_PHIANDPSI}}
         ranks = list(islice(enumerate_rank_functions(SIG2), 0, 75, 15))
         # ranked tables, and perturbed ones where clauses drop out mid-pass
         for rv in [*map(RankedRevision, ranks),
                    *(_perturbed_table(RankedRevision(r), 3, 6, 9) for r in ranks)]:
             calls.clear()
-            assert run_suite(rv, ids).results
+            report = run_suite(rv, ids)
             assert calls and max(calls.values()) == 1, calls.most_common(1)
-            kinds = {kind for kind, _, _ in calls}
-            assert ("iterated" in kinds) == any(pid in KFF[3:] for pid in ids)
-            assert ("conj" in kinds) == any(pid.name in ("K7", "K8", "P_PHIANDPSI")
-                                            for pid in ids)
+            for kind, reading in readers.items():
+                # built from K = 0 to the last K at which a reader is live
+                last = [v.k.models.mask if v else 15 for pid, v in report.results
+                        if pid in reading]
+                built = sorted(K for k, K in calls if k == kind)
+                assert built == (list(range(max(last) + 1)) if last else []), kind
+
+
+def _late_three_atom_tables(count, seed):
+    """Seeded 3-atom ranked tables with one to three cells changed at
+    K >= 128 and phi >= 192, so most KFF clauses first fail late."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        rv = RankedRevision(random_rank_function(SIG3, rng.randint(2, 8), rng.randrange(999)))
+        for _ in range(rng.randint(1, 3)):
+            rv = _perturbed_table(rv, rng.randrange(128, 256), rng.randrange(192, 256),
+                                  rng.randrange(256))
+        yield rv
+
+
+class TestKffPassMatchesReference:
+    """The pass over (phi, psi) blocks per K against the pass one (K, phi)
+    at a time: the same dict for the eleven clauses together and for
+    each clause alone."""
+
+    def test_two_atom_tables(self, revs75):
+        for rv in [*revs75, *_perturbed_revisions(revs75, 200, 2002)]:
+            t = postulates._packed(rv)
+            assert postulates._kff_pass(t, KFF) == kff_pass_reference(t, KFF)
+            for pid in KFF:
+                assert postulates._kff_pass(t, [pid]) == kff_pass_reference(t, [pid]), pid
+
+    def test_three_atom_late_witnesses(self):
+        late = 0
+        for rv in _late_three_atom_tables(3, 707):
+            t = postulates._packed(rv)
+            expected = kff_pass_reference(t, KFF)
+            assert postulates._kff_pass(t, KFF) == expected
+            for pid in KFF:
+                alone = {pid: expected[pid]} if pid in expected else {}
+                assert postulates._kff_pass(t, [pid]) == alone, pid
+            late += sum(K >= 128 and max(phi, psi) >= 192
+                        for K, _, phi, psi in expected.values())
+        assert late >= 24, late
+
+    def test_pairs_built_only_for_kff_clauses(self, revs75):
+        postulates._pairs.cache_clear()
+        rv = revs75[40]
+        run_suite(rv, [pid for pid in PostulateId if pid not in KFF])
+        run_suite(rv, PostulateId, mode="sampled", seed=1, samples=50)
+        assert postulates._pairs.cache_info().currsize == 0
+        run_suite(rv, [PostulateId.C4])
+        assert postulates._pairs.cache_info().currsize == 1
 
 
 class TestOrbitSweep:
