@@ -1,4 +1,4 @@
-"""Checking revisions against the postulate catalogue of clauses.py.
+"""Machine-checkable catalogue of revision postulates.
 
 Every postulate is a universally quantified clause over theories and
 formula classes. Quantifier domains are semantic: theories range over
@@ -16,26 +16,297 @@ the revision reproduces the clause failure.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import random
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Optional, Union
+from typing import Callable, Iterable, Optional, Union
 
-from .clauses import _CLAUSES, PostulateId, _Clause, _Packed, _pairs
 from .errors import (
     DomainTooLargeError,
     SamplingError,
     SearchExhaustedError,
     WitnessNotFoundError,
 )
-from .logic import PropSet, Signature, Theory, _first_byte
+from .logic import _ZERO, PropSet, Signature, Theory, _first_byte, _ints, _masks
 from .ranking import RankFunction, enumerate_rank_functions
 from .render import dnf_text, theory_text
 from .revision import TABLE_MAX_ATOMS, RankedRevision, Revision
 
 
+class PostulateId(Enum):
+    """Closed enumeration of the checkable postulates."""
+
+    K1 = "K1"
+    K2 = "K2"
+    K3 = "K3"
+    K4 = "K4"
+    K5 = "K5"
+    K6 = "K6"
+    K7 = "K7"
+    K8 = "K8"
+    K9 = "K9"
+    K9_1 = "K9_1"
+    K9_2 = "K9_2"
+    K9_2P = "K9_2P"
+    U8 = "U8"
+    U8_1 = "U8_1"
+    U8_2 = "U8_2"
+    C1 = "C1"
+    C2 = "C2"
+    C2P = "C2P"
+    C3 = "C3"
+    C4 = "C4"
+    P_PHIANDPSI = "P_PHIANDPSI"
+    P_PSI = "P_PSI"
+    P_GEN = "P_GEN"
+    P_KM1 = "P_KM1"
+    P_K9U81 = "P_K9U81"
+
+
 AGM_POSTULATES = tuple(PostulateId[f"K{i}"] for i in range(1, 9))
 AGM_PLUS_MINIMAL_INFLUENCE = AGM_POSTULATES + (PostulateId.K9,)
+
+
+# Clause evaluators work on raw masks. ``rev`` maps (theory models mask,
+# formula mask) to the revised theory's models mask. Subset tests use
+# (a | b) == b for "a ⊆ b"; remember the formula-set order inversion:
+# psi ∈ T means models(T) ⊆ models(psi).
+
+
+def _h_k1(rev, uni, K, Kp, phi, psi):
+    return 0 <= rev(K, phi) <= uni
+
+
+def _h_k2(rev, uni, K, Kp, phi, psi):
+    r = rev(K, phi)
+    return (r | phi) == phi
+
+
+def _h_k3(rev, uni, K, Kp, phi, psi):
+    r = rev(K, phi)
+    kf = K & phi
+    return (kf | r) == r
+
+
+def _h_k4(rev, uni, K, Kp, phi, psi):
+    kf = K & phi
+    if kf == 0:
+        return True
+    r = rev(K, phi)
+    return (r | kf) == kf
+
+
+def _h_k5(rev, uni, K, Kp, phi, psi):
+    return rev(K, phi) != 0 or phi == 0
+
+
+def _h_k6(rev, uni, K, Kp, phi, psi):
+    # equivalent formulas are identical masks; this only guards against a
+    # nondeterministic revise
+    return rev(K, phi) == rev(K, phi)
+
+
+def _h_k7(rev, uni, K, Kp, phi, psi):
+    cn = rev(K, phi) & psi
+    both = rev(K, phi & psi)
+    return (cn | both) == both
+
+
+def _h_k8(rev, uni, K, Kp, phi, psi):
+    cn = rev(K, phi) & psi
+    if cn == 0:
+        return True
+    both = rev(K, phi & psi)
+    return (both | cn) == cn
+
+
+def _h_k9(rev, uni, K, Kp, phi, psi):
+    if K & phi or Kp & phi:
+        return True
+    return rev(K, phi) == rev(Kp, phi)
+
+
+def _h_k9_1(rev, uni, K, Kp, phi, psi):
+    if K & phi:
+        return True
+    bot = rev(0, phi)
+    r = rev(K, phi)
+    return (bot | r) == r
+
+
+def _h_k9_2(rev, uni, K, Kp, phi, psi):
+    if K & phi:
+        return True
+    bot = rev(0, phi)
+    return (rev(K, phi) | bot) == bot
+
+
+def _h_k9_2p(rev, uni, K, Kp, phi, psi):
+    if (K | psi) != psi:
+        return True
+    if (rev(0, phi) | psi) != psi:
+        return True
+    return (rev(K, phi) | psi) == psi
+
+
+def _h_u8(rev, uni, K, Kp, phi, psi):
+    return rev(K | Kp, phi) == (rev(K, phi) | rev(Kp, phi))
+
+
+def _h_u8_1(rev, uni, K, Kp, phi, psi):
+    if (Kp | K) != K:  # K ⊆ K' as formula sets: models(K') ⊆ models(K)
+        return True
+    a = rev(K, phi)
+    b = rev(Kp, phi)
+    return (b | a) == a
+
+
+def _h_u8_2(rev, uni, K, Kp, phi, psi):
+    inter = rev(K, phi) | rev(Kp, phi)
+    return (rev(K | Kp, phi) | inter) == inter
+
+
+def _h_km1(rev, uni, K, Kp, phi, psi):
+    if (K & phi) == 0 or (Kp & phi) == 0:
+        return True
+    return rev(K | Kp, phi) == (rev(K, phi) | rev(Kp, phi))
+
+
+def _h_k9u81(rev, uni, K, Kp, phi, psi):
+    if K & phi or Kp & phi:
+        return True
+    return rev(K | Kp, phi) == (rev(K, phi) | rev(Kp, phi))
+
+
+def _h_c1(rev, uni, K, Kp, phi, psi):
+    if (phi | psi) != psi:
+        return True
+    return rev(rev(K, psi), phi) == rev(K, phi)
+
+
+def _h_c2(rev, uni, K, Kp, phi, psi):
+    if phi & psi:
+        return True
+    return rev(rev(K, psi), phi) == rev(K, phi)
+
+
+def _h_c2p(rev, uni, K, Kp, phi, psi):
+    if K & phi or phi & psi:
+        return True
+    return rev(rev(K, psi), phi) == rev(K, phi)
+
+
+def _h_c3(rev, uni, K, Kp, phi, psi):
+    r = rev(K, phi)
+    if (r | psi) != psi:
+        return True
+    return (rev(rev(K, psi), phi) | psi) == psi
+
+
+def _h_c4(rev, uni, K, Kp, phi, psi):
+    if (rev(K, phi) & psi) == 0:
+        return True
+    return (rev(rev(K, psi), phi) & psi) != 0
+
+
+def _h_phiandpsi(rev, uni, K, Kp, phi, psi):
+    r = rev(K, psi)
+    if (r & phi) == 0:
+        return True
+    return rev(r, phi) == rev(K, psi & phi)
+
+
+def _h_psi(rev, uni, K, Kp, phi, psi):
+    if rev(K, psi | phi) & phi:
+        return True
+    return rev(rev(K, psi), phi) == rev(K, phi)
+
+
+def _h_gen(rev, uni, K, Kp, phi, psi):
+    r = rev(K, phi)
+    if (r | psi) != psi:
+        return True
+    return rev(rev(K, psi), phi) == r
+
+
+def _o_row(rev, K, Kp, phi, psi):
+    return rev(K, phi)
+
+
+def _o_conj(rev, K, Kp, phi, psi):
+    return rev(K, phi & psi)
+
+
+def _o_prime(rev, K, Kp, phi, psi):
+    return rev(Kp, phi)
+
+
+def _o_union(rev, K, Kp, phi, psi):
+    return rev(K | Kp, phi)
+
+
+def _o_iter(rev, K, Kp, phi, psi):
+    return rev(rev(K, psi), phi)
+
+
+# Exhaustive checking runs on packed rows (see logic.py): row K of the
+# revision table packs into one int whose byte phi is rev(K, phi). Each
+# clause has, per outer binding, (K, -) for KF, (K, K') for KKF and K for
+# KFF, a violation vector over the inner quantifiers: phi, or for KFF the
+# pairs (phi, psi) in lexicographic order. Its byte is nonzero exactly
+# where the clause fails, so the lowest nonzero byte of the first nonzero
+# vector is the lexicographically first counterexample. A KF or KKF
+# clause's packed form binds a packed table and returns its vector
+# function; the KFF vectors are written out in _kff_pass, which
+# evaluates them all per K on blocks over every pair (phi, psi).
+
+
+class _Packed:
+    """A revision table packed one row per int, with the signature's masks.
+
+    Cells outside 0..universe_mask are packed as 0 and flagged in
+    ``bad``, which only K1 reads; every other clause sees such a cell as
+    the empty model set. Built once per revision by ``_packed``.
+    """
+
+    def __init__(self, table, uni: int):
+        self.nmasks = uni + 1
+        self.m = _masks(self.nmasks)
+        self.rows, self.bad = [], []
+        valid = bytes(range(self.nmasks))
+        for row in table:
+            try:
+                packed = bytes(row)
+                in_range = not packed.translate(None, valid)  # nothing left once valid cells go
+            except ValueError:  # a cell outside 0..255
+                in_range = False
+            if in_range:
+                self.rows.append(packed)
+                self.bad.append(0)
+            else:
+                ok = [0 <= c <= uni for c in row]
+                self.rows.append(bytes(c if good else 0 for c, good in zip(row, ok)))
+                self.bad.append(int.from_bytes(bytes(0 if good else 255 for good in ok),
+                                               "little"))
+        self.P = _ints(self.rows)
+        # rows and columns zero-padded to 256 bytes, as bytes.translate tables
+        pad = bytes(256 - self.nmasks)
+        self.tab = [r + pad for r in self.rows]
+
+    @functools.cached_property
+    def cols(self) -> list[bytes]:
+        """Column phi as a translate table: byte t -> rev(t, phi)."""
+        pad = bytes(256 - self.nmasks)
+        return [bytes(c) + pad for c in zip(*self.rows)]
+
+    def block(self, K: int, index: bytes) -> int:
+        """Over the pairs (phi, psi) of _Pairs: rev(K, index[pair])."""
+        return int.from_bytes(index.translate(self.tab[K]), "little")
+
+    def iterated_block(self, K: int) -> int:
+        """Over the pairs (phi, psi): rev(rev(K, psi), phi)."""
+        return int.from_bytes(b"".join(map(self.rows[K].translate, self.cols)), "little")
 
 
 def _packed(rv: Revision) -> _Packed:
@@ -44,6 +315,265 @@ def _packed(rv: Revision) -> _Packed:
     if rv._packed is None:
         rv._packed = _Packed(rv.table(), rv.sig.universe_mask)
     return rv._packed
+
+
+def _pk1(t):
+    bad = t.bad
+    return lambda K, _: bad[K]
+
+
+def _pk2(t):
+    P, ident = t.P, t.m.ident
+    return lambda K, _: P[K] & ~ident
+
+
+def _pk3(t):
+    P, inter = t.P, t.m.inter
+    return lambda K, _: inter[K] & ~P[K]
+
+
+def _pk4(t):
+    P, inter, meet = t.P, t.m.inter, t.m.meet
+    return lambda K, _: P[K] & ~inter[K] & meet[K]
+
+
+def _pk5(t):
+    rows = t.rows
+    return lambda K, _: int.from_bytes(rows[K].translate(_ZERO), "little") & ~0xFF
+
+
+def _pk6(t):
+    return lambda K, _: 0
+
+
+def _pk9_1(t):
+    P, apart = t.P, t.m.apart
+    return lambda K, _: P[0] & ~P[K] & apart[K]
+
+
+def _pk9_2(t):
+    P, apart = t.P, t.m.apart
+    return lambda K, _: P[K] & ~P[0] & apart[K]
+
+
+def _pk9(t):
+    P, apart = t.P, t.m.apart
+    return lambda K, Kp: (P[K] ^ P[Kp]) & apart[K] & apart[Kp]
+
+
+def _pu8(t):
+    P = t.P
+    return lambda K, Kp: P[K | Kp] ^ (P[K] | P[Kp])
+
+
+def _pu8_1(t):
+    P = t.P
+    return lambda K, Kp: P[Kp] & ~P[K] if (Kp | K) == K else 0
+
+
+def _pu8_2(t):
+    P = t.P
+    return lambda K, Kp: P[K | Kp] & ~(P[K] | P[Kp])
+
+
+def _pkm1(t):
+    P, meet = t.P, t.m.meet
+    return lambda K, Kp: (P[K | Kp] ^ (P[K] | P[Kp])) & meet[K] & meet[Kp]
+
+
+def _pk9u81(t):
+    P, apart = t.P, t.m.apart
+    return lambda K, Kp: (P[K | Kp] ^ (P[K] | P[Kp])) & apart[K] & apart[Kp]
+
+
+# Deciders for the symmetric KKF clauses: True exactly when the clause
+# holds at every (K, K', phi), found on the packed rows without a sweep
+# over (K, K') pairs. Lane (phi, w) is bit w of byte phi; per lane, f(a)
+# is that bit of P[a], and the clause ranges over the sets a whose
+# family vector (apart, meet or every set) has the lane. "sub" is
+# f(a ∪ b) ⊆ f(a) ∪ f(b), "sup" is f(a) ∪ f(b) ⊆ f(a ∪ b); U8 is both over
+# every set, U8_2 is sub, P_KM1 both over meet and P_K9U81 both over
+# apart. Every family here is closed under union.
+
+
+def _dk9(t):
+    # If (K, K') fails at phi, so does (0, K) or (0, K'): apart[0] is all
+    # ones and P[K] != P[K'] on the lane means one of them differs from P[0].
+    P, apart = t.P, t.m.apart
+    return not any((P[0] ^ p) & a for p, a in zip(P, apart))
+
+
+def _union_generated(t, fam):
+    """sub and sup on a family that holds every subset of its members
+    (all sets, or apart): f(a) = f(0) ∪ ⋃ over v ∈ a of f({v})."""
+    P = t.P
+    gen = [P[0]]
+    for a in range(1, t.nmasks):
+        low = a & -a
+        gen.append(gen[a ^ low] | P[low])
+    return not any((p ^ g) & f for p, g, f in zip(P, gen, fam))
+
+
+@functools.cache
+def _zeta_steps(nmasks: int) -> list[tuple[list[int], list[tuple[int, list[int]]]]]:
+    """Per valuation v: the sets holding v and, per other valuation x,
+    x's bit with the sets holding both; the steps of a subset-OR
+    transform over the sets holding v."""
+    bits = [1 << v for v in range(nmasks.bit_length() - 1)]
+    return [([s for s in range(nmasks) if s & vb],
+             [(xb, [s for s in range(nmasks) if s & vb and s & xb])
+              for xb in bits if xb != vb])
+            for vb in bits]
+
+
+@functools.cache
+def _covers(nmasks: int) -> list[tuple[int, int]]:
+    """Every pair (a, a ∪ {x}) with x ∉ a."""
+    bits = [1 << v for v in range(nmasks.bit_length() - 1)]
+    return [(a, a | xb) for xb in bits for a in range(nmasks) if not a & xb]
+
+
+def _sub(t, fam):
+    """On each lane the zero sets (members a with f(a) = 0) are closed
+    under union: no s with f(s) = 1 is the union of the zero sets below
+    it. reach[s] has the lane when a zero set c ⊆ s holds v, and cover[s]
+    when that is so for every v ∈ s."""
+    P, n = t.P, t.nmasks
+    zero = [~p & f for p, f in zip(P, fam)]
+    cover = [-1] * n
+    for holding, steps in _zeta_steps(n):
+        reach = zero[:]
+        for xb, both in steps:
+            for s in both:
+                reach[s] |= reach[s ^ xb]
+        for s in holding:
+            cover[s] &= reach[s]
+    return not any(P[s] & fam[s] & cover[s] for s in range(1, n))
+
+
+def _sup(t, fam):
+    """f is monotone along every step a -> a ∪ {x} inside the family."""
+    P = t.P
+    return not any(P[a] & ~P[b] & fam[a] & fam[b] for a, b in _covers(t.nmasks))
+
+
+def _every(t):
+    return [(1 << 8 * t.nmasks) - 1] * t.nmasks
+
+
+def _du8(t):
+    return _union_generated(t, _every(t))
+
+
+def _du8_2(t):
+    return _sub(t, _every(t))
+
+
+def _dkm1(t):
+    return _sub(t, t.m.meet) and _sup(t, t.m.meet)
+
+
+def _dk9u81(t):
+    return _union_generated(t, t.m.apart)
+
+
+class _Pairs:
+    """Gather indexes and vectors over the pairs (phi, psi), byte
+    phi * nmasks + psi, that depend only on the signature. Conditions are
+    0x80 in the bytes where they hold."""
+
+    def __init__(self, nmasks: int):
+        xs = range(nmasks)
+        self.at_phi = bytes(phi for phi in xs for _ in xs)
+        self.at_psi = bytes(xs) * nmasks
+        self.at_conj = bytes(phi & psi for phi in xs for psi in xs)
+        self.at_disj = bytes(phi | psi for phi in xs for psi in xs)
+        self.ones = int.from_bytes(b"\1" * nmasks * nmasks, "little")
+        self.low, self.high = 0x7F * self.ones, 0x80 * self.ones
+        self.phi, self.psi = _ints((self.at_phi, self.at_psi))
+        self.not_psi = 0xFF * self.ones ^ self.psi
+        self.sub = self.high ^ self.nonzero(self.phi & self.not_psi)  # phi ⊆ psi
+        self.apart = self.high ^ self.nonzero(self.phi & self.psi)  # phi ∩ psi = ∅
+
+    def nonzero(self, v: int) -> int:
+        # byte-wise v != 0: adding 0x7F to the low seven bits carries into bit 7
+        return ((v & self.low) + self.low | v) & self.high
+
+
+_pairs = functools.cache(_Pairs)  # built on the first KFF check at a size
+
+
+@dataclass(frozen=True)
+class _Clause:
+    """One postulate: ``holds`` checks a single binding (sampled mode and
+    replay), ``packed`` gives the violation vectors that locate the first
+    counterexample of a KF or KKF clause (KFF clauses are located by
+    ``_kff_pass``), and ``decide``, where set, tells from the packed table
+    alone whether there is one, so exhaustive mode locates only after it
+    says the clause fails."""
+
+    shape: str  # "KF": (K, phi); "KKF": (K, K', phi); "KFF": (K, phi, psi)
+    holds: Callable[..., bool]
+    packed: Optional[Callable[[_Packed], Callable[[int, int], int]]]
+    observed: Callable[..., int]
+    required: str
+    # KKF only: the packed vector is the same at (K, K') and (K', K), so the
+    # first counterexample has K <= K' and the sweep skips K' < K.
+    symmetric: bool = False
+    decide: Optional[Callable[[_Packed], bool]] = None
+
+
+_CLAUSES: dict[PostulateId, _Clause] = {
+    PostulateId.K1: _Clause("KF", _h_k1, _pk1, _o_row, "K*phi is a theory over the signature"),
+    PostulateId.K2: _Clause("KF", _h_k2, _pk2, _o_row, "phi ∈ K*phi"),
+    PostulateId.K3: _Clause("KF", _h_k3, _pk3, _o_row, "K*phi ⊆ Cn(K, phi)"),
+    PostulateId.K4: _Clause("KF", _h_k4, _pk4, _o_row, "if ¬phi ∉ K then Cn(K, phi) ⊆ K*phi"),
+    PostulateId.K5: _Clause("KF", _h_k5, _pk5, _o_row, "K*phi inconsistent only if phi ≡ false"),
+    PostulateId.K6: _Clause("KF", _h_k6, _pk6, _o_row, "equivalent inputs revise equally"),
+    PostulateId.K7: _Clause("KFF", _h_k7, None, _o_conj, "K*(phi ∧ psi) ⊆ Cn(K*phi, psi)"),
+    PostulateId.K8: _Clause("KFF", _h_k8, None, _o_conj,
+                            "if ¬psi ∉ K*phi then Cn(K*phi, psi) ⊆ K*(phi ∧ psi)"),
+    PostulateId.K9: _Clause("KKF", _h_k9, _pk9, _o_prime,
+                            "if ¬phi ∈ K and ¬phi ∈ K' then K*phi = K'*phi",
+                            symmetric=True, decide=_dk9),
+    PostulateId.K9_1: _Clause("KF", _h_k9_1, _pk9_1, _o_row,
+                              "if ¬phi ∈ K then K*phi ⊆ bot*phi"),
+    PostulateId.K9_2: _Clause("KF", _h_k9_2, _pk9_2, _o_row,
+                              "if ¬phi ∈ K then bot*phi ⊆ K*phi"),
+    PostulateId.K9_2P: _Clause("KFF", _h_k9_2p, None, _o_row,
+                               "if psi ∈ K and psi ∈ bot*phi then psi ∈ K*phi"),
+    PostulateId.U8: _Clause("KKF", _h_u8, _pu8, _o_union,
+                            "(K ∩ K')*phi = (K*phi) ∩ (K'*phi)", symmetric=True, decide=_du8),
+    PostulateId.U8_1: _Clause("KKF", _h_u8_1, _pu8_1, _o_prime,
+                              "if K ⊆ K' then K*phi ⊆ K'*phi"),
+    PostulateId.U8_2: _Clause("KKF", _h_u8_2, _pu8_2, _o_union,
+                              "(K*phi) ∩ (K'*phi) ⊆ (K ∩ K')*phi", symmetric=True,
+                              decide=_du8_2),
+    PostulateId.C1: _Clause("KFF", _h_c1, None, _o_iter,
+                            "if phi ⊨ psi then (K*psi)*phi = K*phi"),
+    PostulateId.C2: _Clause("KFF", _h_c2, None, _o_iter,
+                            "if phi ⊨ ¬psi then (K*psi)*phi = K*phi"),
+    PostulateId.C2P: _Clause("KFF", _h_c2p, None, _o_iter,
+                             "if ¬phi ∈ K and phi ⊨ ¬psi then (K*psi)*phi = K*phi"),
+    PostulateId.C3: _Clause("KFF", _h_c3, None, _o_iter,
+                            "if psi ∈ K*phi then psi ∈ (K*psi)*phi"),
+    PostulateId.C4: _Clause("KFF", _h_c4, None, _o_iter,
+                            "if ¬psi ∉ K*phi then ¬psi ∉ (K*psi)*phi"),
+    PostulateId.P_PHIANDPSI: _Clause("KFF", _h_phiandpsi, None, _o_iter,
+                                     "if ¬phi ∉ K*psi then (K*psi)*phi = K*(psi ∧ phi)"),
+    PostulateId.P_PSI: _Clause("KFF", _h_psi, None, _o_iter,
+                               "if ¬phi ∈ K*(psi ∨ phi) then (K*psi)*phi = K*phi"),
+    PostulateId.P_GEN: _Clause("KFF", _h_gen, None, _o_iter,
+                               "if psi ∈ K*phi then (K*psi)*phi = K*phi"),
+    PostulateId.P_KM1: _Clause("KKF", _h_km1, _pkm1, _o_union,
+                               "if ¬phi ∉ K and ¬phi ∉ K' then "
+                               "(K ∩ K')*phi = (K*phi) ∩ (K'*phi)", symmetric=True,
+                               decide=_dkm1),
+    PostulateId.P_K9U81: _Clause("KKF", _h_k9u81, _pk9u81, _o_union,
+                                 "if ¬phi ∈ K and ¬phi ∈ K' then "
+                                 "(K*phi) ∩ (K'*phi) = (K ∩ K')*phi", symmetric=True,
+                                 decide=_dk9u81),
+}
 
 
 def _first_failure(clause: _Clause, t: _Packed) -> Optional[tuple[int, int, int, int]]:
@@ -151,7 +681,15 @@ class Violation:
         )
 
     def describe(self) -> str:
-        return "; ".join(f"{key}={value}" for key, value in self.witness_json().items())
+        parts = [f"K={theory_text(self.k)}"]
+        if self.kprime is not None:
+            parts.append(f"Kprime={theory_text(self.kprime)}")
+        parts.append(f"phi={dnf_text(self.phi)}")
+        if self.psi is not None:
+            parts.append(f"psi={dnf_text(self.psi)}")
+        parts.append(f"observed={self._observed_text()}")
+        parts.append(f"required={self.required}")
+        return "; ".join(parts)
 
     def witness_json(self) -> dict:
         out = {"K": theory_text(self.k)}
@@ -160,10 +698,14 @@ class Violation:
         out["phi"] = dnf_text(self.phi)
         if self.psi is not None:
             out["psi"] = dnf_text(self.psi)
-        out["observed"] = ("not a theory over the signature" if self.observed is None
-                           else theory_text(self.observed))
+        out["observed"] = self._observed_text()
         out["required"] = self.required
         return out
+
+    def _observed_text(self) -> str:
+        if self.observed is None:
+            return "not a theory over the signature"
+        return theory_text(self.observed)
 
 
 def _make_violation(rv: Revision, pid: PostulateId, K: int, Kp: int,
@@ -427,8 +969,10 @@ def find_impossibility_witness(
                     f"witness search for {which.value} assumes {pid.name} holds, "
                     "but this revision violates it"
                 )
-    uni = rv.sig.universe_mask
-    bottom_true = rv.revise_mask(0, uni)
+    sig = rv.sig
+    uni = sig.universe_mask
+    rev = rv.revise_mask
+    bottom_true = rev(0, uni)
 
     if which is ImpossibilityTarget.U8_1_VS_K4K5:
         # Any consistent Cn(phi) missing some default consequence of true
@@ -436,19 +980,37 @@ def find_impossibility_witness(
         # Cn(phi)*true keeps phi (by K4) while bot*true may not.
         for phi in range(1, uni + 1):
             if (bottom_true | phi) != phi:
-                cand = _make_violation(rv, PostulateId.U8_1, phi, 0, uni, 0)
+                cand = Violation(
+                    postulate=PostulateId.U8_1,
+                    k=Theory(PropSet(sig, phi)),
+                    kprime=Theory.bottom(sig),
+                    phi=PropSet.full(sig),
+                    observed=Theory(PropSet(sig, rev(0, uni))),
+                    required=_CLAUSES[PostulateId.U8_1].required,
+                )
                 if cand.replay(rv):
                     return cand
-        raise SearchExhaustedError("no U8_1 witness found; the revision cannot satisfy K4 and K5")
+        raise SearchExhaustedError(
+            "no U8_1 witness found; the revision cannot satisfy K4 and K5"
+        )
 
     # C2 instantiated at psi = false collapses every severe row to the
     # bottom row, so any consistent theory other than bot*true witnesses.
     for km in range(1, uni + 1):
         if km != bottom_true:
-            cand = _make_violation(rv, PostulateId.C2, km, 0, uni, 0)
+            cand = Violation(
+                postulate=PostulateId.C2,
+                k=Theory(PropSet(sig, km)),
+                phi=PropSet.full(sig),
+                psi=PropSet.empty(sig),
+                observed=Theory(PropSet(sig, rev(rev(km, 0), uni))),
+                required=_CLAUSES[PostulateId.C2].required,
+            )
             if cand.replay(rv):
                 return cand
-    raise SearchExhaustedError("no C2 witness found; the revision cannot satisfy K1-K4")
+    raise SearchExhaustedError(
+        "no C2 witness found; the revision cannot satisfy K1-K4"
+    )
 
 
 @dataclass(frozen=True)

@@ -15,9 +15,9 @@ from __future__ import annotations
 import math
 import random
 
-from rankedrev import And, Atom, Const, Iff, Implies, Not, Or
+from rankedrev import And, Atom, Const, Iff, Implies, Not, Or, PostulateId
 from rankedrev.logic import _NONZERO, _ZERO, _first_byte
-from rankedrev.postulates import _CLAUSES, _KFF, _USES_CONJ, _USES_ITERATED, _make_violation
+from rankedrev.postulates import _CLAUSES, _make_violation
 
 
 def fubini(m: int) -> int:
@@ -210,7 +210,11 @@ def kff_pass_reference(t, pids):
     """The exhaustive pass over the KFF clauses in ``pids`` one (K, phi)
     binding at a time, with vectors over psi: the same dict as
     postulates._kff_pass, {pid: (K, 0, phi, psi)} for each clause that
-    fails. ``t`` is a postulates._Packed table."""
+    fails. ``t`` is a postulates._Packed table. Bit i of ``live`` stands
+    for ``kff[i]``; the iterated and conjoined vectors are computed at
+    every binding, whichever clauses are live."""
+    kff = [PostulateId[name] for name in ("K7", "K8", "K9_2P", "C1", "C2", "C2P", "C3", "C4",
+                                          "P_PHIANDPSI", "P_PSI", "P_GEN")]
     m, n = t.m, t.nmasks
     inter, meet, sub, apart, spread, ident = m.inter, m.meet, m.sub, m.apart, m.spread, m.ident
     or_idx = m.or_idx
@@ -227,14 +231,14 @@ def kff_pass_reference(t, pids):
     rows, row0 = t.rows, t.rows[0]
     live = 0
     for pid in pids:
-        live |= 1 << _KFF.index(pid)
+        live |= 1 << kff.index(pid)
     found = {}
     for K in range(n):
         row, padded, subK = rows[K], t.tab[K], sub[K]
         for phi in range(n):
             r = row[phi]
-            it = iterated(K, phi) if live & _USES_ITERATED else 0
-            cj = conj(K, phi) if live & _USES_CONJ else 0
+            it = iterated(K, phi)
+            cj = conj(K, phi)
             eq = it ^ spread[r]  # over psi: rev(rev(K, psi), phi) ^ rev(K, phi)
             vecs = (
                 inter[r] & ~cj if live & 1 else 0,  # K7
@@ -258,7 +262,7 @@ def kff_pass_reference(t, pids):
             if any(vecs):
                 for i, v in enumerate(vecs):
                     if v:
-                        found[_KFF[i]] = K, 0, phi, _first_byte(v)
+                        found[kff[i]] = K, 0, phi, _first_byte(v)
                         live &= ~(1 << i)
                 if not live:
                     return found
