@@ -1,9 +1,12 @@
 #!/usr/bin/env python3
-"""Sampled check of the iterated-revision laws at three atoms.
+"""Sampled check of the iterated-revision laws at three atoms, or at up
+to four with --atoms.
 
 Draws seeded random rank functions and runs the three iterated-revision
 clauses in sampled mode. Every run is replayable from the base seed
-printed at the end.
+printed at the end. Exits 1 if a clause fails, and 2 if the run cannot
+start, for instance past four atoms, where a severe revision would need
+a table over 2**32 formula classes.
 """
 
 import argparse
@@ -18,12 +21,14 @@ from rankedrev import (
     random_rank_function,
     run_suite,
 )
+from rankedrev.ranking import CONSEQUENCE_TABLE_MAX_ATOMS
 
 IDS = (PostulateId.P_PHIANDPSI, PostulateId.P_PSI, PostulateId.P_GEN)
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument("--atoms", default="p,q,r", help="comma-separated atom names")
     parser.add_argument("--functions", type=int, default=500)
     parser.add_argument("--samples", type=int, default=120, help="bindings per clause")
     parser.add_argument("--seed", type=int, default=20260810)
@@ -32,7 +37,14 @@ def main() -> int:
         # no function checked would print "0 failures", a pass that checked nothing
         parser.error(f"--functions must be at least 1, got {args.functions}")
 
-    sig = Signature(("p", "q", "r"))
+    try:
+        sig = Signature(tuple(args.atoms.split(",")))
+    except RankedRevError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    if sig.n > CONSEQUENCE_TABLE_MAX_ATOMS:
+        parser.error(f"sampled checks support at most {CONSEQUENCE_TABLE_MAX_ATOMS} atoms, "
+                     f"got {sig.n}")
     start = time.perf_counter()
     bad = 0
     for i in range(args.functions):

@@ -20,7 +20,8 @@ import functools
 import random
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, Optional, Union
+from itertools import count, repeat
+from typing import Callable, Iterable, Iterator, Optional, Union
 
 from .errors import (
     DomainTooLargeError,
@@ -228,26 +229,6 @@ def _h_gen(rev, uni, K, Kp, phi, psi):
     if (r | psi) != psi:
         return True
     return rev(rev(K, psi), phi) == r
-
-
-def _o_row(rev, K, Kp, phi, psi):
-    return rev(K, phi)
-
-
-def _o_conj(rev, K, Kp, phi, psi):
-    return rev(K, phi & psi)
-
-
-def _o_prime(rev, K, Kp, phi, psi):
-    return rev(Kp, phi)
-
-
-def _o_union(rev, K, Kp, phi, psi):
-    return rev(K | Kp, phi)
-
-
-def _o_iter(rev, K, Kp, phi, psi):
-    return rev(rev(K, psi), phi)
 
 
 # Exhaustive checking runs on packed rows (see logic.py): row K of the
@@ -505,17 +486,17 @@ _pairs = functools.cache(_Pairs)  # built on the first KFF check at a size
 
 @dataclass(frozen=True)
 class _Clause:
-    """One postulate: ``holds`` checks a single binding (sampled mode and
-    replay), ``packed`` gives the violation vectors that locate the first
-    counterexample of a KF or KKF clause (KFF clauses are located by
-    ``_kff_pass``), and ``decide``, where set, tells from the packed table
-    alone whether there is one, so exhaustive mode locates only after it
-    says the clause fails."""
+    """One postulate: ``holds`` checks a single binding (replay, and the
+    reference for its form in _BLOCK_FAILS), ``packed`` gives the
+    violation vectors that locate the first counterexample of a KF or KKF
+    clause (KFF clauses are located by ``_kff_pass``), and ``decide``,
+    where set, tells from the packed table alone whether there is one, so
+    exhaustive mode locates only after it says the clause fails."""
 
     shape: str  # "KF": (K, phi); "KKF": (K, K', phi); "KFF": (K, phi, psi)
     holds: Callable[..., bool]
     packed: Optional[Callable[[_Packed], Callable[[int, int], int]]]
-    observed: Callable[..., int]
+    observed: str  # the _Block column holding the value the clause reports
     required: str
     # KKF only: the packed vector is the same at (K, K') and (K', K), so the
     # first counterexample has K <= K' and the sweep skips K' < K.
@@ -524,52 +505,52 @@ class _Clause:
 
 
 _CLAUSES: dict[PostulateId, _Clause] = {
-    PostulateId.K1: _Clause("KF", _h_k1, _pk1, _o_row, "K*phi is a theory over the signature"),
-    PostulateId.K2: _Clause("KF", _h_k2, _pk2, _o_row, "phi ∈ K*phi"),
-    PostulateId.K3: _Clause("KF", _h_k3, _pk3, _o_row, "K*phi ⊆ Cn(K, phi)"),
-    PostulateId.K4: _Clause("KF", _h_k4, _pk4, _o_row, "if ¬phi ∉ K then Cn(K, phi) ⊆ K*phi"),
-    PostulateId.K5: _Clause("KF", _h_k5, _pk5, _o_row, "K*phi inconsistent only if phi ≡ false"),
-    PostulateId.K6: _Clause("KF", _h_k6, _pk6, _o_row, "equivalent inputs revise equally"),
-    PostulateId.K7: _Clause("KFF", _h_k7, None, _o_conj, "K*(phi ∧ psi) ⊆ Cn(K*phi, psi)"),
-    PostulateId.K8: _Clause("KFF", _h_k8, None, _o_conj,
+    PostulateId.K1: _Clause("KF", _h_k1, _pk1, "row", "K*phi is a theory over the signature"),
+    PostulateId.K2: _Clause("KF", _h_k2, _pk2, "row", "phi ∈ K*phi"),
+    PostulateId.K3: _Clause("KF", _h_k3, _pk3, "row", "K*phi ⊆ Cn(K, phi)"),
+    PostulateId.K4: _Clause("KF", _h_k4, _pk4, "row", "if ¬phi ∉ K then Cn(K, phi) ⊆ K*phi"),
+    PostulateId.K5: _Clause("KF", _h_k5, _pk5, "row", "K*phi inconsistent only if phi ≡ false"),
+    PostulateId.K6: _Clause("KF", _h_k6, _pk6, "row", "equivalent inputs revise equally"),
+    PostulateId.K7: _Clause("KFF", _h_k7, None, "conj", "K*(phi ∧ psi) ⊆ Cn(K*phi, psi)"),
+    PostulateId.K8: _Clause("KFF", _h_k8, None, "conj",
                             "if ¬psi ∉ K*phi then Cn(K*phi, psi) ⊆ K*(phi ∧ psi)"),
-    PostulateId.K9: _Clause("KKF", _h_k9, _pk9, _o_prime,
+    PostulateId.K9: _Clause("KKF", _h_k9, _pk9, "prime",
                             "if ¬phi ∈ K and ¬phi ∈ K' then K*phi = K'*phi",
                             symmetric=True, decide=_dk9),
-    PostulateId.K9_1: _Clause("KF", _h_k9_1, _pk9_1, _o_row,
+    PostulateId.K9_1: _Clause("KF", _h_k9_1, _pk9_1, "row",
                               "if ¬phi ∈ K then K*phi ⊆ bot*phi"),
-    PostulateId.K9_2: _Clause("KF", _h_k9_2, _pk9_2, _o_row,
+    PostulateId.K9_2: _Clause("KF", _h_k9_2, _pk9_2, "row",
                               "if ¬phi ∈ K then bot*phi ⊆ K*phi"),
-    PostulateId.K9_2P: _Clause("KFF", _h_k9_2p, None, _o_row,
+    PostulateId.K9_2P: _Clause("KFF", _h_k9_2p, None, "row",
                                "if psi ∈ K and psi ∈ bot*phi then psi ∈ K*phi"),
-    PostulateId.U8: _Clause("KKF", _h_u8, _pu8, _o_union,
+    PostulateId.U8: _Clause("KKF", _h_u8, _pu8, "union",
                             "(K ∩ K')*phi = (K*phi) ∩ (K'*phi)", symmetric=True, decide=_du8),
-    PostulateId.U8_1: _Clause("KKF", _h_u8_1, _pu8_1, _o_prime,
+    PostulateId.U8_1: _Clause("KKF", _h_u8_1, _pu8_1, "prime",
                               "if K ⊆ K' then K*phi ⊆ K'*phi"),
-    PostulateId.U8_2: _Clause("KKF", _h_u8_2, _pu8_2, _o_union,
+    PostulateId.U8_2: _Clause("KKF", _h_u8_2, _pu8_2, "union",
                               "(K*phi) ∩ (K'*phi) ⊆ (K ∩ K')*phi", symmetric=True,
                               decide=_du8_2),
-    PostulateId.C1: _Clause("KFF", _h_c1, None, _o_iter,
+    PostulateId.C1: _Clause("KFF", _h_c1, None, "iterated",
                             "if phi ⊨ psi then (K*psi)*phi = K*phi"),
-    PostulateId.C2: _Clause("KFF", _h_c2, None, _o_iter,
+    PostulateId.C2: _Clause("KFF", _h_c2, None, "iterated",
                             "if phi ⊨ ¬psi then (K*psi)*phi = K*phi"),
-    PostulateId.C2P: _Clause("KFF", _h_c2p, None, _o_iter,
+    PostulateId.C2P: _Clause("KFF", _h_c2p, None, "iterated",
                              "if ¬phi ∈ K and phi ⊨ ¬psi then (K*psi)*phi = K*phi"),
-    PostulateId.C3: _Clause("KFF", _h_c3, None, _o_iter,
+    PostulateId.C3: _Clause("KFF", _h_c3, None, "iterated",
                             "if psi ∈ K*phi then psi ∈ (K*psi)*phi"),
-    PostulateId.C4: _Clause("KFF", _h_c4, None, _o_iter,
+    PostulateId.C4: _Clause("KFF", _h_c4, None, "iterated",
                             "if ¬psi ∉ K*phi then ¬psi ∉ (K*psi)*phi"),
-    PostulateId.P_PHIANDPSI: _Clause("KFF", _h_phiandpsi, None, _o_iter,
+    PostulateId.P_PHIANDPSI: _Clause("KFF", _h_phiandpsi, None, "iterated",
                                      "if ¬phi ∉ K*psi then (K*psi)*phi = K*(psi ∧ phi)"),
-    PostulateId.P_PSI: _Clause("KFF", _h_psi, None, _o_iter,
+    PostulateId.P_PSI: _Clause("KFF", _h_psi, None, "iterated",
                                "if ¬phi ∈ K*(psi ∨ phi) then (K*psi)*phi = K*phi"),
-    PostulateId.P_GEN: _Clause("KFF", _h_gen, None, _o_iter,
+    PostulateId.P_GEN: _Clause("KFF", _h_gen, None, "iterated",
                                "if psi ∈ K*phi then (K*psi)*phi = K*phi"),
-    PostulateId.P_KM1: _Clause("KKF", _h_km1, _pkm1, _o_union,
+    PostulateId.P_KM1: _Clause("KKF", _h_km1, _pkm1, "union",
                                "if ¬phi ∉ K and ¬phi ∉ K' then "
                                "(K ∩ K')*phi = (K*phi) ∩ (K'*phi)", symmetric=True,
                                decide=_dkm1),
-    PostulateId.P_K9U81: _Clause("KKF", _h_k9u81, _pk9u81, _o_union,
+    PostulateId.P_K9U81: _Clause("KKF", _h_k9u81, _pk9u81, "union",
                                  "if ¬phi ∈ K and ¬phi ∈ K' then "
                                  "(K*phi) ∩ (K'*phi) = (K ∩ K')*phi", symmetric=True,
                                  decide=_dk9u81),
@@ -713,7 +694,7 @@ def _make_violation(rv: Revision, pid: PostulateId, K: int, Kp: int,
     sig = rv.sig
     clause = _CLAUSES[pid]
     shape = clause.shape
-    observed = clause.observed(rv.revise_mask, K, Kp, phi, psi)
+    observed = getattr(_Block(rv, [K], [Kp], [phi], [psi]), clause.observed)[0]
     return Violation(
         postulate=pid,
         k=Theory(PropSet(sig, K)),
@@ -736,34 +717,125 @@ def _check_mode(mode: str, seed: Optional[int], samples: int) -> None:
             raise SamplingError(f"sampled mode needs at least one sample, got {samples}")
 
 
+_BLOCK = 128  # bindings that sampled mode checks at a time
+_QUANTIFIERS = {"KF": ("K", "phi"), "KKF": ("K", "Kp", "phi"), "KFF": ("K", "phi", "psi")}
+
+
+def _draws(seed: int, n: int, size: int) -> Iterator[list[int]]:
+    """Lists of ``size`` values below n, in the order that successive
+    random.Random(seed).randrange(n) calls return them: each value is
+    getrandbits(n.bit_length()), drawn again while it is at least n."""
+    getrandbits, k = random.Random(seed).getrandbits, n.bit_length()
+    while True:
+        out: list[int] = []
+        while len(out) < size:
+            out += [r for r in map(getrandbits, repeat(k, size - len(out))) if r < n]
+        yield out
+
+
+class _Block:
+    """A block of bindings as columns K, Kp, phi and psi, and the columns
+    of _COLUMNS over them, each computed on first use for the whole block."""
+
+    def __init__(self, rv: Revision, K: list, Kp: list, phi: list, psi: list):
+        self.uni, self.col = rv.sig.universe_mask, rv._revise_column
+        self.K, self.Kp, self.phi, self.psi = K, Kp, phi, psi
+
+    def __getattr__(self, name: str) -> list[int]:
+        if name not in _COLUMNS:
+            raise AttributeError(name)
+        value = self.__dict__[name] = _COLUMNS[name](self)
+        return value
+
+
+_COLUMNS: dict[str, Callable[[_Block], list[int]]] = {
+    "meet": lambda b: [k & f for k, f in zip(b.K, b.phi)],  # K ∧ phi
+    "row": lambda b: b.col(b.K, b.phi),  # rev(K, phi)
+    "prime": lambda b: b.col(b.Kp, b.phi),  # rev(K', phi)
+    "union": lambda b: b.col([k | kp for k, kp in zip(b.K, b.Kp)], b.phi),  # rev(K ∪ K', phi)
+    "bot": lambda b: b.col([0] * len(b.K), b.phi),  # rev(⊥, phi)
+    "by_psi": lambda b: b.col(b.K, b.psi),  # rev(K, psi)
+    "iterated": lambda b: b.col(b.by_psi, b.phi),  # rev(rev(K, psi), phi)
+    "conj": lambda b: b.col(b.K, [f & s for f, s in zip(b.phi, b.psi)]),  # rev(K, phi ∧ psi)
+    "disj": lambda b: b.col(b.K, [f | s for f, s in zip(b.phi, b.psi)]),  # rev(K, psi ∨ phi)
+}
+
+
+# Each clause's failing bindings in a block, as indices in binding order:
+# the negation of its ``holds``, written over the block's columns.
+_BLOCK_FAILS: dict[str, Callable[[_Block], Iterator[int]]] = {
+    "K1": lambda b: (i for i, r in enumerate(b.row) if not 0 <= r <= b.uni),
+    "K2": lambda b: (i for i, r, f in _ix(b.row, b.phi) if r | f != f),
+    "K3": lambda b: (i for i, m, r in _ix(b.meet, b.row) if m | r != r),
+    "K4": lambda b: (i for i, m, r in _ix(b.meet, b.row) if m and r | m != m),
+    "K5": lambda b: (i for i, r, f in _ix(b.row, b.phi) if r == 0 and f != 0),
+    # a second column of rev(K, phi): only a nondeterministic revise fails
+    "K6": lambda b: (i for i, r, s in _ix(b.row, b.col(b.K, b.phi)) if r != s),
+    "K7": lambda b: (i for i, r, s, c in _ix(b.row, b.psi, b.conj) if r & s | c != c),
+    "K8": lambda b: (i for i, r, s, c in _ix(b.row, b.psi, b.conj)
+                     if r & s and c | r & s != r & s),
+    "K9": lambda b: (i for i, m, kp, f, r, p in _ix(b.meet, b.Kp, b.phi, b.row, b.prime)
+                     if not (m or kp & f) and r != p),
+    "K9_1": lambda b: (i for i, m, o, r in _ix(b.meet, b.bot, b.row) if not m and o | r != r),
+    "K9_2": lambda b: (i for i, m, o, r in _ix(b.meet, b.bot, b.row) if not m and r | o != o),
+    "K9_2P": lambda b: (i for i, k, s, o, r in _ix(b.K, b.psi, b.bot, b.row)
+                        if k | s == s and o | s == s and r | s != s),
+    "U8": lambda b: (i for i, u, r, p in _ix(b.union, b.row, b.prime) if u != r | p),
+    "U8_1": lambda b: (i for i, k, kp, r, p in _ix(b.K, b.Kp, b.row, b.prime)
+                       if kp | k == k and p | r != r),
+    "U8_2": lambda b: (i for i, u, r, p in _ix(b.union, b.row, b.prime) if u | r | p != r | p),
+    "C1": lambda b: (i for i, f, s, it, r in _ix(b.phi, b.psi, b.iterated, b.row)
+                     if f | s == s and it != r),
+    "C2": lambda b: (i for i, f, s, it, r in _ix(b.phi, b.psi, b.iterated, b.row)
+                     if not f & s and it != r),
+    "C2P": lambda b: (i for i, m, f, s, it, r in _ix(b.meet, b.phi, b.psi, b.iterated, b.row)
+                      if not (m or f & s) and it != r),
+    "C3": lambda b: (i for i, s, it, r in _ix(b.psi, b.iterated, b.row)
+                     if r | s == s and it | s != s),
+    "C4": lambda b: (i for i, s, it, r in _ix(b.psi, b.iterated, b.row) if r & s and not it & s),
+    "P_PHIANDPSI": lambda b: (i for i, f, q, it, c in _ix(b.phi, b.by_psi, b.iterated, b.conj)
+                              if q & f and it != c),
+    "P_PSI": lambda b: (i for i, f, d, it, r in _ix(b.phi, b.disj, b.iterated, b.row)
+                        if not d & f and it != r),
+    "P_GEN": lambda b: (i for i, s, it, r in _ix(b.psi, b.iterated, b.row)
+                        if r | s == s and it != r),
+    "P_KM1": lambda b: (i for i, m, kp, f, u, r, p
+                        in _ix(b.meet, b.Kp, b.phi, b.union, b.row, b.prime)
+                        if m and kp & f and u != r | p),
+    "P_K9U81": lambda b: (i for i, m, kp, f, u, r, p
+                          in _ix(b.meet, b.Kp, b.phi, b.union, b.row, b.prime)
+                          if not (m or kp & f) and u != r | p),
+}
+
+
+def _ix(*columns: list[int]) -> Iterator[tuple[int, ...]]:
+    """The columns' entries by binding, each led by its index."""
+    return zip(count(), *columns)
+
+
 def _sampled_pass(rv: Revision, pids: list[PostulateId], seed: int,
                   samples: int) -> dict[PostulateId, Violation]:
     """The first violation of each clause in ``pids``, all of one shape,
-    over ``samples`` bindings drawn from random.Random(seed), one randrange
-    per quantifier in binding order. Each binding is drawn once and
-    checked against every clause that has not failed yet, so every clause
-    sees the bindings it would see alone."""
-    shape = _CLAUSES[pids[0]].shape
-    randrange = random.Random(seed).randrange
-    rev = rv.revise_mask
-    uni = rv.sig.universe_mask
-    nmasks = uni + 1
-    live = [(pid, _CLAUSES[pid].holds) for pid in pids]
+    checked _BLOCK bindings at a time against every clause that has not
+    failed yet. A column is read over the whole block, also at bindings
+    where a clause's condition would skip its cell."""
+    names = _QUANTIFIERS[_CLAUSES[pids[0]].shape]
+    width = len(names)
+    blocks = _draws(seed, rv.sig.universe_mask + 1, width * _BLOCK)
+    live = list(pids)
     found: dict[PostulateId, Violation] = {}
-    for _ in range(samples):
-        K = randrange(nmasks)
-        Kp = randrange(nmasks) if shape == "KKF" else 0
-        phi = randrange(nmasks)
-        psi = randrange(nmasks) if shape == "KFF" else 0
-        failed = False
-        for pid, holds in live:
-            if not holds(rev, uni, K, Kp, phi, psi):
-                found[pid] = _make_violation(rv, pid, K, Kp, phi, psi)
-                failed = True
-        if failed:
-            live = [c for c in live if c[0] not in found]
-            if not live:
-                break
+    for start in range(0, samples, _BLOCK):
+        draws = next(blocks)[:width * (samples - start)]
+        cols = dict.fromkeys(("K", "Kp", "phi", "psi"), [0] * (len(draws) // width))
+        cols.update((name, draws[i::width]) for i, name in enumerate(names))
+        block = _Block(rv, **cols)
+        for pid in live:
+            hit = next(_BLOCK_FAILS[pid.name](block), None)
+            if hit is not None:
+                found[pid] = _make_violation(rv, pid, *(c[hit] for c in cols.values()))
+        live = [pid for pid in live if pid not in found]
+        if not live:
+            break
     return found
 
 
@@ -807,9 +879,10 @@ def check_postulate(
     swept in lexicographic order to locate the first counterexample. A
     KFF clause is located by the same pass, one K at a time over blocks
     of every (phi, psi), that run_suite makes for all its KFF clauses.
-    Sampled mode draws ``samples`` bindings from random.Random(seed), one
-    randrange per quantifier in binding order, so for a given seed every
-    clause of one shape (KF, KKF or KFF) sees the same bindings.
+    Sampled mode draws ``samples`` bindings as random.Random(seed).randrange
+    would, one per quantifier in binding order, so for a given seed every
+    clause of one shape (KF, KKF or KFF) sees the same bindings. It reads
+    the revision one column at a time over a block of bindings.
     """
     _check_mode(mode, seed, samples)
     if mode == "sampled":
@@ -885,10 +958,11 @@ def run_suite(
 
     Both modes make one pass per clause shape, which gives the verdicts
     and witnesses of one check_postulate call per clause. Sampled mode
-    draws each binding once and checks it against every clause of that
-    shape. Exhaustive mode sweeps K once for all the KFF clauses,
-    building the blocks over (phi, psi) they share once per K, and decides
-    or sweeps each KF and KKF clause on the same packed table."""
+    draws each block of bindings once, and reads each revision column
+    over it once for every clause of that shape. Exhaustive mode sweeps
+    K once for all the KFF clauses, building the blocks over (phi, psi)
+    they share once per K, and decides or sweeps each KF and KKF clause
+    on the same packed table."""
     _check_mode(mode, seed, samples)
     wanted = set(ids)
     pids = [pid for pid in PostulateId if pid in wanted]

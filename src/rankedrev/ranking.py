@@ -16,7 +16,7 @@ import random
 import sys
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .errors import RankFileError, SignatureTooLargeError, TableTooLargeError
 from .logic import PropSet, Signature, Theory
@@ -77,7 +77,11 @@ class RankFunction:
         return out
 
     def consequence_table(self) -> tuple[int, ...]:
-        """min_models_mask for every PropSet mask, indexed by mask.
+        """min_models_mask for every PropSet mask, indexed by mask."""
+        return tuple(self._consequence_cells())
+
+    def _consequence_cells(self) -> Sequence[int]:
+        """consequence_table's entries; at 4 atoms a read-only memoryview.
 
         At 16 valuations it is built one high byte at a time. With a the
         first level that the high byte meets and c its part of that level,
@@ -116,7 +120,7 @@ class RankFunction:
         first = 0 if sys.byteorder == "little" else 1
         table[first::2] = b"".join(lows)
         table[1 - first::2] = b"".join(highs)
-        return tuple(memoryview(table).cast("H"))
+        return memoryview(table).toreadonly().cast("H")
 
 
 def _first_hits(n: int, levels: list[int]) -> list[int]:

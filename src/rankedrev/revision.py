@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import DomainTooLargeError
 from .logic import PropSet, Signature, Theory, _masks
@@ -84,28 +84,51 @@ class Revision:
         rm = self.revise_mask
         return tuple(tuple(rm(k, f) for f in range(nmasks)) for k in range(nmasks))
 
+    def _revise_column(self, ks: Iterable[int], fs: Iterable[int]) -> list[int]:
+        """revise_mask at each pair (ks[i], fs[i]): a column of bindings."""
+        return list(map(self.revise_mask, ks, fs))
+
     def same_revision(self, other: "Revision") -> bool:
         """Pointwise equality over the finite domain."""
         return self.sig == other.sig and self.table() == other.table()
 
 
-def _expand_or_row(rv: Revision, row: Sequence[int]) -> tuple[tuple[int, ...], ...]:
-    """The table of a revision that expands when K ∧ phi is consistent and
-    otherwise answers row[phi], built one packed row per theory: byte phi
-    of inter[K] | (ROW & apart[K]) is K & phi when that is nonzero, else
-    row[phi]. A row with a cell outside 0..255 cannot be packed, so its
-    table is tabulated cell by cell."""
-    try:
-        packed = int.from_bytes(bytes(row), "little")
-    except ValueError:
-        return Revision._tabulate(rv)
-    nmasks = len(row)
-    m = _masks(nmasks)
-    return tuple(tuple((inter | (packed & apart)).to_bytes(nmasks, "little"))
-                 for inter, apart in zip(m.inter, m.apart))
+class _ExpandOrRow(Revision):
+    """A revision that expands when K ∧ phi is consistent and otherwise
+    answers row[phi], whatever K is. Subclasses give the row through
+    ``_build_row``; it is built on the first severe revision."""
+
+    _row: Optional[Sequence[int]] = None
+
+    def _cells(self) -> Sequence[int]:
+        if self._row is None:
+            self._row = self._build_row()
+        return self._row
+
+    def revise_mask(self, k_mask: int, f_mask: int) -> int:
+        return k_mask & f_mask or self._cells()[f_mask]
+
+    def _revise_column(self, ks: Iterable[int], fs: Iterable[int]) -> list[int]:
+        row = self._cells()
+        return [k & f or row[f] for k, f in zip(ks, fs)]
+
+    def _tabulate(self) -> tuple[tuple[int, ...], ...]:
+        """One packed row per theory: byte phi of inter[K] | (ROW & apart[K])
+        is K & phi when that is nonzero, else row[phi]. A row with a cell
+        outside 0..255 cannot be packed, so its table is tabulated cell by
+        cell."""
+        row = self._cells()
+        try:
+            packed = int.from_bytes(bytes(row), "little")
+        except ValueError:
+            return super()._tabulate()
+        nmasks = len(row)
+        m = _masks(nmasks)
+        return tuple(tuple((inter | (packed & apart)).to_bytes(nmasks, "little"))
+                     for inter, apart in zip(m.inter, m.apart))
 
 
-class RankedRevision(Revision):
+class RankedRevision(_ExpandOrRow):
     """Revision induced by a rank function: severe revisions return the
     minimum-rank models of the input, mild revisions expand."""
 
@@ -114,21 +137,13 @@ class RankedRevision(Revision):
     def __init__(self, rank: RankFunction):
         super().__init__(rank.sig)
         self.rank = rank
-        self._cons = None
 
-    def consequence_masks(self) -> tuple[int, ...]:
-        if self._cons is None:
-            self._cons = self.rank.consequence_table()
-        return self._cons
+    def _build_row(self) -> Sequence[int]:
+        return self.rank._consequence_cells()
 
-    def revise_mask(self, k_mask: int, f_mask: int) -> int:
-        meet = k_mask & f_mask
-        if meet:
-            return meet
-        return self.consequence_masks()[f_mask]
-
-    def _tabulate(self) -> tuple[tuple[int, ...], ...]:
-        return _expand_or_row(self, self.consequence_masks())
+    def consequence_masks(self) -> Sequence[int]:
+        """The minimum-rank models of every formula, indexed by mask."""
+        return self._cells()
 
 
 class TableRevision(Revision):
@@ -159,7 +174,7 @@ class TableRevision(Revision):
         return self.cells[k_mask * self._nmasks + f_mask]
 
 
-class ConservativeRevision(Revision):
+class ConservativeRevision(_ExpandOrRow):
     """Extension of an arbitrary revision from one anchor theory to the
     whole domain: severe revisions are routed through the anchor's row of
     the source revision, mild revisions expand as usual."""
@@ -170,25 +185,11 @@ class ConservativeRevision(Revision):
         super().__init__(source.sig)
         self.source = source
         self.anchor = anchor
-        self._row = None
 
-    def _anchor_row(self) -> tuple[int, ...]:
-        if self._row is None:
-            am = self.anchor.models.mask
-            src = self.source.revise_mask
-            self._row = tuple(
-                src(am, f) for f in range(self.sig.universe_mask + 1)
-            )
-        return self._row
-
-    def revise_mask(self, k_mask: int, f_mask: int) -> int:
-        meet = k_mask & f_mask
-        if meet:
-            return meet
-        return self._anchor_row()[f_mask]
-
-    def _tabulate(self) -> tuple[tuple[int, ...], ...]:
-        return _expand_or_row(self, self._anchor_row())
+    def _build_row(self) -> Sequence[int]:
+        am = self.anchor.models.mask
+        src = self.source.revise_mask
+        return tuple(src(am, f) for f in range(self.sig.universe_mask + 1))
 
 
 def conservative_extension(rv: Revision, k: Theory) -> ConservativeRevision:

@@ -143,6 +143,16 @@ class TestCheck:
         assert code == 2
         assert out == "" and "at most 4 atoms" in err
 
+    @pytest.mark.parametrize("postulate", ["U8_1", "C1"])
+    def test_sampled_clause_reaching_a_severe_cell_exit_two(self, capsys, rank5_path, postulate):
+        # a sampled clause reads each revision column at every drawn
+        # binding, also where its condition does not hold, so a severe
+        # cell that its own conditions would skip still stops the check
+        code, out, err = run(capsys, "check", "--rank", rank5_path, "--postulates", postulate,
+                             "--mode", "sampled", "--seed", "1")
+        assert code == 2
+        assert out == "" and "at most 4 atoms" in err
+
     def test_atom_count_mismatch_exit_two(self, capsys, rank_path):
         code, _, _ = run(capsys, "check", "--rank", rank_path,
                          "--postulates", "K1", "--atoms", "3")

@@ -5,7 +5,7 @@ import json
 import random
 import tracemalloc
 from collections import Counter
-from itertools import islice
+from itertools import chain, islice
 
 import pytest
 
@@ -29,6 +29,7 @@ from rankedrev import (
     check_postulate,
     check_rationality,
     consequences_of,
+    conservative_extension,
     dynamic_underdetermination,
     enumerate_rank_functions,
     find_impossibility_witness,
@@ -665,6 +666,44 @@ class TestSampledMode:
         # that keeps going after another has failed is exercised
         assert staggered >= 20
 
+    def test_generic_revisions(self):
+        # revisions that answer only through revise_mask, read one column
+        # at a time by mapping it over the bindings
+        for levels, samples in ((3, 1), (9, 7), (16, 500)):
+            rv = OutOfRange(RankedRevision(random_rank_function(SIG4, levels, levels)), {})
+            _sampled_against_reference(rv, 50 + levels, samples)
+        # one cell outside the signature, at the tenth binding drawn for
+        # (K, phi): K1 fails there, and reports no observed theory
+        for seed in range(5):
+            draw = random.Random(seed).randrange
+            K, phi = [(draw(16), draw(16)) for _ in range(10)][-1]
+            rv = OutOfRange(RankedRevision(random_rank_function(SIG2, 3, seed)),
+                            {(K, phi): SIG2.universe_mask + 1})
+            failed = _sampled_against_reference(rv, seed, 500)
+            assert failed[PostulateId.K1] <= 9
+            k1 = run_suite(rv, [PostulateId.K1], mode="sampled", seed=seed, samples=500)
+            assert k1.verdict(PostulateId.K1).observed is None
+        # an expand-or-row revision whose row comes from another revision
+        sources = (RankedRevision(random_rank_function(SIG3, 4, 9)),
+                   _random_table(SIG3, random.Random(8)))
+        for source in sources:
+            rv = conservative_extension(source, th(SIG3, "p | q & !r"))
+            for samples in self.SAMPLES:
+                _sampled_against_reference(rv, 60 + samples, samples)
+
+    @pytest.mark.parametrize("n", [2, 4, 16, 256, 65536, 2**32, 2**65536],
+                             ids=lambda n: f"2**{n.bit_length() - 1}")
+    def test_draws_are_randrange(self, n):
+        # the pass's draws must stay the values randrange returns, so that
+        # a recorded seed replays the same bindings
+        count = 20 if n > 2**32 else 400
+        for seed in (0, 1, 7, 2**40 + 3):
+            rng = random.Random(seed)
+            want = [rng.randrange(n) for _ in range(count)]
+            for size in (1, 3, 128):
+                blocks = postulates._draws(seed, n, size)
+                assert list(islice(chain.from_iterable(blocks), count)) == want
+
     def test_seeded_replay_golden(self):
         # witnesses recorded from the per-clause sampled loop
         golden = {
@@ -714,6 +753,27 @@ class TestSampledMode:
 
         peak(100)
         assert abs(peak(100_000) - peak(100)) < 64 * 1024
+
+        # all 25 clauses at 4 atoms, each column over a block of bindings;
+        # the consequence table is built before tracing starts
+        rv = RankedRevision(random_rank_function(SIG4, 16, 5))
+        rv.consequence_masks()
+
+        def peak4(samples):
+            tracemalloc.start()
+            try:
+                report = run_suite(rv, PostulateId, mode="sampled", seed=3, samples=samples)
+                top = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            # only the clauses no ranked revision satisfies fail, so the
+            # other 22 run through every block
+            assert {p for p, v in report.results if v} <= {
+                PostulateId.U8, PostulateId.U8_1, PostulateId.C2}
+            return top
+
+        peak4(1_000)
+        assert abs(peak4(20_000) - peak4(1_000)) < 64 * 1024
 
 
 class TestSuiteReport:
