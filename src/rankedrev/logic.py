@@ -56,10 +56,12 @@ class Signature:
         object.__setattr__(self, "_index", {a: i for i, a in enumerate(atoms)})
         masks = []
         for i in range(n):
-            m = 0
-            for v in range(1 << n):
-                if (v >> (n - 1 - i)) & 1:
-                    m |= 1 << v
+            # atom i is valuation bit n-1-i: runs of 2**(n-1-i) zeros then
+            # as many ones, the pattern doubled until it covers 2**n bits
+            half = 1 << (n - 1 - i)
+            m, width = ((1 << half) - 1) << half, 2 * half
+            while width < 1 << n:
+                m, width = m | m << width, 2 * width
             masks.append(m)
         object.__setattr__(self, "_atom_masks", tuple(masks))
 

@@ -16,6 +16,7 @@ import random
 import sys
 from collections import Counter
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Iterator, Sequence
 
 from .errors import RankFileError, SignatureTooLargeError, TableTooLargeError
@@ -245,10 +246,11 @@ def random_rank_function(sig: Signature, levels: int, seed: int) -> RankFunction
 def format_rank_file(r: RankFunction) -> str:
     if not r.is_normalized:
         raise ValueError("only normalized rank functions can be written")
+    levels: list[list[str]] = [[] for _ in range(r.height + 1)]
+    for rk, bits in zip(r.ranks, map(format, range(r.sig.num_valuations), repeat(f"0{r.sig.n}b"))):
+        levels[rk].append(bits)
     lines = ["atoms: " + " ".join(r.sig.atoms)]
-    for level in range(r.height + 1):
-        vals = [r.sig.valuation_bits(v) for v, rk in enumerate(r.ranks) if rk == level]
-        lines.append(f"{level}: " + " ".join(vals))
+    lines += [f"{level}: " + " ".join(vals) for level, vals in enumerate(levels)]
     return "\n".join(lines) + "\n"
 
 
@@ -261,10 +263,11 @@ def parse_rank_file(text: str) -> RankFunction:
         sig = Signature(tuple(atoms))
     except ValueError as exc:
         raise RankFileError(str(exc)) from exc
-    ranks: dict[int, int] = {}
+    n, ranks = sig.n, [None] * sig.num_valuations
     for lineno, line in enumerate(lines[1:]):
         head, sep, rest = line.partition(":")
-        if not sep or not head.strip().isdigit():
+        head = head.strip()
+        if not sep or not (head.isascii() and head.isdigit()):
             raise RankFileError(f"bad level line {line!r}")
         level = int(head)
         if level != lineno:
@@ -272,17 +275,19 @@ def parse_rank_file(text: str) -> RankFunction:
         vals = rest.split()
         if not vals:
             raise RankFileError(f"level {level} is empty")
-        for bits in vals:
-            try:
-                v = sig.valuation_from_bits(bits)
-            except ValueError as exc:
-                raise RankFileError(str(exc)) from exc
-            if v in ranks:
-                raise RankFileError(f"valuation {bits} listed twice")
-            ranks[v] = level
-    if len(ranks) != sig.num_valuations:
-        missing = [
-            sig.valuation_bits(v) for v in range(sig.num_valuations) if v not in ranks
-        ]
+        # a line of n-character 0/1 tokens converts in bulk; any other
+        # goes token by token, so the first error in file order is raised
+        others = "".join(vals).encode("ascii", "replace").translate(None, b"01")
+        bulk = not others and set(map(len, vals)) == {n}
+        codes = map(int, vals, repeat(2)) if bulk else map(sig.valuation_from_bits, vals)
+        try:
+            for bits, v in zip(vals, codes):
+                if ranks[v] is not None:
+                    raise RankFileError(f"valuation {bits} listed twice")
+                ranks[v] = level
+        except ValueError as exc:
+            raise RankFileError(str(exc)) from exc
+    if None in ranks:
+        missing = [sig.valuation_bits(v) for v, rk in enumerate(ranks) if rk is None]
         raise RankFileError(f"valuations missing a rank: {' '.join(missing)}")
-    return RankFunction(sig, tuple(ranks[v] for v in range(sig.num_valuations)))
+    return RankFunction(sig, ranks)

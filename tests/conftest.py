@@ -1,8 +1,8 @@
 import pytest
 
-from rankedrev import RankedRevision, enumerate_rank_functions
+from rankedrev import RankedRevision, enumerate_rank_functions, random_rank_function
 
-from helpers import R0, SIG1, SIG2, SIG3
+from helpers import R0, SIG1, SIG2, SIG3, SIG16
 
 
 @pytest.fixture
@@ -38,3 +38,9 @@ def ranks75():
 @pytest.fixture(scope="session")
 def revs75(ranks75):
     return [RankedRevision(r) for r in ranks75]
+
+
+@pytest.fixture(scope="session")
+def rank16():
+    """A seeded rank function with 16 levels over 16 atoms."""
+    return random_rank_function(SIG16, 16, 11)

@@ -17,6 +17,7 @@ SIG2 = Signature(("p", "q"))
 SIG3 = Signature(("p", "q", "r"))
 SIG4 = Signature(("p", "q", "r", "s"))
 SIG5 = Signature(("p", "q", "r", "s", "t"))
+SIG16 = Signature(tuple("pqrstuvwxyzabcde"))  # the CLI's default atom names
 
 # running example: 11 most plausible, then 01 and 10, then 00
 R0 = RankFunction(SIG2, (2, 1, 1, 0))

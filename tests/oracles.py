@@ -3,7 +3,8 @@
 Everything here recomputes expected values from first principles,
 without going through the code paths under test: a per-valuation truth
 evaluator, a binomial-recurrence counter for ordered set partitions, a
-sort-based minimum-rank extractor, a constraint search that finds every
+sort-based minimum-rank extractor, per-valuation atom masks, the
+token-by-token rank-file parser, a constraint search that finds every
 rational choice table at small sizes, the per-mask consequence table,
 the per-binding postulate and rationality sweeps that the packed checkers
 are compared against, the exhaustive (K, phi, psi) pass one (K, phi) at
@@ -15,7 +16,19 @@ from __future__ import annotations
 import math
 import random
 
-from rankedrev import And, Atom, Const, Iff, Implies, Not, Or, PostulateId
+from rankedrev import (
+    And,
+    Atom,
+    Const,
+    Iff,
+    Implies,
+    Not,
+    Or,
+    PostulateId,
+    RankFileError,
+    RankFunction,
+    Signature,
+)
 from rankedrev.logic import _NONZERO, _ZERO, _first_byte
 from rankedrev.postulates import _CLAUSES, _make_violation
 
@@ -128,6 +141,53 @@ def rational_choice_tables(m: int) -> set:
 
     search(0)
     return found
+
+
+def atom_mask_reference(sig, i: int) -> int:
+    """Signature.atom_truth_mask of the i-th atom, one valuation at a time."""
+    n = sig.n
+    m = 0
+    for v in range(1 << n):
+        if (v >> (n - 1 - i)) & 1:
+            m |= 1 << v
+    return m
+
+
+def parse_rank_file_reference(text: str):
+    """parse_rank_file one token at a time, each level kept in a dict."""
+    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+    if not lines or not lines[0].startswith("atoms:"):
+        raise RankFileError("first line must be 'atoms: <names>'")
+    atoms = lines[0][len("atoms:"):].split()
+    try:
+        sig = Signature(tuple(atoms))
+    except ValueError as exc:
+        raise RankFileError(str(exc)) from exc
+    ranks: dict[int, int] = {}
+    for lineno, line in enumerate(lines[1:]):
+        head, sep, rest = line.partition(":")
+        if not sep or not head.strip().isdigit():
+            raise RankFileError(f"bad level line {line!r}")
+        level = int(head)
+        if level != lineno:
+            raise RankFileError(f"levels must be contiguous from 0, got {level}")
+        vals = rest.split()
+        if not vals:
+            raise RankFileError(f"level {level} is empty")
+        for bits in vals:
+            try:
+                v = sig.valuation_from_bits(bits)
+            except ValueError as exc:
+                raise RankFileError(str(exc)) from exc
+            if v in ranks:
+                raise RankFileError(f"valuation {bits} listed twice")
+            ranks[v] = level
+    if len(ranks) != sig.num_valuations:
+        missing = [
+            sig.valuation_bits(v) for v in range(sig.num_valuations) if v not in ranks
+        ]
+        raise RankFileError(f"valuations missing a rank: {' '.join(missing)}")
+    return RankFunction(sig, tuple(ranks[v] for v in range(sig.num_valuations)))
 
 
 def consequence_table_reference(r):

@@ -40,6 +40,13 @@ def rank5_path(tmp_path):
     return str(path)
 
 
+@pytest.fixture(scope="session")
+def rank16_path(tmp_path_factory, rank16):
+    path = tmp_path_factory.mktemp("rank16") / "sixteen.rnk"
+    path.write_text(format_rank_file(rank16))
+    return str(path)
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -76,6 +83,17 @@ class TestRevise:
         code, out, _ = run(capsys, "revise", "--rank", rank5_path, "--theory", "p",
                            "--phi", "p | q")
         assert code == 0 and out.endswith("[mild]\n")
+
+    def test_sixteen_atoms(self, capsys, rank16_path):
+        every_atom = " & ".join("pqrstuvwxyzabcde")
+        code, out, _ = run(capsys, "revise", "--rank", rank16_path, "--theory", every_atom,
+                           "--phi", "p | r")
+        assert code == 0
+        assert out == every_atom + " [mild]\n"
+        code, out, err = run(capsys, "revise", "--rank", rank16_path, "--theory", "p",
+                             "--phi", "!p")
+        assert code == 2
+        assert out == "" and err.startswith("error:") and "at most 4 atoms" in err
 
 
 class TestCheck:
@@ -157,6 +175,21 @@ class TestCheck:
         code, _, _ = run(capsys, "check", "--rank", rank_path,
                          "--postulates", "K1", "--atoms", "3")
         assert code == 2
+
+    def test_atom_count_mismatch_at_sixteen_atoms_exit_two(self, capsys, rank16_path):
+        code, out, err = run(capsys, "check", "--rank", rank16_path,
+                             "--postulates", "K1", "--atoms", "15")
+        assert code == 2
+        assert out == "" and "16-atom rank file" in err
+
+    def test_level_label_not_ascii_exit_two(self, capsys, tmp_path):
+        # '²' passes str.isdigit() but not int()
+        path = tmp_path / "superscript.rnk"
+        path.write_text("atoms: p q\n²: 11 01 10 00\n", encoding="utf-8")
+        code, out, err = run(capsys, "check", "--rank", str(path), "--postulates", "K1")
+        assert code == 2
+        assert out == "" and err.startswith("error: bad level line")
+        assert "Traceback" not in err
 
 
 class TestEnumerate:

@@ -26,7 +26,7 @@ from rankedrev import (
 )
 
 from helpers import SIG2, SIG3, ps, th
-from oracles import models_by_truth_table
+from oracles import atom_mask_reference, models_by_truth_table
 
 
 class TestSignature:
@@ -53,6 +53,17 @@ class TestSignature:
     def test_largest_allowed_signature(self):
         sig = Signature(tuple(f"a{i}" for i in range(16)))
         assert sig.num_valuations == 65536
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_atom_masks_match_reference(self, n):
+        sig = Signature(tuple(f"a{i}" for i in range(n)))
+        for i, name in enumerate(sig.atoms):
+            assert sig.atom_truth_mask(name) == atom_mask_reference(sig, i)
+
+    def test_atom_masks_match_reference_at_sixteen_atoms(self):
+        sig = Signature(tuple(f"a{i}" for i in range(16)))
+        for i in (0, 15):
+            assert sig.atom_truth_mask(f"a{i}") == atom_mask_reference(sig, i)
 
 
 class TestParse:

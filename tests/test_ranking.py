@@ -26,7 +26,12 @@ from rankedrev import (
 from rankedrev.ranking import count_rank_functions
 
 from helpers import R0, SIG1, SIG2, SIG3, SIG4, ps, th
-from oracles import consequence_table_reference, fubini, min_rank_valuations
+from oracles import (
+    consequence_table_reference,
+    fubini,
+    min_rank_valuations,
+    parse_rank_file_reference,
+)
 
 R0_FILE = "atoms: p q\n0: 11\n1: 01 10\n2: 00\n"
 
@@ -257,6 +262,11 @@ class TestRankFile:
             text = format_rank_file(r)
             assert format_rank_file(parse_rank_file(text)) == text
 
+    def test_round_trip_bit_exact_at_sixteen_atoms(self, rank16):
+        text = format_rank_file(rank16)
+        assert parse_rank_file(text) == rank16
+        assert format_rank_file(parse_rank_file(text)) == text
+
     def test_parse_golden(self):
         assert parse_rank_file(R0_FILE) == R0
 
@@ -271,6 +281,8 @@ class TestRankFile:
             "atoms: p q\n0: 111\n1: 01 10 00\n",  # wrong width
             "atoms: p q\n0:\n1: 11 01 10 00\n",  # empty level
             "atoms: p p\n0: 11 01 10 00\n",  # bad signature
+            "atoms: p q\n²: 11 01 10 00\n",  # a digit to isdigit(), not to int()
+            "atoms: p q\n0: 11\n١: 01 10 00\n",  # a decimal digit, but not ASCII
         ],
     )
     def test_rejects_malformed(self, text):
@@ -280,3 +292,55 @@ class TestRankFile:
     def test_writer_requires_normalized(self):
         with pytest.raises(ValueError):
             format_rank_file(RankFunction(SIG2, (0, 0, 0, 2)))
+
+
+PQ = "atoms: p q\n"
+
+
+def _parsed(parse, text):
+    """What ``parse`` makes of ``text``: a RankFunction or a RankFileError message."""
+    try:
+        return parse(text)
+    except RankFileError as exc:
+        return f"RankFileError: {exc}"
+
+
+class TestRankFileMatchesReference:
+    """parse_rank_file against the token-by-token reference parser: the
+    same rank function, or the same message for the first bad token."""
+
+    def test_every_two_atom_file(self, ranks75):
+        for r in ranks75:
+            text = format_rank_file(r)
+            assert _parsed(parse_rank_file, text) == _parsed(parse_rank_file_reference, text) == r
+
+    def test_sixteen_atoms_sixteen_levels(self, rank16):
+        text = format_rank_file(rank16)
+        assert rank16.height == 15
+        assert _parsed(parse_rank_file, text) == _parsed(parse_rank_file_reference, text)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (PQ + "0: 11 1 011 10 00\n", "valuation '1' does not fit 2 atoms"),  # mixed widths
+            (PQ + "0: 11 01\n1: 10 001 0\n", "valuation '001' does not fit 2 atoms"),
+            (PQ + "0: 11 +1 01 10 00\n", "valuation '+1' does not fit 2 atoms"),
+            (PQ + "0: 11 -1 01 10 00\n", "valuation '-1' does not fit 2 atoms"),
+            (PQ + "0: 11 ١٠ 01 10 00\n", "valuation '١٠' does not fit 2 atoms"),
+            (PQ + "0: 11 11 1x\n1: 01 10 00\n", "valuation 11 listed twice"),
+            (PQ + "0: 11 1x 11\n1: 01 10 00\n", "valuation '1x' does not fit 2 atoms"),
+            (PQ + "0: 11 01\n1: 10 01 00\n", "valuation 01 listed twice"),
+            (PQ + "0: 11 01\n1: 1x 01 00\n", "valuation '1x' does not fit 2 atoms"),
+            (PQ + "0: 11 01\n1: 00 01 1x\n", "valuation 01 listed twice"),
+            (PQ + "0: 11\n1: 01\n", "valuations missing a rank: 00 10"),
+            (PQ + "0:\t11\t01\n1:\t10 00\n", None),  # tabs separate tokens too
+            # int("1_1", 2) is 3
+            ("atoms: p q r\n0: 1_1 000 001 010 011 100 101 110 111\n",
+             "valuation '1_1' does not fit 3 atoms"),
+        ],
+    )
+    def test_malformed_lines(self, text, message):
+        got = _parsed(parse_rank_file, text)
+        assert got == _parsed(parse_rank_file_reference, text)
+        assert got == (RankFunction(SIG2, (1, 0, 1, 0)) if message is None
+                       else f"RankFileError: {message}")
