@@ -73,6 +73,7 @@ from .render import canonical_formula, dnf_text, theory_text
 from .revision import (
     ConservativeRevision,
     RankedRevision,
+    RelationRevision,
     Revision,
     RevisionStep,
     Severity,

@@ -47,7 +47,7 @@ class _UsageError(RankedRevError):
 
 def _parse_atom_spec(value: str) -> tuple[str, ...]:
     value = value.strip()
-    if value.isdigit():
+    if re.fullmatch("[0-9]+", value):  # not isdigit(): int() rejects '²'
         count = int(value)
         if not 1 <= count <= len(_DEFAULT_ATOMS):
             raise _UsageError(f"--atoms count must be 1..{len(_DEFAULT_ATOMS)}")
@@ -72,7 +72,7 @@ def _resolve_sig(atoms: Optional[str], rank: Optional[RankFunction]) -> Signatur
     if rank is not None:
         if atoms is not None:
             spec = _parse_atom_spec(atoms)
-            if atoms.strip().isdigit():
+            if re.fullmatch("[0-9]+", atoms.strip()):
                 if len(spec) != rank.sig.n:
                     raise _UsageError(
                         f"--atoms {atoms} does not match the {rank.sig.n}-atom rank file"

@@ -23,6 +23,7 @@ from __future__ import annotations
 import functools
 import re
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Iterator
 
 from .errors import ParseError, SignatureError, UnknownAtomError
@@ -214,7 +215,7 @@ _ZERO = bytes([255] + [0] * 255)  # bytes.translate table: b -> b == 0
 
 
 def _ints(rows) -> list[int]:
-    return [int.from_bytes(r, "little") for r in rows]
+    return list(map(int.from_bytes, rows, repeat("little")))
 
 
 def _first_byte(v: int) -> int:

@@ -32,7 +32,7 @@ from .errors import (
 from .logic import _ZERO, PropSet, Signature, Theory, _first_byte, _ints, _masks
 from .ranking import RankFunction, enumerate_rank_functions
 from .render import dnf_text, theory_text
-from .revision import TABLE_MAX_ATOMS, RankedRevision, Revision
+from .revision import TABLE_MAX_ATOMS, Revision
 
 
 class PostulateId(Enum):
@@ -254,18 +254,16 @@ class _Packed:
     def __init__(self, table, uni: int):
         self.nmasks = uni + 1
         self.m = _masks(self.nmasks)
-        self.rows, self.bad = [], []
         valid = bytes(range(self.nmasks))
-        for row in table:
-            try:
-                packed = bytes(row)
-                in_range = not packed.translate(None, valid)  # nothing left once valid cells go
-            except ValueError:  # a cell outside 0..255
-                in_range = False
-            if in_range:
-                self.rows.append(packed)
-                self.bad.append(0)
-            else:
+        try:  # rows of bytes, as a revision builds them: nothing left once valid cells go
+            in_range = not b"".join(table).translate(None, valid)
+        except TypeError:  # rows of ints
+            in_range = False
+        if in_range:
+            self.rows, self.bad = list(map(bytes, table)), [0] * self.nmasks
+        else:
+            self.rows, self.bad = [], []
+            for row in table:
                 ok = [0 <= c <= uni for c in row]
                 self.rows.append(bytes(c if good else 0 for c, good in zip(row, ok)))
                 self.bad.append(int.from_bytes(bytes(0 if good else 255 for good in ok),
@@ -292,9 +290,9 @@ class _Packed:
 
 def _packed(rv: Revision) -> _Packed:
     """The revision's packed table, built on first use and kept on the
-    revision like the table it packs."""
+    revision like the rows it packs."""
     if rv._packed is None:
-        rv._packed = _Packed(rv.table(), rv.sig.universe_mask)
+        rv._packed = _Packed(rv._byte_rows(), rv.sig.universe_mask)
     return rv._packed
 
 
@@ -1099,6 +1097,14 @@ class UnderdeterminationWitness:
     phi: PropSet
 
 
+@functools.cache
+def _two_atom_bottoms() -> tuple[list[tuple[int, ...]], list[bytes]]:
+    """The 75 normalized rank vectors at 2 atoms, in enumeration order,
+    and their bottom rows as bytes; neither depends on the atom names."""
+    ranks = list(enumerate_rank_functions(Signature(("p", "q"))))
+    return [r.ranks for r in ranks], [bytes(r._consequence_cells()) for r in ranks]
+
+
 def dynamic_underdetermination(sig: Signature, k: Theory) -> UnderdeterminationWitness:
     """Search all pairs of normalized rank functions for a witness that
     the map chi |-> K*chi does not determine iterated revision.
@@ -1114,28 +1120,23 @@ def dynamic_underdetermination(sig: Signature, k: Theory) -> UnderdeterminationW
         )
     nmasks = sig.universe_mask + 1
     km = k.models.mask
-    ranks = list(enumerate_rank_functions(sig))
-    revs = [RankedRevision(r) for r in ranks]
-    rows = [
-        tuple(rv.revise_mask(km, f) for f in range(nmasks)) for rv in revs
-    ]
-    for i in range(len(revs)):
-        for j in range(i + 1, len(revs)):
-            if rows[i] != rows[j]:
-                continue
-            rm_i = revs[i].revise_mask
-            rm_j = revs[j].revise_mask
-            for psi in range(nmasks):
-                t = rows[i][psi]
-                for phi in range(nmasks):
-                    if rm_i(t, phi) != rm_j(t, phi):
-                        return UnderdeterminationWitness(
-                            anchor=k,
-                            first=ranks[i],
-                            second=ranks[j],
-                            psi=PropSet(sig, psi),
-                            phi=PropSet(sig, phi),
-                        )
+    ranks, bottoms = _two_atom_bottoms()
+    rows = [bytes(km & f or b[f] for f in range(nmasks)) for b in bottoms]
+    # K*false is the inconsistent theory, whose row is the bottom row, and
+    # distinct normalized rank functions have distinct bottom rows. So the
+    # first pair (i < j) whose rows at K agree diverges at psi = false, on
+    # the first phi where their bottom rows differ.
+    for i, row in enumerate(rows):
+        if row in rows[i + 1:]:
+            j = rows.index(row, i + 1)
+            phi = next(f for f in range(nmasks) if bottoms[i][f] != bottoms[j][f])
+            return UnderdeterminationWitness(
+                anchor=k,
+                first=RankFunction(sig, ranks[i]),
+                second=RankFunction(sig, ranks[j]),
+                psi=PropSet.empty(sig),
+                phi=PropSet(sig, phi),
+            )
     raise WitnessNotFoundError(
         f"anchor {theory_text(k)} is degenerate: its row determines "
         "iterated revision for every rank function pair"

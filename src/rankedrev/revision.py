@@ -50,15 +50,16 @@ class Revision:
     """Abstract two-argument revision operator.
 
     Subclasses implement ``revise_mask`` on raw masks; the table of all
-    cells is cached for the exhaustive checkers, which also keep their
-    packed form of it in ``_packed``. Two revisions are the same revision
-    when they agree pointwise over the finite domain.
+    cells is cached one row per theory for the exhaustive checkers, which
+    also keep their packed form of it in ``_packed``. Two revisions are
+    the same revision when they agree pointwise over the finite domain.
     """
 
     tag: str = "abstract"
 
     def __init__(self, sig: Signature):
         self.sig = sig
+        self._rows = None
         self._table = None
         self._packed = None
 
@@ -71,15 +72,22 @@ class Revision:
     def table(self) -> tuple[tuple[int, ...], ...]:
         """revise_mask tabulated as table[k_mask][f_mask]."""
         if self._table is None:
+            self._table = tuple(map(tuple, self._byte_rows()))
+        return self._table
+
+    def _byte_rows(self) -> Sequence[Sequence[int]]:
+        """The table's rows, built once: bytes where the revision packs
+        them, else tuples of revise_mask's ints, which may not fit a byte."""
+        if self._rows is None:
             if self.sig.n > TABLE_MAX_ATOMS:
                 raise DomainTooLargeError(
                     f"full revision table needs 4**{self.sig.num_valuations} cells; "
                     f"at most {TABLE_MAX_ATOMS} atoms supported"
                 )
-            self._table = self._tabulate()
-        return self._table
+            self._rows = self._tabulate()
+        return self._rows
 
-    def _tabulate(self) -> tuple[tuple[int, ...], ...]:
+    def _tabulate(self) -> Sequence[Sequence[int]]:
         nmasks = self.sig.universe_mask + 1
         rm = self.revise_mask
         return tuple(tuple(rm(k, f) for f in range(nmasks)) for k in range(nmasks))
@@ -95,8 +103,8 @@ class Revision:
 
 class _ExpandOrRow(Revision):
     """A revision that expands when K ∧ phi is consistent and otherwise
-    answers row[phi], whatever K is. Subclasses give the row through
-    ``_build_row``; it is built on the first severe revision."""
+    answers row[phi], whatever K is. Subclasses give the row as ``_row``
+    or through ``_build_row``, which the first severe revision calls."""
 
     _row: Optional[Sequence[int]] = None
 
@@ -112,7 +120,7 @@ class _ExpandOrRow(Revision):
         row = self._cells()
         return [k & f or row[f] for k, f in zip(ks, fs)]
 
-    def _tabulate(self) -> tuple[tuple[int, ...], ...]:
+    def _tabulate(self) -> list[bytes]:
         """One packed row per theory: byte phi of inter[K] | (ROW & apart[K])
         is K & phi when that is nonzero, else row[phi]. A row with a cell
         outside 0..255 cannot be packed, so its table is tabulated cell by
@@ -124,8 +132,8 @@ class _ExpandOrRow(Revision):
             return super()._tabulate()
         nmasks = len(row)
         m = _masks(nmasks)
-        return tuple(tuple((inter | (packed & apart)).to_bytes(nmasks, "little"))
-                     for inter, apart in zip(m.inter, m.apart))
+        return [(inter | (packed & apart)).to_bytes(nmasks, "little")
+                for inter, apart in zip(m.inter, m.apart)]
 
 
 class RankedRevision(_ExpandOrRow):
@@ -173,6 +181,11 @@ class TableRevision(Revision):
     def revise_mask(self, k_mask: int, f_mask: int) -> int:
         return self.cells[k_mask * self._nmasks + f_mask]
 
+    def _tabulate(self) -> list[bytes]:
+        # the cells are model masks, so they fit a byte at 3 atoms and fewer
+        cells, n = bytes(self.cells), self._nmasks
+        return [cells[k:k + n] for k in range(0, n * n, n)]
+
 
 class ConservativeRevision(_ExpandOrRow):
     """Extension of an arbitrary revision from one anchor theory to the
@@ -190,6 +203,17 @@ class ConservativeRevision(_ExpandOrRow):
         am = self.anchor.models.mask
         src = self.source.revise_mask
         return tuple(src(am, f) for f in range(self.sig.universe_mask + 1))
+
+
+class RelationRevision(_ExpandOrRow):
+    """Revision of a consequence relation: its row is the consequences."""
+
+    tag = "relation"
+
+    def __init__(self, rel: ConsequenceRelation):
+        super().__init__(rel.sig)
+        self.relation = rel
+        self._row = rel.consequences
 
 
 def conservative_extension(rv: Revision, k: Theory) -> ConservativeRevision:
@@ -212,13 +236,10 @@ def relation_of_revision(rv: Revision, base: Theory) -> ConsequenceRelation:
     )
 
 
-def revision_of_relation(rel: ConsequenceRelation) -> TableRevision:
+def revision_of_relation(rel: ConsequenceRelation) -> RelationRevision:
     """The inverse construction: severe revisions take the relation's
     consequences of the input, mild revisions expand."""
-    cons = rel.consequences
-    return TableRevision.from_function(
-        rel.sig, lambda k, f: (k & f) if (k & f) else cons[f]
-    )
+    return RelationRevision(rel)
 
 
 def with_theory_floor(r: RankFunction, k: Theory) -> RankFunction:

@@ -8,7 +8,8 @@ token-by-token rank-file parser, a constraint search that finds every
 rational choice table at small sizes, the per-mask consequence table,
 the per-binding postulate and rationality sweeps that the packed checkers
 are compared against, the exhaustive (K, phi, psi) pass one (K, phi) at
-a time, and sampled mode run one clause at a time.
+a time, sampled mode run one clause at a time, and the under-determination
+scan by revise_mask over every pair of rank functions.
 """
 
 from __future__ import annotations
@@ -25,9 +26,15 @@ from rankedrev import (
     Not,
     Or,
     PostulateId,
+    PropSet,
+    RankedRevision,
     RankFileError,
     RankFunction,
     Signature,
+    UnderdeterminationWitness,
+    WitnessNotFoundError,
+    enumerate_rank_functions,
+    theory_text,
 )
 from rankedrev.logic import _NONZERO, _ZERO, _first_byte
 from rankedrev.postulates import _CLAUSES, _make_violation
@@ -458,3 +465,34 @@ def rationality_reference(c):
     out.append(("CP", w))
 
     return tuple(out)
+
+
+def dynamic_underdetermination_reference(sig, k):
+    """dynamic_underdetermination by revise_mask over every pair of the
+    enumerated rank functions, in (i, j, psi, phi) order."""
+    nmasks = sig.universe_mask + 1
+    km = k.models.mask
+    ranks = list(enumerate_rank_functions(sig))
+    revs = [RankedRevision(r) for r in ranks]
+    rows = [tuple(rv.revise_mask(km, f) for f in range(nmasks)) for rv in revs]
+    for i in range(len(revs)):
+        for j in range(i + 1, len(revs)):
+            if rows[i] != rows[j]:
+                continue
+            rm_i = revs[i].revise_mask
+            rm_j = revs[j].revise_mask
+            for psi in range(nmasks):
+                t = rows[i][psi]
+                for phi in range(nmasks):
+                    if rm_i(t, phi) != rm_j(t, phi):
+                        return UnderdeterminationWitness(
+                            anchor=k,
+                            first=ranks[i],
+                            second=ranks[j],
+                            psi=PropSet(sig, psi),
+                            phi=PropSet(sig, phi),
+                        )
+    raise WitnessNotFoundError(
+        f"anchor {theory_text(k)} is degenerate: its row determines "
+        "iterated revision for every rank function pair"
+    )

@@ -191,6 +191,14 @@ class TestCheck:
         assert out == "" and err.startswith("error: bad level line")
         assert "Traceback" not in err
 
+    def test_atoms_not_ascii_exit_two(self, capsys, rank_path):
+        # '²' passes str.isdigit() but not int(), so it is not a count
+        code, out, err = run(capsys, "check", "--rank", rank_path,
+                             "--postulates", "K1", "--atoms", "²")
+        assert code == 2
+        assert out == "" and err.startswith("error:")
+        assert "Traceback" not in err
+
 
 class TestEnumerate:
     def test_one_atom_listing(self, capsys):
@@ -215,6 +223,12 @@ class TestEnumerate:
         code, out, err = run(capsys, "enumerate", "--atoms", atoms)
         assert code == 2
         assert out == "" and err.startswith("error:")
+
+    def test_atoms_not_ascii_exit_two(self, capsys):
+        code, out, err = run(capsys, "enumerate", "--atoms", "²")
+        assert code == 2
+        assert out == "" and err.startswith("error:")
+        assert "Traceback" not in err
 
 
 class TestWitness:

@@ -13,6 +13,7 @@ from rankedrev import postulates
 
 from rankedrev import (
     AGM_PLUS_MINIMAL_INFLUENCE,
+    ConsequenceRelation,
     DomainTooLargeError,
     ImpossibilityTarget,
     PostulateId,
@@ -20,6 +21,7 @@ from rankedrev import (
     RankedRevision,
     Revision,
     SamplingError,
+    Signature,
     SuiteReport,
     TableRevision,
     Theory,
@@ -35,13 +37,19 @@ from rankedrev import (
     find_impossibility_witness,
     random_rank_function,
     relation_of_revision,
+    revision_of_relation,
     run_suite,
     sweep_orbits,
     with_theory_floor,
 )
 
 from helpers import SIG1, SIG2, SIG3, SIG4, OutOfRange, ps, th
-from oracles import first_violation, kff_pass_reference, sampled_reference
+from oracles import (
+    dynamic_underdetermination_reference,
+    first_violation,
+    kff_pass_reference,
+    sampled_reference,
+)
 
 DERIVED_IDS = (
     PostulateId.U8_2,
@@ -278,6 +286,65 @@ class TestPackedKernelSweep:
         assert first._packed is not second._packed
         for rv in (first, second):
             assert rv._packed.rows == [bytes(row) for row in rv.table()]
+
+
+def _byte_row_revisions(sig):
+    """One revision of each kind whose rows _packed reads. OutOfRange
+    with no cells only gives revise_mask; the other OutOfRange sources
+    give cells outside 0..255 or, below 3 atoms, a byte that is not a
+    model mask."""
+    nm = sig.universe_mask + 1
+    rank = random_rank_function(sig, 3, 5)
+    ranked = RankedRevision(rank)
+    anchor = Theory(PropSet(sig, sig.universe_mask // 3))
+    am = anchor.models.mask
+    return {
+        "ranked": ranked,
+        "conservative": conservative_extension(ranked, th(sig, "p")),
+        "conservative_out_of_range": conservative_extension(
+            OutOfRange(ranked, {(am, 2): -1, (am, nm - 1): 300}), anchor),
+        "conservative_past_the_masks": conservative_extension(
+            OutOfRange(ranked, {(am, 2): nm}), anchor),
+        "table": _perturbed_table(ranked, nm - 1, 1, 0),
+        "relation": revision_of_relation(ConsequenceRelation.from_rank(rank)),
+        "revise_mask_only": OutOfRange(ranked, {}),
+        "revise_mask_only_out_of_range": OutOfRange(ranked, {(1, 1): -1, (nm - 1, 0): nm}),
+    }
+
+
+class TestByteRows:
+    """A revision's byte rows, as _packed reads them, pack to the table
+    revise_mask gives cell by cell."""
+
+    @pytest.mark.parametrize("sig", [SIG1, SIG2, SIG3], ids=["1atom", "2atoms", "3atoms"])
+    def test_packed_from_rows_matches_packed_from_table(self, sig):
+        uni = sig.universe_mask
+        cells = range(uni + 1)
+        for kind, rv in _byte_row_revisions(sig).items():
+            got = postulates._packed(rv)
+            table = tuple(tuple(rv.revise_mask(k, f) for f in cells) for k in cells)
+            assert rv.table() == table, kind
+            want = postulates._Packed(table, uni)
+            assert got.rows == want.rows, kind
+            assert got.P == want.P, kind
+            assert got.bad == want.bad, kind
+        assert any(postulates._packed(rv).bad
+                   for rv in _byte_row_revisions(sig).values())
+
+    def test_run_suite_builds_rows_once_and_no_tuple_table(self, monkeypatch):
+        built = []
+        tabulate, table = RankedRevision._tabulate, Revision.table
+        monkeypatch.setattr(RankedRevision, "_tabulate",
+                            lambda rv: built.append("rows") or tabulate(rv))
+        monkeypatch.setattr(Revision, "table", lambda rv: built.append("table") or table(rv))
+        for sig in (SIG2, SIG3):
+            rv = RankedRevision(random_rank_function(sig, 3, 7))
+            for _ in range(2):
+                run_suite(rv, PostulateId)
+            assert built == ["rows"]
+            rv.table()
+            assert built == ["rows", "table"]  # from the same rows
+            built.clear()
 
 
 KFF = postulates._KFF  # the clauses of the fused pass, in canonical order
@@ -893,6 +960,24 @@ class TestDynamicUnderdetermination:
     def test_only_two_atoms_supported(self):
         with pytest.raises(DomainTooLargeError):
             dynamic_underdetermination(SIG3, Theory.bottom(SIG3))
+
+    @pytest.mark.parametrize("sig", [SIG2, Signature(("y", "x"))], ids=["pq", "yx"])
+    def test_every_anchor_matches_reference(self, sig):
+        # the search relies on distinct bottom rows
+        bottoms = postulates._two_atom_bottoms()[1]
+        assert len(set(bottoms)) == len(bottoms) == 75
+        for km in range(16):
+            k = Theory(PropSet(sig, km))
+            try:
+                want = dynamic_underdetermination_reference(sig, k)
+            except WitnessNotFoundError as e:
+                with pytest.raises(WitnessNotFoundError) as got:
+                    dynamic_underdetermination(sig, k)
+                assert str(got.value) == str(e)
+                continue
+            got = dynamic_underdetermination(sig, k)
+            assert got == want
+            assert got.first.sig is sig and got.second.sig is sig
 
 
 class TestAssortedLaws:
