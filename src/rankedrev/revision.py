@@ -223,17 +223,9 @@ def conservative_extension(rv: Revision, k: Theory) -> ConservativeRevision:
 
 
 def relation_of_revision(rv: Revision, base: Theory) -> ConsequenceRelation:
-    """The consequence relation phi |-> revise(base, phi)."""
-    if rv.sig.n > TABLE_MAX_ATOMS:
-        raise DomainTooLargeError(
-            f"total consequence map needs 2**{rv.sig.num_valuations} entries; "
-            f"at most {TABLE_MAX_ATOMS} atoms supported"
-        )
-    bm = base.models.mask
-    rm = rv.revise_mask
-    return ConsequenceRelation(
-        rv.sig, tuple(rm(bm, f) for f in range(rv.sig.universe_mask + 1))
-    )
+    """The consequence relation phi |-> revise(base, phi): row ``base`` of
+    the revision's table."""
+    return ConsequenceRelation(rv.sig, rv._byte_rows()[base.models.mask])
 
 
 def revision_of_relation(rel: ConsequenceRelation) -> RelationRevision:
