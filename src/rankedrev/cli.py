@@ -7,7 +7,8 @@ deductive closure) or the literal ``bot`` for the inconsistent theory.
 
 Exit codes: 0 when the command succeeds with no postulate violations
 (for ``witness``, successful delivery of the requested witness), 1 when
-a checked postulate is violated, 2 on usage or domain errors.
+a checked postulate is violated, 2 on usage or domain errors, 141
+(128 + SIGPIPE) when the reader of the output closes it early.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import argparse
 import importlib.resources
 import json
+import os
 import re
 import sys
 from typing import Optional
@@ -343,6 +345,11 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 2
     try:
         return args.func(args)
+    except BrokenPipeError:
+        # nothing more can be written; send what is still buffered to
+        # /dev/null so that the interpreter's final flush raises nothing
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (RankedRevError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

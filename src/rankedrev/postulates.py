@@ -9,8 +9,9 @@ reports the first counterexample in lexicographic binding order
 reports stable. Sampled mode draws bindings from a seeded generator and
 reports the seed, so every run is replayable.
 
-Violations are self-certifying: replaying the recorded bindings through
-the revision reproduces the clause failure.
+Violations are self-certifying: replaying the recorded bindings reads
+the revision afresh, through the clause's block form, and reproduces the
+clause failure.
 """
 
 from __future__ import annotations
@@ -67,168 +68,6 @@ class PostulateId(Enum):
 
 AGM_POSTULATES = tuple(PostulateId[f"K{i}"] for i in range(1, 9))
 AGM_PLUS_MINIMAL_INFLUENCE = AGM_POSTULATES + (PostulateId.K9,)
-
-
-# Clause evaluators work on raw masks. ``rev`` maps (theory models mask,
-# formula mask) to the revised theory's models mask. Subset tests use
-# (a | b) == b for "a ⊆ b"; remember the formula-set order inversion:
-# psi ∈ T means models(T) ⊆ models(psi).
-
-
-def _h_k1(rev, uni, K, Kp, phi, psi):
-    return 0 <= rev(K, phi) <= uni
-
-
-def _h_k2(rev, uni, K, Kp, phi, psi):
-    r = rev(K, phi)
-    return (r | phi) == phi
-
-
-def _h_k3(rev, uni, K, Kp, phi, psi):
-    r = rev(K, phi)
-    kf = K & phi
-    return (kf | r) == r
-
-
-def _h_k4(rev, uni, K, Kp, phi, psi):
-    kf = K & phi
-    if kf == 0:
-        return True
-    r = rev(K, phi)
-    return (r | kf) == kf
-
-
-def _h_k5(rev, uni, K, Kp, phi, psi):
-    return rev(K, phi) != 0 or phi == 0
-
-
-def _h_k6(rev, uni, K, Kp, phi, psi):
-    # equivalent formulas are identical masks; this only guards against a
-    # nondeterministic revise
-    return rev(K, phi) == rev(K, phi)
-
-
-def _h_k7(rev, uni, K, Kp, phi, psi):
-    cn = rev(K, phi) & psi
-    both = rev(K, phi & psi)
-    return (cn | both) == both
-
-
-def _h_k8(rev, uni, K, Kp, phi, psi):
-    cn = rev(K, phi) & psi
-    if cn == 0:
-        return True
-    both = rev(K, phi & psi)
-    return (both | cn) == cn
-
-
-def _h_k9(rev, uni, K, Kp, phi, psi):
-    if K & phi or Kp & phi:
-        return True
-    return rev(K, phi) == rev(Kp, phi)
-
-
-def _h_k9_1(rev, uni, K, Kp, phi, psi):
-    if K & phi:
-        return True
-    bot = rev(0, phi)
-    r = rev(K, phi)
-    return (bot | r) == r
-
-
-def _h_k9_2(rev, uni, K, Kp, phi, psi):
-    if K & phi:
-        return True
-    bot = rev(0, phi)
-    return (rev(K, phi) | bot) == bot
-
-
-def _h_k9_2p(rev, uni, K, Kp, phi, psi):
-    if (K | psi) != psi:
-        return True
-    if (rev(0, phi) | psi) != psi:
-        return True
-    return (rev(K, phi) | psi) == psi
-
-
-def _h_u8(rev, uni, K, Kp, phi, psi):
-    return rev(K | Kp, phi) == (rev(K, phi) | rev(Kp, phi))
-
-
-def _h_u8_1(rev, uni, K, Kp, phi, psi):
-    if (Kp | K) != K:  # K ⊆ K' as formula sets: models(K') ⊆ models(K)
-        return True
-    a = rev(K, phi)
-    b = rev(Kp, phi)
-    return (b | a) == a
-
-
-def _h_u8_2(rev, uni, K, Kp, phi, psi):
-    inter = rev(K, phi) | rev(Kp, phi)
-    return (rev(K | Kp, phi) | inter) == inter
-
-
-def _h_km1(rev, uni, K, Kp, phi, psi):
-    if (K & phi) == 0 or (Kp & phi) == 0:
-        return True
-    return rev(K | Kp, phi) == (rev(K, phi) | rev(Kp, phi))
-
-
-def _h_k9u81(rev, uni, K, Kp, phi, psi):
-    if K & phi or Kp & phi:
-        return True
-    return rev(K | Kp, phi) == (rev(K, phi) | rev(Kp, phi))
-
-
-def _h_c1(rev, uni, K, Kp, phi, psi):
-    if (phi | psi) != psi:
-        return True
-    return rev(rev(K, psi), phi) == rev(K, phi)
-
-
-def _h_c2(rev, uni, K, Kp, phi, psi):
-    if phi & psi:
-        return True
-    return rev(rev(K, psi), phi) == rev(K, phi)
-
-
-def _h_c2p(rev, uni, K, Kp, phi, psi):
-    if K & phi or phi & psi:
-        return True
-    return rev(rev(K, psi), phi) == rev(K, phi)
-
-
-def _h_c3(rev, uni, K, Kp, phi, psi):
-    r = rev(K, phi)
-    if (r | psi) != psi:
-        return True
-    return (rev(rev(K, psi), phi) | psi) == psi
-
-
-def _h_c4(rev, uni, K, Kp, phi, psi):
-    if (rev(K, phi) & psi) == 0:
-        return True
-    return (rev(rev(K, psi), phi) & psi) != 0
-
-
-def _h_phiandpsi(rev, uni, K, Kp, phi, psi):
-    r = rev(K, psi)
-    if (r & phi) == 0:
-        return True
-    return rev(r, phi) == rev(K, psi & phi)
-
-
-def _h_psi(rev, uni, K, Kp, phi, psi):
-    if rev(K, psi | phi) & phi:
-        return True
-    return rev(rev(K, psi), phi) == rev(K, phi)
-
-
-def _h_gen(rev, uni, K, Kp, phi, psi):
-    r = rev(K, phi)
-    if (r | psi) != psi:
-        return True
-    return rev(rev(K, psi), phi) == r
 
 
 # Exhaustive checking runs on packed rows (see logic.py): row K of the
@@ -484,15 +323,14 @@ _pairs = functools.cache(_Pairs)  # built on the first KFF check at a size
 
 @dataclass(frozen=True)
 class _Clause:
-    """One postulate: ``holds`` checks a single binding (replay, and the
-    reference for its form in _BLOCK_FAILS), ``packed`` gives the
-    violation vectors that locate the first counterexample of a KF or KKF
-    clause (KFF clauses are located by ``_kff_pass``), and ``decide``,
-    where set, tells from the packed table alone whether there is one, so
-    exhaustive mode locates only after it says the clause fails."""
+    """One postulate: ``packed`` gives the violation vectors that locate
+    the first counterexample of a KF or KKF clause (KFF clauses are
+    located by ``_kff_pass``), and ``decide``, where set, tells from the
+    packed table alone whether there is one, so exhaustive mode locates
+    only after it says the clause fails. Its form over a block of
+    bindings, which sampled mode and replay read, is in _BLOCK_FAILS."""
 
     shape: str  # "KF": (K, phi); "KKF": (K, K', phi); "KFF": (K, phi, psi)
-    holds: Callable[..., bool]
     packed: Optional[Callable[[_Packed], Callable[[int, int], int]]]
     observed: str  # the _Block column holding the value the clause reports
     required: str
@@ -503,52 +341,52 @@ class _Clause:
 
 
 _CLAUSES: dict[PostulateId, _Clause] = {
-    PostulateId.K1: _Clause("KF", _h_k1, _pk1, "row", "K*phi is a theory over the signature"),
-    PostulateId.K2: _Clause("KF", _h_k2, _pk2, "row", "phi ∈ K*phi"),
-    PostulateId.K3: _Clause("KF", _h_k3, _pk3, "row", "K*phi ⊆ Cn(K, phi)"),
-    PostulateId.K4: _Clause("KF", _h_k4, _pk4, "row", "if ¬phi ∉ K then Cn(K, phi) ⊆ K*phi"),
-    PostulateId.K5: _Clause("KF", _h_k5, _pk5, "row", "K*phi inconsistent only if phi ≡ false"),
-    PostulateId.K6: _Clause("KF", _h_k6, _pk6, "row", "equivalent inputs revise equally"),
-    PostulateId.K7: _Clause("KFF", _h_k7, None, "conj", "K*(phi ∧ psi) ⊆ Cn(K*phi, psi)"),
-    PostulateId.K8: _Clause("KFF", _h_k8, None, "conj",
+    PostulateId.K1: _Clause("KF", _pk1, "row", "K*phi is a theory over the signature"),
+    PostulateId.K2: _Clause("KF", _pk2, "row", "phi ∈ K*phi"),
+    PostulateId.K3: _Clause("KF", _pk3, "row", "K*phi ⊆ Cn(K, phi)"),
+    PostulateId.K4: _Clause("KF", _pk4, "row", "if ¬phi ∉ K then Cn(K, phi) ⊆ K*phi"),
+    PostulateId.K5: _Clause("KF", _pk5, "row", "K*phi inconsistent only if phi ≡ false"),
+    PostulateId.K6: _Clause("KF", _pk6, "row", "equivalent inputs revise equally"),
+    PostulateId.K7: _Clause("KFF", None, "conj", "K*(phi ∧ psi) ⊆ Cn(K*phi, psi)"),
+    PostulateId.K8: _Clause("KFF", None, "conj",
                             "if ¬psi ∉ K*phi then Cn(K*phi, psi) ⊆ K*(phi ∧ psi)"),
-    PostulateId.K9: _Clause("KKF", _h_k9, _pk9, "prime",
+    PostulateId.K9: _Clause("KKF", _pk9, "prime",
                             "if ¬phi ∈ K and ¬phi ∈ K' then K*phi = K'*phi",
                             symmetric=True, decide=_dk9),
-    PostulateId.K9_1: _Clause("KF", _h_k9_1, _pk9_1, "row",
+    PostulateId.K9_1: _Clause("KF", _pk9_1, "row",
                               "if ¬phi ∈ K then K*phi ⊆ bot*phi"),
-    PostulateId.K9_2: _Clause("KF", _h_k9_2, _pk9_2, "row",
+    PostulateId.K9_2: _Clause("KF", _pk9_2, "row",
                               "if ¬phi ∈ K then bot*phi ⊆ K*phi"),
-    PostulateId.K9_2P: _Clause("KFF", _h_k9_2p, None, "row",
+    PostulateId.K9_2P: _Clause("KFF", None, "row",
                                "if psi ∈ K and psi ∈ bot*phi then psi ∈ K*phi"),
-    PostulateId.U8: _Clause("KKF", _h_u8, _pu8, "union",
+    PostulateId.U8: _Clause("KKF", _pu8, "union",
                             "(K ∩ K')*phi = (K*phi) ∩ (K'*phi)", symmetric=True, decide=_du8),
-    PostulateId.U8_1: _Clause("KKF", _h_u8_1, _pu8_1, "prime",
+    PostulateId.U8_1: _Clause("KKF", _pu8_1, "prime",
                               "if K ⊆ K' then K*phi ⊆ K'*phi"),
-    PostulateId.U8_2: _Clause("KKF", _h_u8_2, _pu8_2, "union",
+    PostulateId.U8_2: _Clause("KKF", _pu8_2, "union",
                               "(K*phi) ∩ (K'*phi) ⊆ (K ∩ K')*phi", symmetric=True,
                               decide=_du8_2),
-    PostulateId.C1: _Clause("KFF", _h_c1, None, "iterated",
+    PostulateId.C1: _Clause("KFF", None, "iterated",
                             "if phi ⊨ psi then (K*psi)*phi = K*phi"),
-    PostulateId.C2: _Clause("KFF", _h_c2, None, "iterated",
+    PostulateId.C2: _Clause("KFF", None, "iterated",
                             "if phi ⊨ ¬psi then (K*psi)*phi = K*phi"),
-    PostulateId.C2P: _Clause("KFF", _h_c2p, None, "iterated",
+    PostulateId.C2P: _Clause("KFF", None, "iterated",
                              "if ¬phi ∈ K and phi ⊨ ¬psi then (K*psi)*phi = K*phi"),
-    PostulateId.C3: _Clause("KFF", _h_c3, None, "iterated",
+    PostulateId.C3: _Clause("KFF", None, "iterated",
                             "if psi ∈ K*phi then psi ∈ (K*psi)*phi"),
-    PostulateId.C4: _Clause("KFF", _h_c4, None, "iterated",
+    PostulateId.C4: _Clause("KFF", None, "iterated",
                             "if ¬psi ∉ K*phi then ¬psi ∉ (K*psi)*phi"),
-    PostulateId.P_PHIANDPSI: _Clause("KFF", _h_phiandpsi, None, "iterated",
+    PostulateId.P_PHIANDPSI: _Clause("KFF", None, "iterated",
                                      "if ¬phi ∉ K*psi then (K*psi)*phi = K*(psi ∧ phi)"),
-    PostulateId.P_PSI: _Clause("KFF", _h_psi, None, "iterated",
+    PostulateId.P_PSI: _Clause("KFF", None, "iterated",
                                "if ¬phi ∈ K*(psi ∨ phi) then (K*psi)*phi = K*phi"),
-    PostulateId.P_GEN: _Clause("KFF", _h_gen, None, "iterated",
+    PostulateId.P_GEN: _Clause("KFF", None, "iterated",
                                "if psi ∈ K*phi then (K*psi)*phi = K*phi"),
-    PostulateId.P_KM1: _Clause("KKF", _h_km1, _pkm1, "union",
+    PostulateId.P_KM1: _Clause("KKF", _pkm1, "union",
                                "if ¬phi ∉ K and ¬phi ∉ K' then "
                                "(K ∩ K')*phi = (K*phi) ∩ (K'*phi)", symmetric=True,
                                decide=_dkm1),
-    PostulateId.P_K9U81: _Clause("KKF", _h_k9u81, _pk9u81, "union",
+    PostulateId.P_K9U81: _Clause("KKF", _pk9u81, "union",
                                  "if ¬phi ∈ K and ¬phi ∈ K' then "
                                  "(K*phi) ∩ (K'*phi) = (K ∩ K')*phi", symmetric=True,
                                  decide=_dk9u81),
@@ -648,16 +486,12 @@ class Violation:
     psi: Optional[PropSet] = None
 
     def replay(self, rv: Revision) -> bool:
-        """True when the recorded bindings still violate the clause."""
-        clause = _CLAUSES[self.postulate]
-        return not clause.holds(
-            rv.revise_mask,
-            rv.sig.universe_mask,
-            self.k.models.mask,
-            self.kprime.models.mask if self.kprime is not None else 0,
-            self.phi.mask,
-            self.psi.mask if self.psi is not None else 0,
-        )
+        """True when the recorded bindings still violate the clause, by its
+        _BLOCK_FAILS form on a block of this one binding."""
+        block = _one(rv, self.k.models.mask,
+                     self.kprime.models.mask if self.kprime is not None else 0,
+                     self.phi.mask, self.psi.mask if self.psi is not None else 0)
+        return next(_BLOCK_FAILS[self.postulate.name](block), None) is not None
 
     def describe(self) -> str:
         parts = [f"K={theory_text(self.k)}"]
@@ -689,16 +523,22 @@ class Violation:
 
 def _make_violation(rv: Revision, pid: PostulateId, K: int, Kp: int,
                     phi: int, psi: int) -> Violation:
+    return _violation(rv, pid, _one(rv, K, Kp, phi, psi), 0)
+
+
+def _violation(rv: Revision, pid: PostulateId, block: _Block, i: int) -> Violation:
+    """The record of the clause failing at binding i of the block, with the
+    value it reports read from its column there."""
     sig = rv.sig
     clause = _CLAUSES[pid]
     shape = clause.shape
-    observed = getattr(_Block(rv, [K], [Kp], [phi], [psi]), clause.observed)[0]
+    observed = getattr(block, clause.observed)[i]
     return Violation(
         postulate=pid,
-        k=Theory(PropSet(sig, K)),
-        kprime=Theory(PropSet(sig, Kp)) if shape == "KKF" else None,
-        phi=PropSet(sig, phi),
-        psi=PropSet(sig, psi) if shape == "KFF" else None,
+        k=Theory(PropSet(sig, block.K[i])),
+        kprime=Theory(PropSet(sig, block.Kp[i])) if shape == "KKF" else None,
+        phi=PropSet(sig, block.phi[i]),
+        psi=PropSet(sig, block.psi[i]) if shape == "KFF" else None,
         observed=(Theory(PropSet(sig, observed))
                   if 0 <= observed <= sig.universe_mask else None),
         required=clause.required,
@@ -759,8 +599,15 @@ _COLUMNS: dict[str, Callable[[_Block], list[int]]] = {
 }
 
 
-# Each clause's failing bindings in a block, as indices in binding order:
-# the negation of its ``holds``, written over the block's columns.
+def _one(rv: Revision, K: int, Kp: int, phi: int, psi: int) -> _Block:
+    """The block of the single binding (K, K', phi, psi)."""
+    return _Block(rv, [K], [Kp], [phi], [psi])
+
+
+# Each clause's failing bindings in a block, as indices in binding order,
+# written over the block's columns. The clause's scalar statement, one
+# binding at a time, is kept in tests/oracles.py as the reference that
+# these forms and the packed kernels are tested against.
 _BLOCK_FAILS: dict[str, Callable[[_Block], Iterator[int]]] = {
     "K1": lambda b: (i for i, r in enumerate(b.row) if not 0 <= r <= b.uni),
     "K2": lambda b: (i for i, r, f in _ix(b.row, b.phi) if r | f != f),
@@ -830,7 +677,7 @@ def _sampled_pass(rv: Revision, pids: list[PostulateId], seed: int,
         for pid in live:
             hit = next(_BLOCK_FAILS[pid.name](block), None)
             if hit is not None:
-                found[pid] = _make_violation(rv, pid, *(c[hit] for c in cols.values()))
+                found[pid] = _violation(rv, pid, block, hit)
         live = [pid for pid in live if pid not in found]
         if not live:
             break
@@ -1041,10 +888,8 @@ def find_impossibility_witness(
                     f"witness search for {which.value} assumes {pid.name} holds, "
                     "but this revision violates it"
                 )
-    sig = rv.sig
-    uni = sig.universe_mask
-    rev = rv.revise_mask
-    bottom_true = rev(0, uni)
+    uni = rv.sig.universe_mask
+    bottom_true = rv.revise_mask(0, uni)
 
     if which is ImpossibilityTarget.U8_1_VS_K4K5:
         # Any consistent Cn(phi) missing some default consequence of true
@@ -1052,16 +897,9 @@ def find_impossibility_witness(
         # Cn(phi)*true keeps phi (by K4) while bot*true may not.
         for phi in range(1, uni + 1):
             if (bottom_true | phi) != phi:
-                cand = Violation(
-                    postulate=PostulateId.U8_1,
-                    k=Theory(PropSet(sig, phi)),
-                    kprime=Theory.bottom(sig),
-                    phi=PropSet.full(sig),
-                    observed=Theory(PropSet(sig, rev(0, uni))),
-                    required=_CLAUSES[PostulateId.U8_1].required,
-                )
-                if cand.replay(rv):
-                    return cand
+                block = _one(rv, phi, 0, uni, 0)
+                if next(_BLOCK_FAILS["U8_1"](block), None) is not None:
+                    return _violation(rv, PostulateId.U8_1, block, 0)
         raise SearchExhaustedError(
             "no U8_1 witness found; the revision cannot satisfy K4 and K5"
         )
@@ -1070,16 +908,9 @@ def find_impossibility_witness(
     # bottom row, so any consistent theory other than bot*true witnesses.
     for km in range(1, uni + 1):
         if km != bottom_true:
-            cand = Violation(
-                postulate=PostulateId.C2,
-                k=Theory(PropSet(sig, km)),
-                phi=PropSet.full(sig),
-                psi=PropSet.empty(sig),
-                observed=Theory(PropSet(sig, rev(rev(km, 0), uni))),
-                required=_CLAUSES[PostulateId.C2].required,
-            )
-            if cand.replay(rv):
-                return cand
+            block = _one(rv, km, 0, uni, 0)
+            if next(_BLOCK_FAILS["C2"](block), None) is not None:
+                return _violation(rv, PostulateId.C2, block, 0)
     raise SearchExhaustedError(
         "no C2 witness found; the revision cannot satisfy K1-K4"
     )

@@ -6,10 +6,13 @@ evaluator, a binomial-recurrence counter for ordered set partitions, a
 sort-based minimum-rank extractor, per-valuation atom masks, the
 token-by-token rank-file parser, a constraint search that finds every
 rational choice table at small sizes, the per-mask consequence table,
-the per-binding postulate and rationality sweeps that the packed checkers
-are compared against, the exhaustive (K, phi, psi) pass one (K, phi) at
-a time, sampled mode run one clause at a time, and the under-determination
-scan by revise_mask over every pair of rank functions.
+the scalar statement of each postulate clause (``HOLDS``, one binding at
+a time, the reference that the packed kernels, the block forms of
+sampled mode and ``Violation.replay`` are compared against), the
+per-binding postulate sweep built on it, the rationality sweep, the
+exhaustive (K, phi, psi) pass one (K, phi) at a time, sampled mode run
+one clause at a time, and the under-determination scan by revise_mask
+over every pair of rank functions.
 """
 
 from __future__ import annotations
@@ -211,6 +214,210 @@ def consequence_table_reference(r):
     return tuple(table)
 
 
+# Clause evaluators work on raw masks. ``rev`` maps (theory models mask,
+# formula mask) to the revised theory's models mask. Subset tests use
+# (a | b) == b for "a ⊆ b"; remember the formula-set order inversion:
+# psi ∈ T means models(T) ⊆ models(psi).
+
+
+def _h_k1(rev, uni, K, Kp, phi, psi):
+    return 0 <= rev(K, phi) <= uni
+
+
+def _h_k2(rev, uni, K, Kp, phi, psi):
+    r = rev(K, phi)
+    return (r | phi) == phi
+
+
+def _h_k3(rev, uni, K, Kp, phi, psi):
+    r = rev(K, phi)
+    kf = K & phi
+    return (kf | r) == r
+
+
+def _h_k4(rev, uni, K, Kp, phi, psi):
+    kf = K & phi
+    if kf == 0:
+        return True
+    r = rev(K, phi)
+    return (r | kf) == kf
+
+
+def _h_k5(rev, uni, K, Kp, phi, psi):
+    return rev(K, phi) != 0 or phi == 0
+
+
+def _h_k6(rev, uni, K, Kp, phi, psi):
+    # equivalent formulas are identical masks; this only guards against a
+    # nondeterministic revise
+    return rev(K, phi) == rev(K, phi)
+
+
+def _h_k7(rev, uni, K, Kp, phi, psi):
+    cn = rev(K, phi) & psi
+    both = rev(K, phi & psi)
+    return (cn | both) == both
+
+
+def _h_k8(rev, uni, K, Kp, phi, psi):
+    cn = rev(K, phi) & psi
+    if cn == 0:
+        return True
+    both = rev(K, phi & psi)
+    return (both | cn) == cn
+
+
+def _h_k9(rev, uni, K, Kp, phi, psi):
+    if K & phi or Kp & phi:
+        return True
+    return rev(K, phi) == rev(Kp, phi)
+
+
+def _h_k9_1(rev, uni, K, Kp, phi, psi):
+    if K & phi:
+        return True
+    bot = rev(0, phi)
+    r = rev(K, phi)
+    return (bot | r) == r
+
+
+def _h_k9_2(rev, uni, K, Kp, phi, psi):
+    if K & phi:
+        return True
+    bot = rev(0, phi)
+    return (rev(K, phi) | bot) == bot
+
+
+def _h_k9_2p(rev, uni, K, Kp, phi, psi):
+    if (K | psi) != psi:
+        return True
+    if (rev(0, phi) | psi) != psi:
+        return True
+    return (rev(K, phi) | psi) == psi
+
+
+def _h_u8(rev, uni, K, Kp, phi, psi):
+    return rev(K | Kp, phi) == (rev(K, phi) | rev(Kp, phi))
+
+
+def _h_u8_1(rev, uni, K, Kp, phi, psi):
+    if (Kp | K) != K:  # K ⊆ K' as formula sets: models(K') ⊆ models(K)
+        return True
+    a = rev(K, phi)
+    b = rev(Kp, phi)
+    return (b | a) == a
+
+
+def _h_u8_2(rev, uni, K, Kp, phi, psi):
+    inter = rev(K, phi) | rev(Kp, phi)
+    return (rev(K | Kp, phi) | inter) == inter
+
+
+def _h_km1(rev, uni, K, Kp, phi, psi):
+    if (K & phi) == 0 or (Kp & phi) == 0:
+        return True
+    return rev(K | Kp, phi) == (rev(K, phi) | rev(Kp, phi))
+
+
+def _h_k9u81(rev, uni, K, Kp, phi, psi):
+    if K & phi or Kp & phi:
+        return True
+    return rev(K | Kp, phi) == (rev(K, phi) | rev(Kp, phi))
+
+
+def _h_c1(rev, uni, K, Kp, phi, psi):
+    if (phi | psi) != psi:
+        return True
+    return rev(rev(K, psi), phi) == rev(K, phi)
+
+
+def _h_c2(rev, uni, K, Kp, phi, psi):
+    if phi & psi:
+        return True
+    return rev(rev(K, psi), phi) == rev(K, phi)
+
+
+def _h_c2p(rev, uni, K, Kp, phi, psi):
+    if K & phi or phi & psi:
+        return True
+    return rev(rev(K, psi), phi) == rev(K, phi)
+
+
+def _h_c3(rev, uni, K, Kp, phi, psi):
+    r = rev(K, phi)
+    if (r | psi) != psi:
+        return True
+    return (rev(rev(K, psi), phi) | psi) == psi
+
+
+def _h_c4(rev, uni, K, Kp, phi, psi):
+    if (rev(K, phi) & psi) == 0:
+        return True
+    return (rev(rev(K, psi), phi) & psi) != 0
+
+
+def _h_phiandpsi(rev, uni, K, Kp, phi, psi):
+    r = rev(K, psi)
+    if (r & phi) == 0:
+        return True
+    return rev(r, phi) == rev(K, psi & phi)
+
+
+def _h_psi(rev, uni, K, Kp, phi, psi):
+    if rev(K, psi | phi) & phi:
+        return True
+    return rev(rev(K, psi), phi) == rev(K, phi)
+
+
+def _h_gen(rev, uni, K, Kp, phi, psi):
+    r = rev(K, phi)
+    if (r | psi) != psi:
+        return True
+    return rev(rev(K, psi), phi) == r
+
+# The scalar statement of each clause: True when the binding satisfies it.
+HOLDS = {
+    PostulateId.K1: _h_k1,
+    PostulateId.K2: _h_k2,
+    PostulateId.K3: _h_k3,
+    PostulateId.K4: _h_k4,
+    PostulateId.K5: _h_k5,
+    PostulateId.K6: _h_k6,
+    PostulateId.K7: _h_k7,
+    PostulateId.K8: _h_k8,
+    PostulateId.K9: _h_k9,
+    PostulateId.K9_1: _h_k9_1,
+    PostulateId.K9_2: _h_k9_2,
+    PostulateId.K9_2P: _h_k9_2p,
+    PostulateId.U8: _h_u8,
+    PostulateId.U8_1: _h_u8_1,
+    PostulateId.U8_2: _h_u8_2,
+    PostulateId.C1: _h_c1,
+    PostulateId.C2: _h_c2,
+    PostulateId.C2P: _h_c2p,
+    PostulateId.C3: _h_c3,
+    PostulateId.C4: _h_c4,
+    PostulateId.P_PHIANDPSI: _h_phiandpsi,
+    PostulateId.P_PSI: _h_psi,
+    PostulateId.P_GEN: _h_gen,
+    PostulateId.P_KM1: _h_km1,
+    PostulateId.P_K9U81: _h_k9u81,
+}
+
+
+def replay_reference(v, rv):
+    """Violation.replay by the clause's scalar statement: True when the
+    recorded bindings still violate it."""
+    return not HOLDS[v.postulate](
+        rv.revise_mask,
+        rv.sig.universe_mask,
+        v.k.models.mask,
+        v.kprime.models.mask if v.kprime is not None else 0,
+        v.phi.mask,
+        v.psi.mask if v.psi is not None else 0,
+    )
+
+
 def sampled_reference(rv, pid, seed, samples):
     """Sampled mode for one clause with its own generator: ``samples``
     bindings from random.Random(seed), one randrange per quantifier in
@@ -224,7 +431,7 @@ def sampled_reference(rv, pid, seed, samples):
     shape = clause.shape
     rng = random.Random(seed)
     rev = rv.revise_mask
-    holds = clause.holds
+    holds = HOLDS[pid]
     nmasks = uni + 1
     for position in range(samples):
         K = rng.randrange(nmasks)
@@ -237,7 +444,7 @@ def sampled_reference(rv, pid, seed, samples):
 
 
 def first_violation(rv, pid):
-    """Exhaustive check of one clause, one scalar ``holds`` call per
+    """Exhaustive check of one clause, one scalar ``HOLDS`` call per
     binding in lexicographic order (K, then K', then phi, then psi).
 
     Returns the first failing binding as (K, K', phi, psi) masks, with 0
@@ -245,7 +452,7 @@ def first_violation(rv, pid):
     clause holds everywhere.
     """
     clause = _CLAUSES[pid]
-    holds = clause.holds
+    holds = HOLDS[pid]
     uni = rv.sig.universe_mask
     nmasks = uni + 1
     table = rv.table()

@@ -1,6 +1,10 @@
 """Command-line behavior: outputs, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -217,6 +221,22 @@ class TestEnumerate:
         code, out, err = run(capsys, "enumerate", "--atoms", "4", "--count-only")
         assert code == 2
         assert out == "" and err.startswith("error:")
+
+    def test_closed_pipe_exits_141_quietly(self):
+        # the listing is 8.7 MB, far past a pipe's buffer, so the command is
+        # still writing when its reader closes the pipe after one line
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+        proc = subprocess.Popen([sys.executable, "-m", "rankedrev", "enumerate", "--atoms", "3"],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        try:
+            assert proc.stdout.readline() == b"0 0 0 0 0 0 0 0\n"
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert proc.wait(timeout=60) == 141
+            assert err == b""
+        finally:
+            proc.kill()
+            proc.wait()
 
     @pytest.mark.parametrize("atoms", ["p,p", "true"])
     def test_bad_atoms_exit_two(self, capsys, atoms):

@@ -48,6 +48,7 @@ from oracles import (
     dynamic_underdetermination_reference,
     first_violation,
     kff_pass_reference,
+    replay_reference,
     sampled_reference,
 )
 
@@ -886,6 +887,59 @@ class TestViolationSoundness:
         text = v.describe()
         for key in ("K=", "Kprime=", "phi=", "observed=", "required="):
             assert key in text
+
+
+class TestReplayMatchesScalarForm:
+    """Violation.replay, which evaluates the clause's block form on one
+    binding, against the clause's scalar statement in the oracles: the same
+    answer on every violation the corpora give, and again after the
+    witness's own cell rev(K, phi) is changed, in a TableRevision copy up
+    to 3 atoms and past that in a revision that overrides the one cell."""
+
+    def _check(self, rv, violations, outcomes):
+        nm = rv.sig.universe_mask + 1
+        cells = [rv.revise_mask(k, f) for k in range(nm) for f in range(nm)] if nm <= 256 else None
+        for v in violations:
+            assert v.replay(rv) and replay_reference(v, rv), v.describe()
+            K, phi = v.k.models.mask, v.phi.mask
+            old = rv.revise_mask(K, phi)
+            for new in {0, nm - 1, (old + 1) % nm} - {old}:
+                if cells is None:
+                    changed = OutOfRange(rv, {(K, phi): new})
+                else:
+                    changed_cells = list(cells)
+                    changed_cells[K * nm + phi] = new
+                    changed = TableRevision(rv.sig, changed_cells)
+                stays = v.replay(changed)
+                assert stays == replay_reference(v, changed), (v.describe(), new)
+                outcomes[stays] += 1
+
+    def test_two_atom_ranked_and_perturbed_tables(self, revs75):
+        outcomes = Counter()
+        for rv in [*revs75, *_perturbed_revisions(revs75, 200, 2002)]:
+            self._check(rv, run_suite(rv, PostulateId).violations, outcomes)
+        assert outcomes[True] >= 1000 and outcomes[False] >= 1000, outcomes
+
+    @pytest.mark.parametrize("sig, levels", [(SIG3, (2, 5, 8)), (SIG4, (3, 9, 16))],
+                             ids=["3atoms", "4atoms"])
+    def test_sampled_runs(self, sig, levels):
+        outcomes = Counter()
+        for level in levels:
+            rv = RankedRevision(random_rank_function(sig, level, level))
+            report = run_suite(rv, PostulateId, mode="sampled", seed=level, samples=500)
+            self._check(rv, report.violations, outcomes)
+        assert outcomes[True] and outcomes[False], outcomes
+
+    def test_cell_past_the_masks(self, sig2):
+        # K1 reports no observed theory at the cell outside the signature
+        rv = OutOfRange(RankedRevision(random_rank_function(sig2, 3, 1)),
+                        {(6, 9): sig2.universe_mask + 1})
+        v = check_postulate(rv, PostulateId.K1)
+        assert v.observed is None
+        outcomes = Counter()
+        self._check(rv, [v], outcomes)
+        # any mask in the cell mends K1 there
+        assert outcomes == {False: 3}
 
 
 class TestImplication9pTo92:
