@@ -170,8 +170,7 @@ def _cmd_enumerate(args) -> int:
     if args.count_only:
         print(count_rank_functions(sig))
         return 0
-    for r in enumerate_rank_functions(sig):
-        print(" ".join(str(x) for x in r.ranks))
+    sys.stdout.writelines(" ".join(map(str, r.ranks)) + "\n" for r in enumerate_rank_functions(sig))
     return 0
 
 

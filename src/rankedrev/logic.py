@@ -36,7 +36,9 @@ _RESERVED_WORDS = frozenset({"true", "false"})
 
 @dataclass(frozen=True)
 class Signature:
-    """An ordered tuple of atom names; fixes the valuation universe."""
+    """An ordered tuple of atom names; fixes the valuation universe, whose
+    sizes ``n``, ``num_valuations`` (2**n) and ``universe_mask`` (one bit
+    per valuation) are computed once and are not fields."""
 
     atoms: tuple[str, ...]
 
@@ -54,6 +56,9 @@ class Signature:
                 # 'true' and 'false' are constants of the formula grammar.
                 raise SignatureError(f"atom name {name!r} is reserved")
         n = len(atoms)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "num_valuations", 1 << n)
+        object.__setattr__(self, "universe_mask", (1 << (1 << n)) - 1)
         object.__setattr__(self, "_index", {a: i for i, a in enumerate(atoms)})
         masks = []
         for i in range(n):
@@ -65,19 +70,6 @@ class Signature:
                 m, width = m | m << width, 2 * width
             masks.append(m)
         object.__setattr__(self, "_atom_masks", tuple(masks))
-
-    @property
-    def n(self) -> int:
-        return len(self.atoms)
-
-    @property
-    def num_valuations(self) -> int:
-        return 1 << self.n
-
-    @property
-    def universe_mask(self) -> int:
-        """Bitmask with one set bit per valuation."""
-        return (1 << self.num_valuations) - 1
 
     def atom_truth_mask(self, name: str) -> int:
         """Mask of the valuations that make ``name`` true."""

@@ -11,12 +11,13 @@ ordered-set-partition (Fubini) number of m.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 import sys
 from collections import Counter
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, repeat
 from typing import Iterator, Sequence
 
 from .errors import RankFileError, SignatureTooLargeError, TableTooLargeError
@@ -26,7 +27,7 @@ ENUM_MAX_ATOMS = 3
 CONSEQUENCE_TABLE_MAX_ATOMS = 4  # 2**16 entries; 5 atoms would need 2**32
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RankFunction:
     """One natural-number rank per valuation, indexed by valuation."""
 
@@ -34,12 +35,12 @@ class RankFunction:
     ranks: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "ranks", tuple(self.ranks))
-        if len(self.ranks) != self.sig.num_valuations:
-            raise ValueError(
-                f"need {self.sig.num_valuations} ranks, got {len(self.ranks)}"
-            )
-        if any(r < 0 for r in self.ranks):
+        ranks = self.ranks
+        if type(ranks) is not tuple:
+            object.__setattr__(self, "ranks", ranks := tuple(ranks))
+        if len(ranks) != self.sig.num_valuations:
+            raise ValueError(f"need {self.sig.num_valuations} ranks, got {len(ranks)}")
+        if min(ranks) < 0:
             raise ValueError("ranks must be natural numbers")
 
     @property
@@ -171,26 +172,35 @@ def enumerate_rank_functions(sig: Signature) -> Iterator[RankFunction]:
     in lexicographic order of the rank vector.
 
     The count equals the Fubini number of 2**n, so enumeration is capped
-    at n <= 3 (545835 functions).
+    at n <= 3 (545835 functions); a larger signature raises at the call.
+
+    It is lazy per prefix of half the valuations: each prefix is followed
+    by its completions, whose list depends only on the position and the
+    ranks used so far, so it is built once and shared by every prefix
+    that reaches it. The order is the one above.
     """
     _check_enumerable(sig)
     m = sig.num_valuations
-    vec = [0] * m
 
-    def rec(i: int, used: int, top: int) -> Iterator[RankFunction]:
-        if i == m:
-            yield RankFunction(sig, tuple(vec))
-            return
-        remaining = m - i - 1
+    def choices(i: int, used: int) -> Iterator[tuple[int, int]]:
+        # ranks c for valuation i that leave the holes below the top fillable
         for c in range(m):
-            new_used = used | (1 << c)
-            new_top = c if c > top else top
-            # holes below the current top must still be fillable
-            if (new_top + 1) - new_used.bit_count() <= remaining:
-                vec[i] = c
-                yield from rec(i + 1, new_used, new_top)
+            u = used | 1 << c
+            if u.bit_length() - u.bit_count() < m - i:
+                yield c, u
 
-    return rec(0, 0, -1)
+    @functools.cache
+    def completions(i: int, used: int) -> list[tuple[int, ...]]:
+        if i == m:
+            return [()]
+        return [(c,) + t for c, u in choices(i, used) for t in completions(i + 1, u)]
+
+    def functions(i: int, used: int, head: tuple[int, ...]) -> Iterator[RankFunction]:
+        if i == m // 2:
+            return map(RankFunction, repeat(sig), map(head.__add__, completions(i, used)))
+        return chain.from_iterable(functions(i + 1, u, head + (c,)) for c, u in choices(i, used))
+
+    return functions(0, 0, ())
 
 
 def sweep_orbits(sig: Signature) -> Iterator[tuple[RankFunction, int]]:

@@ -43,8 +43,7 @@ class ConsequenceRelation:
         expected = self.sig.universe_mask + 1
         if len(self.consequences) != expected:
             raise ValueError(f"need {expected} entries, got {len(self.consequences)}")
-        uni = self.sig.universe_mask
-        if any(not 0 <= c <= uni for c in self.consequences):
+        if not 0 <= min(self.consequences) <= max(self.consequences) <= self.sig.universe_mask:
             raise ValueError("consequence masks out of range")
 
     @classmethod

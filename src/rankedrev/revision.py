@@ -166,7 +166,7 @@ class TableRevision(Revision):
         cells = tuple(cells)
         if len(cells) != nmasks * nmasks:
             raise ValueError(f"need {nmasks * nmasks} cells, got {len(cells)}")
-        if any(not 0 <= c <= sig.universe_mask for c in cells):
+        if not 0 <= min(cells) <= max(cells) <= sig.universe_mask:
             raise ValueError("cell values must be model masks over the signature")
         self.cells = cells
         self._nmasks = nmasks

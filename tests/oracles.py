@@ -2,7 +2,8 @@
 
 Everything here recomputes expected values from first principles,
 without going through the code paths under test: a per-valuation truth
-evaluator, a binomial-recurrence counter for ordered set partitions, a
+evaluator, a binomial-recurrence counter for ordered set partitions,
+the recursive rank-function enumerator that rebuilds every suffix, a
 sort-based minimum-rank extractor, per-valuation atom masks, the
 token-by-token rank-file parser, a constraint search that finds every
 rational choice table at small sizes, the per-mask consequence table,
@@ -49,6 +50,29 @@ def fubini(m: int) -> int:
     for size in range(1, m + 1):
         a.append(sum(math.comb(size, k) * a[size - k] for k in range(1, size + 1)))
     return a[m]
+
+
+def enumerate_rank_functions_reference(sig):
+    """enumerate_rank_functions as one recursive generator that rebuilds
+    every suffix: rank vectors in lexicographic order, each rank chosen
+    so that the holes below the top can still be filled."""
+    m = sig.num_valuations
+    vec = [0] * m
+
+    def rec(i: int, used: int, top: int):
+        if i == m:
+            yield RankFunction(sig, tuple(vec))
+            return
+        remaining = m - i - 1
+        for c in range(m):
+            new_used = used | (1 << c)
+            new_top = c if c > top else top
+            # holes below the current top must still be fillable
+            if (new_top + 1) - new_used.bit_count() <= remaining:
+                vec[i] = c
+                yield from rec(i + 1, new_used, new_top)
+
+    return rec(0, 0, -1)
 
 
 def eval_formula(f, env: dict) -> bool:

@@ -8,10 +8,10 @@ from pathlib import Path
 
 import pytest
 
-from rankedrev import format_rank_file, random_rank_function
+from rankedrev import enumerate_rank_functions, format_rank_file, random_rank_function
 from rankedrev.cli import main
 
-from helpers import R0, SIG3, SIG4, SIG5
+from helpers import R0, SIG2, SIG3, SIG4, SIG5
 
 R0_FILE = "atoms: p q\n0: 11\n1: 01 10\n2: 00\n"
 
@@ -209,6 +209,13 @@ class TestEnumerate:
         code, out, _ = run(capsys, "enumerate", "--atoms", "p")
         assert code == 0
         assert out.splitlines() == ["0 0", "0 1", "1 0"]
+
+    def test_two_atom_listing(self, capsys):
+        code, out, _ = run(capsys, "enumerate", "--atoms", "p,q")
+        assert code == 0
+        ranks = [r.ranks for r in enumerate_rank_functions(SIG2)]
+        assert len(ranks) == 75
+        assert out == "".join(" ".join(str(x) for x in v) + "\n" for v in ranks)
 
     def test_count_only(self, capsys):
         code, out, _ = run(capsys, "enumerate", "--atoms", "p,q", "--count-only")

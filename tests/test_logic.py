@@ -1,5 +1,9 @@
 """Logic core: parsing, truth-table semantics, theory algebra."""
 
+import copy
+import dataclasses
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -34,6 +38,25 @@ class TestSignature:
         assert sig2.n == 2
         assert sig2.num_valuations == 4
         assert sig2.universe_mask == 0b1111
+
+    @pytest.mark.parametrize("n", [1, 3, 16])
+    def test_sizes(self, n):
+        sig = Signature(tuple(f"a{i}" for i in range(n)))
+        assert (sig.n, sig.num_valuations, sig.universe_mask) == (n, 2**n, 2**2**n - 1)
+        for clone in (pickle.loads(pickle.dumps(sig)), copy.deepcopy(sig)):
+            assert clone == sig
+            assert (clone.n, clone.num_valuations, clone.universe_mask) == (n, 2**n, 2**2**n - 1)
+
+    def test_sizes_are_not_fields(self):
+        sig = Signature(["p", "q"])
+        assert [f.name for f in dataclasses.fields(sig)] == ["atoms"]
+        assert repr(sig) == "Signature(atoms=('p', 'q'))"
+        assert sig == SIG2 and hash(sig) == hash(SIG2)
+        assert sig != Signature(("p", "r"))
+
+    def test_universe_mask_computed_once(self):
+        sig = Signature(tuple(f"a{i}" for i in range(16)))
+        assert sig.universe_mask is sig.universe_mask
 
     def test_bit_order_first_atom_most_significant(self, sig2):
         # valuation "10" (p true, q false) is index 2

@@ -1,5 +1,8 @@
 """Rank functions: default consequences, normalization, enumeration, file IO."""
 
+import copy
+import dataclasses
+import pickle
 import random
 
 import pytest
@@ -28,6 +31,7 @@ from rankedrev.ranking import count_rank_functions
 from helpers import R0, SIG1, SIG2, SIG3, SIG4, ps, th
 from oracles import (
     consequence_table_reference,
+    enumerate_rank_functions_reference,
     fubini,
     min_rank_valuations,
     parse_rank_file_reference,
@@ -130,6 +134,52 @@ class TestConsequenceTable:
         assert table == normalize(rank).consequence_table()
         assert table[0x8000] == 0x8000
 
+
+class TestRankFunctionValue:
+    def test_list_stored_as_tuple(self):
+        r = RankFunction(SIG2, [2, 1, 1, 0])
+        assert type(r.ranks) is tuple and r.ranks == (2, 1, 1, 0)
+        assert r == R0 and hash(r) == hash(R0)
+
+    @pytest.mark.parametrize("ranks, message", [
+        ((0, 1, 2), "need 4 ranks, got 3"),
+        ([0] * 5, "need 4 ranks, got 5"),
+        ((0, -1, 1, 2), "ranks must be natural numbers"),
+    ])
+    def test_rejects_bad_ranks(self, ranks, message):
+        with pytest.raises(ValueError) as err:
+            RankFunction(SIG2, ranks)
+        assert str(err.value) == message
+
+    def test_slotted(self):
+        assert not hasattr(R0, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            R0.ranks = (0, 0, 0, 0)
+
+    @pytest.mark.parametrize("clone", [
+        lambda r: pickle.loads(pickle.dumps(r)),
+        copy.deepcopy,
+        copy.copy,
+        dataclasses.replace,
+    ])
+    def test_copies_are_equal_values(self, clone):
+        r = clone(R0)
+        assert r == R0 and hash(r) == hash(R0)
+        assert r.sig == SIG2 and type(r.ranks) is tuple
+        assert r.min_models_mask(0b0110) == R0.min_models_mask(0b0110)
+
+    def test_replace_checks_again(self):
+        assert dataclasses.replace(R0, ranks=[0, 0, 1, 1]).ranks == (0, 0, 1, 1)
+        with pytest.raises(ValueError, match="need 4 ranks, got 2"):
+            dataclasses.replace(R0, ranks=(0, 1))
+
+    def test_equality_and_hash_by_value(self):
+        assert RankFunction(SIG2, (2, 1, 1, 0)) == R0
+        assert RankFunction(SIG2, (2, 1, 1, 1)) != R0
+        assert RankFunction(Signature(("p", "r")), (2, 1, 1, 0)) != R0
+        assert len({R0, RankFunction(SIG2, [2, 1, 1, 0])}) == 1
+
+
 class TestNormalize:
     def test_relabels_contiguously(self):
         sig = SIG2
@@ -181,8 +231,32 @@ class TestEnumerate:
     def test_all_normalized(self, ranks75):
         assert all(r.is_normalized for r in ranks75)
 
+    @pytest.mark.parametrize("sig", [SIG1, SIG2])
+    def test_matches_reference(self, sig):
+        assert list(enumerate_rank_functions(sig)) == list(enumerate_rank_functions_reference(sig))
+
     def test_three_atom_count_is_fubini(self):
-        assert sum(1 for _ in enumerate_rank_functions(SIG3)) == fubini(8) == 545835
+        # strictly increasing, all normalized and as many as there are
+        # normalized vectors: exactly the sorted normalized vectors
+        count, prev = 0, ()
+        for r in enumerate_rank_functions(SIG3):
+            assert prev < r.ranks and r.is_normalized
+            prev = r.ranks
+            count += 1
+        assert count == fubini(8) == 545835
+
+    def test_first_three_atom_function_is_cheap(self, monkeypatch):
+        built = 0
+        check = RankFunction.__post_init__
+
+        def counting(self):
+            nonlocal built
+            built += 1
+            check(self)
+
+        monkeypatch.setattr(RankFunction, "__post_init__", counting)
+        assert next(enumerate_rank_functions(SIG3)).ranks == (0,) * 8
+        assert built < 545835 // 100
 
     def test_four_atoms_rejected(self):
         with pytest.raises(SignatureTooLargeError):

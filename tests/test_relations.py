@@ -28,6 +28,17 @@ def _table_relation(sig, overrides):
     )
 
 
+class TestConsequenceRelation:
+    @pytest.mark.parametrize("entry", [-1, 16])
+    def test_entries_out_of_range(self, entry):
+        table = list(R0.consequence_table())
+        table[9] = entry
+        with pytest.raises(ValueError, match="consequence masks out of range"):
+            ConsequenceRelation(SIG2, table)
+        table[9] = 15
+        assert ConsequenceRelation(SIG2, table).consequences[9] == 15
+
+
 class TestCheckRationality:
     def test_rank_relation_passes_everything(self):
         report = check_rationality(ConsequenceRelation.from_rank(R0))

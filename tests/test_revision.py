@@ -203,6 +203,13 @@ class TestTableRevision:
         with pytest.raises(ValueError):
             TableRevision(sig2, [0] * 10)
 
+    @pytest.mark.parametrize("cell", [-1, 16])
+    def test_cells_out_of_range(self, rv0, sig2, cell):
+        cells = list(TableRevision.from_function(sig2, rv0.revise_mask).cells)
+        cells[7] = cell
+        with pytest.raises(ValueError, match="cell values must be model masks over the signature"):
+            TableRevision(sig2, cells)
+
     def test_from_function_and_equality(self, rv0, sig2):
         tab = TableRevision.from_function(sig2, rv0.revise_mask)
         assert tab.same_revision(rv0)
