@@ -33,7 +33,7 @@ from .errors import (
 from .logic import _ZERO, PropSet, Signature, Theory, _first_byte, _ints, _masks
 from .ranking import RankFunction, enumerate_rank_functions
 from .render import dnf_text, theory_text
-from .revision import TABLE_MAX_ATOMS, Revision
+from .revision import TABLE_MAX_ATOMS, RankedRevision, Revision
 
 
 class PostulateId(Enum):
@@ -131,7 +131,7 @@ def _packed(rv: Revision) -> _Packed:
     """The revision's packed table, built on first use and kept on the
     revision like the rows it packs."""
     if rv._packed is None:
-        rv._packed = _Packed(rv._byte_rows(), rv.sig.universe_mask)
+        rv._packed = _Packed(rv.table(), rv.sig.universe_mask)
     return rv._packed
 
 
@@ -494,15 +494,7 @@ class Violation:
         return next(_BLOCK_FAILS[self.postulate.name](block), None) is not None
 
     def describe(self) -> str:
-        parts = [f"K={theory_text(self.k)}"]
-        if self.kprime is not None:
-            parts.append(f"Kprime={theory_text(self.kprime)}")
-        parts.append(f"phi={dnf_text(self.phi)}")
-        if self.psi is not None:
-            parts.append(f"psi={dnf_text(self.psi)}")
-        parts.append(f"observed={self._observed_text()}")
-        parts.append(f"required={self.required}")
-        return "; ".join(parts)
+        return "; ".join(f"{k}={v}" for k, v in self.witness_json().items())
 
     def witness_json(self) -> dict:
         out = {"K": theory_text(self.k)}
@@ -511,14 +503,10 @@ class Violation:
         out["phi"] = dnf_text(self.phi)
         if self.psi is not None:
             out["psi"] = dnf_text(self.psi)
-        out["observed"] = self._observed_text()
+        out["observed"] = ("not a theory over the signature" if self.observed is None
+                           else theory_text(self.observed))
         out["required"] = self.required
         return out
-
-    def _observed_text(self) -> str:
-        if self.observed is None:
-            return "not a theory over the signature"
-        return theory_text(self.observed)
 
 
 def _make_violation(rv: Revision, pid: PostulateId, K: int, Kp: int,
@@ -929,11 +917,10 @@ class UnderdeterminationWitness:
 
 
 @functools.cache
-def _two_atom_bottoms() -> tuple[list[tuple[int, ...]], list[bytes]]:
-    """The 75 normalized rank vectors at 2 atoms, in enumeration order,
-    and their bottom rows as bytes; neither depends on the atom names."""
-    ranks = list(enumerate_rank_functions(Signature(("p", "q"))))
-    return [r.ranks for r in ranks], [bytes(r._consequence_cells()) for r in ranks]
+def _two_atom_revisions() -> tuple[RankedRevision, ...]:
+    """The 75 normalized rank functions at 2 atoms, in enumeration order,
+    as revisions; their tables do not depend on the atom names."""
+    return tuple(map(RankedRevision, enumerate_rank_functions(Signature(("p", "q")))))
 
 
 def dynamic_underdetermination(sig: Signature, k: Theory) -> UnderdeterminationWitness:
@@ -951,8 +938,9 @@ def dynamic_underdetermination(sig: Signature, k: Theory) -> UnderdeterminationW
         )
     nmasks = sig.universe_mask + 1
     km = k.models.mask
-    ranks, bottoms = _two_atom_bottoms()
-    rows = [bytes(km & f or b[f] for f in range(nmasks)) for b in bottoms]
+    revs = _two_atom_revisions()
+    tables = [rv.table() for rv in revs]
+    rows = [t[km] for t in tables]
     # K*false is the inconsistent theory, whose row is the bottom row, and
     # distinct normalized rank functions have distinct bottom rows. So the
     # first pair (i < j) whose rows at K agree diverges at psi = false, on
@@ -960,11 +948,11 @@ def dynamic_underdetermination(sig: Signature, k: Theory) -> UnderdeterminationW
     for i, row in enumerate(rows):
         if row in rows[i + 1:]:
             j = rows.index(row, i + 1)
-            phi = next(f for f in range(nmasks) if bottoms[i][f] != bottoms[j][f])
+            phi = next(f for f in range(nmasks) if tables[i][0][f] != tables[j][0][f])
             return UnderdeterminationWitness(
                 anchor=k,
-                first=RankFunction(sig, ranks[i]),
-                second=RankFunction(sig, ranks[j]),
+                first=RankFunction(sig, revs[i].rank.ranks),
+                second=RankFunction(sig, revs[j].rank.ranks),
                 psi=PropSet.empty(sig),
                 phi=PropSet(sig, phi),
             )

@@ -16,6 +16,7 @@ exhaustive sweeps may evaluate disjoint cells concurrently.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable, Optional, Sequence
@@ -60,7 +61,6 @@ class Revision:
     def __init__(self, sig: Signature):
         self.sig = sig
         self._rows = None
-        self._table = None
         self._packed = None
 
     def revise_mask(self, k_mask: int, f_mask: int) -> int:
@@ -69,21 +69,12 @@ class Revision:
     def revise(self, k: Theory, f: PropSet) -> Theory:
         return Theory(PropSet(self.sig, self.revise_mask(k.models.mask, f.mask)))
 
-    def table(self) -> tuple[tuple[int, ...], ...]:
-        """revise_mask tabulated as table[k_mask][f_mask]."""
-        if self._table is None:
-            self._table = tuple(map(tuple, self._byte_rows()))
-        return self._table
-
-    def _byte_rows(self) -> Sequence[Sequence[int]]:
-        """The table's rows, built once: bytes where the revision packs
-        them, else tuples of revise_mask's ints, which may not fit a byte."""
+    def table(self) -> Sequence[Sequence[int]]:
+        """revise_mask tabulated as table[k_mask][f_mask], built once: rows
+        of bytes where the revision packs them, else tuples of revise_mask's
+        ints, which may not fit a byte."""
         if self._rows is None:
-            if self.sig.n > TABLE_MAX_ATOMS:
-                raise DomainTooLargeError(
-                    f"full revision table needs 4**{self.sig.num_valuations} cells; "
-                    f"at most {TABLE_MAX_ATOMS} atoms supported"
-                )
+            _check_tabulable(self.sig)
             self._rows = self._tabulate()
         return self._rows
 
@@ -97,8 +88,18 @@ class Revision:
         return list(map(self.revise_mask, ks, fs))
 
     def same_revision(self, other: "Revision") -> bool:
-        """Pointwise equality over the finite domain."""
-        return self.sig == other.sig and self.table() == other.table()
+        """Pointwise equality over the finite domain; a row of bytes equals
+        a row of ints with the same cells."""
+        return self.sig == other.sig and all(
+            tuple(a) == tuple(b) for a, b in zip(self.table(), other.table()))
+
+
+def _check_tabulable(sig: Signature) -> None:
+    if sig.n > TABLE_MAX_ATOMS:
+        raise DomainTooLargeError(
+            f"full revision table needs 4**{sig.num_valuations} cells; "
+            f"at most {TABLE_MAX_ATOMS} atoms supported"
+        )
 
 
 class _ExpandOrRow(Revision):
@@ -120,7 +121,7 @@ class _ExpandOrRow(Revision):
         row = self._cells()
         return [k & f or row[f] for k, f in zip(ks, fs)]
 
-    def _tabulate(self) -> list[bytes]:
+    def _tabulate(self) -> Sequence[Sequence[int]]:
         """One packed row per theory: byte phi of inter[K] | (ROW & apart[K])
         is K & phi when that is nonzero, else row[phi]. A row with a cell
         outside 0..255 cannot be packed, so its table is tabulated cell by
@@ -132,8 +133,8 @@ class _ExpandOrRow(Revision):
             return super()._tabulate()
         nmasks = len(row)
         m = _masks(nmasks)
-        return [(inter | (packed & apart)).to_bytes(nmasks, "little")
-                for inter, apart in zip(m.inter, m.apart)]
+        return tuple((inter | (packed & apart)).to_bytes(nmasks, "little")
+                     for inter, apart in zip(m.inter, m.apart))
 
 
 class RankedRevision(_ExpandOrRow):
@@ -156,35 +157,34 @@ class RankedRevision(_ExpandOrRow):
 
 class TableRevision(Revision):
     """Explicit (theory, formula) -> theory map; the vehicle for testing
-    arbitrary candidate revisions."""
+    arbitrary candidate revisions. ``cells`` is the table flattened row
+    by row, as bytes: the cells are model masks, so they fit a byte at
+    the 3 atoms a table is capped at."""
 
     tag = "table"
 
-    def __init__(self, sig: Signature, cells: Sequence[int]):
+    def __init__(self, sig: Signature, cells: Iterable[int]):
         super().__init__(sig)
+        _check_tabulable(sig)
         nmasks = sig.universe_mask + 1
         cells = tuple(cells)
         if len(cells) != nmasks * nmasks:
             raise ValueError(f"need {nmasks * nmasks} cells, got {len(cells)}")
         if not 0 <= min(cells) <= max(cells) <= sig.universe_mask:
             raise ValueError("cell values must be model masks over the signature")
-        self.cells = cells
-        self._nmasks = nmasks
+        self.cells = bytes(cells)
+        self._rows = tuple(self.cells[k:k + nmasks] for k in range(0, nmasks * nmasks, nmasks))
 
     @classmethod
     def from_function(
         cls, sig: Signature, fn: Callable[[int, int], int]
     ) -> "TableRevision":
         nmasks = sig.universe_mask + 1
-        return cls(sig, [fn(k, f) for k in range(nmasks) for f in range(nmasks)])
+        # lazily, so a signature past the cap raises before fn is called
+        return cls(sig, (fn(k, f) for k in range(nmasks) for f in range(nmasks)))
 
     def revise_mask(self, k_mask: int, f_mask: int) -> int:
-        return self.cells[k_mask * self._nmasks + f_mask]
-
-    def _tabulate(self) -> list[bytes]:
-        # the cells are model masks, so they fit a byte at 3 atoms and fewer
-        cells, n = bytes(self.cells), self._nmasks
-        return [cells[k:k + n] for k in range(0, n * n, n)]
+        return self._rows[k_mask][f_mask]
 
 
 class ConservativeRevision(_ExpandOrRow):
@@ -224,8 +224,9 @@ def conservative_extension(rv: Revision, k: Theory) -> ConservativeRevision:
 
 def relation_of_revision(rv: Revision, base: Theory) -> ConsequenceRelation:
     """The consequence relation phi |-> revise(base, phi): row ``base`` of
-    the revision's table."""
-    return ConsequenceRelation(rv.sig, rv._byte_rows()[base.models.mask])
+    the revision, read cell by cell without building its table."""
+    return ConsequenceRelation.from_function(rv.sig, functools.partial(rv.revise_mask,
+                                                                        base.models.mask))
 
 
 def revision_of_relation(rel: ConsequenceRelation) -> RelationRevision:

@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 from rankedrev import (
     PropSet,
     RankFunction,
@@ -18,6 +23,8 @@ SIG3 = Signature(("p", "q", "r"))
 SIG4 = Signature(("p", "q", "r", "s"))
 SIG5 = Signature(("p", "q", "r", "s", "t"))
 SIG16 = Signature(tuple("pqrstuvwxyzabcde"))  # the CLI's default atom names
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 # running example: 11 most plausible, then 01 and 10, then 00
 R0 = RankFunction(SIG2, (2, 1, 1, 0))
@@ -45,3 +52,23 @@ class OutOfRange(Revision):
 
     def revise_mask(self, k_mask, f_mask):
         return self.cells.get((k_mask, f_mask), self.base.revise_mask(k_mask, f_mask))
+
+
+def run_capped(snippet: str) -> subprocess.CompletedProcess:
+    """Run ``snippet`` in a fresh interpreter that imports the package from
+    the source tree, with its address space capped at 256 MiB by RLIMIT_AS,
+    as the benchmark caps its workload process. Code that tries to allocate
+    a table past the caps then dies with MemoryError in the child, and code
+    that fills one slowly hits the 60 s timeout, instead of exhausting the
+    machine."""
+    cap = (
+        "import resource\n"
+        "_, hard = resource.getrlimit(resource.RLIMIT_AS)\n"
+        "cap = 256 << 20\n"
+        "if hard != resource.RLIM_INFINITY:\n"
+        "    cap = min(cap, hard)\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (cap, hard))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run([sys.executable, "-c", cap + snippet], env=env,
+                          capture_output=True, text=True, timeout=60)

@@ -3,11 +3,13 @@ theory-floor models, conservative extension, iteration."""
 
 import pytest
 
+from rankedrev import revision
 from rankedrev import (
     ConsequenceRelation,
     PropSet,
     RankedRevision,
     RankFunction,
+    Revision,
     Severity,
     TableRevision,
     Theory,
@@ -25,7 +27,7 @@ from rankedrev import (
     with_theory_floor,
 )
 
-from helpers import R0, SIG1, SIG2, SIG3, OutOfRange, ps, th
+from helpers import R0, SIG1, SIG2, SIG3, SIG4, OutOfRange, ps, run_capped, th
 
 
 class TestRevise:
@@ -82,6 +84,22 @@ class TestRelationOfRevision:
             rel = relation_of_revision(rv0, Theory(PropSet(sig2, km)))
             assert check_rationality(rel).all_pass
 
+    def test_reads_one_row_and_builds_no_table(self, monkeypatch):
+        def refuse(rv):
+            raise AssertionError("relation_of_revision built a table")
+
+        monkeypatch.setattr(Revision, "_tabulate", refuse)
+        monkeypatch.setattr(revision._ExpandOrRow, "_tabulate", refuse)
+        rank = random_rank_function(SIG3, 4, 3)
+        ranked = RankedRevision(rank)
+        base = Theory(PropSet(SIG3, 0x5A))
+        for rv in (ranked, conservative_extension(ranked, th(SIG3, "p")),
+                   revision_of_relation(ConsequenceRelation.from_rank(rank)),
+                   OutOfRange(ranked, {})):
+            rel = relation_of_revision(rv, base)
+            assert rel.consequences == tuple(rv.revise_mask(0x5A, f) for f in range(256))
+            assert rv._rows is None
+
 
 class TestRoundTrips:
     def test_relation_revision_relation(self, ranks75, sig2):
@@ -94,6 +112,14 @@ class TestRoundTrips:
         for rv in revs75:
             rel = relation_of_revision(rv, Theory.bottom(sig2))
             assert revision_of_relation(rel).same_revision(rv)
+
+    def test_four_atom_round_trips(self):
+        bot = Theory.bottom(SIG4)
+        for levels, seed in ((1, 0), (4, 1), (16, 2)):
+            r = random_rank_function(SIG4, levels, seed)
+            rel = ConsequenceRelation.from_rank(r)
+            assert relation_of_revision(revision_of_relation(rel), bot) == rel
+            assert relation_of_revision(RankedRevision(r), bot) == rel
 
     def test_true_row_recovers_relation(self, ranks75, sig2):
         # with K the default closure of true, membership in K*phi is the relation
@@ -226,6 +252,10 @@ def _cell_by_cell(rv):
     return tuple(tuple(rv.revise_mask(k, f) for f in range(nm)) for k in range(nm))
 
 
+def _int_rows(rv):
+    return tuple(map(tuple, rv.table()))
+
+
 class TestPackedTables:
     """table() built from the severe or anchor row equals revise_mask
     tabulated cell by cell."""
@@ -235,17 +265,15 @@ class TestPackedTables:
         rank = random_rank_function(sig, 3, 11)
         anchor = Theory(PropSet(sig, sig.universe_mask // 3))
         for rv in (RankedRevision(rank), conservative_extension(RankedRevision(rank), anchor)):
-            table = rv.table()
-            assert table == _cell_by_cell(rv)
-            assert all(type(row) is tuple and all(type(c) is int for c in row)
-                       for row in table)
+            assert _int_rows(rv) == _cell_by_cell(rv)
+            assert all(type(row) is bytes for row in rv.table())
             assert rv.same_revision(TableRevision.from_function(sig, rv.revise_mask))
 
     def test_every_two_atom_rank_function(self, revs75, sig2):
         for rv in revs75:
-            assert rv.table() == _cell_by_cell(rv)
+            assert _int_rows(rv) == _cell_by_cell(rv)
             ext = conservative_extension(rv, th(sig2, "p | q"))
-            assert ext.table() == _cell_by_cell(ext)
+            assert _int_rows(ext) == _cell_by_cell(ext)
 
     def test_anchor_row_outside_the_signature(self, rv0, sig2):
         # a row that cannot be packed is tabulated cell by cell
@@ -253,3 +281,43 @@ class TestPackedTables:
         ext = conservative_extension(source, Theory(PropSet(sig2, 7)))
         assert ext.table() == _cell_by_cell(ext)
         assert ext.table()[0][2] == -1 and ext.table()[0][9] == 300
+
+    def test_same_revision_across_row_types(self, rv0):
+        # OutOfRange tabulates rows of ints; the ranked revision packs bytes
+        ints = OutOfRange(rv0, {})
+        assert type(ints.table()[0]) is tuple and type(rv0.table()[0]) is bytes
+        assert ints.same_revision(rv0) and rv0.same_revision(ints)
+        off = OutOfRange(rv0, {(5, 10): 2})
+        assert not off.same_revision(rv0) and not rv0.same_revision(off)
+
+
+_CAPPED = """
+from rankedrev import (ConsequenceRelation, RankedRevError, Revision, Signature,
+                       TableRevision, Theory, relation_of_revision)
+calls = []
+def fn(*args):
+    calls.append(args)
+    return 0
+class Counting(Revision):
+    revise_mask = staticmethod(fn)
+sig = Signature(tuple("pqrstuvwxyzabcde"[:{n}]))
+try:
+    {call}
+except RankedRevError as e:
+    print(type(e).__name__, len(calls))
+"""
+
+
+@pytest.mark.parametrize("n, call, error", [
+    (4, "TableRevision.from_function(sig, fn)", "DomainTooLargeError"),
+    (4, "TableRevision(sig, [])", "DomainTooLargeError"),
+    (5, "ConsequenceRelation.from_function(sig, fn)", "TableTooLargeError"),
+    (5, "relation_of_revision(Counting(sig), Theory.bottom(sig))", "TableTooLargeError"),
+    (16, "relation_of_revision(Counting(sig), Theory.bottom(sig))", "TableTooLargeError"),
+])
+def test_tables_past_the_caps_raise_before_any_cell(n, call, error):
+    # in a child process under an address-space cap, so a regression that
+    # allocates the 2**32-cell table fails there instead of on the machine
+    done = run_capped(_CAPPED.format(n=n, call=call))
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == f"{error} 0\n"
