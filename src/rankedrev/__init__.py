@@ -71,9 +71,7 @@ from .relations import (
 )
 from .render import canonical_formula, dnf_text, theory_text
 from .revision import (
-    ConservativeRevision,
     RankedRevision,
-    RelationRevision,
     Revision,
     RevisionStep,
     Severity,

@@ -318,6 +318,12 @@ def _mask_of(f: Formula, sig: Signature) -> int:
 #   or      := and ("|" and)*
 #   and     := unary ("&" unary)*
 #   unary   := "!" unary | "(" formula ")" | "true" | "false" | atom
+#
+# Formulas nest at most MAX_FORMULA_DEPTH deep, counting each "!", "(" and
+# binary operator on the way down the text, and each level of the tree:
+# the parser, models_of and format_formula recurse that deep.
+
+MAX_FORMULA_DEPTH = 256
 
 _WORD_RE = re.compile(r"[a-z][a-z0-9_]*")
 
@@ -351,72 +357,73 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
+# each binary operator: how tightly it binds, how tightly its right
+# operand must bind (-> and <-> group to the right, & and | to the left),
+# and its node
+_BINARY = {"IFF": (1, 1, Iff), "IMP": (2, 2, Implies), "|": (3, 4, Or), "&": (4, 5, And)}
+
+
 class _Parser:
+    """Precedence climbing. ``binary`` and ``unary`` return a formula with
+    the height of its tree; ``depth`` counts the ``binary`` calls under way."""
+
     def __init__(self, tokens, sig: Signature):
         self.tokens = tokens
         self.sig = sig
         self.pos = 0
-
-    def peek(self) -> str:
-        return self.tokens[self.pos][0]
-
-    def next(self) -> tuple[str, str, int]:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
+        self.depth = 0
 
     def parse(self) -> Formula:
-        f = self.iff()
+        f = self.binary(1, 0)[0]
         kind, text, at = self.tokens[self.pos]
         if kind != "EOF":
             raise ParseError(f"unexpected {text!r}", at)
         return f
 
-    def iff(self) -> Formula:
-        left = self.imp()
-        if self.peek() == "IFF":
-            self.next()
-            return Iff(left, self.iff())
-        return left
+    def binary(self, min_prec: int, at: int) -> tuple[Formula, int]:
+        """A unary, then the operators that bind at least min_prec; ``at``
+        is where the text nests too deep if it does."""
+        if self.depth == MAX_FORMULA_DEPTH:
+            raise _too_deep(at)
+        self.depth += 1
+        left, height = self.unary()
+        tokens = self.tokens
+        while (op := _BINARY.get(tokens[self.pos][0])) and op[0] >= min_prec:
+            at = tokens[self.pos][2]
+            self.pos += 1
+            right, h = self.binary(op[1], at)
+            left, height = op[2](left, right), max(height, h) + 1
+            if height > MAX_FORMULA_DEPTH:
+                raise _too_deep(at)
+        self.depth -= 1
+        return left, height
 
-    def imp(self) -> Formula:
-        left = self.or_()
-        if self.peek() == "IMP":
-            self.next()
-            return Implies(left, self.imp())
-        return left
-
-    def or_(self) -> Formula:
-        f = self.and_()
-        while self.peek() == "|":
-            self.next()
-            f = Or(f, self.and_())
-        return f
-
-    def and_(self) -> Formula:
-        f = self.unary()
-        while self.peek() == "&":
-            self.next()
-            f = And(f, self.unary())
-        return f
-
-    def unary(self) -> Formula:
-        kind, text, at = self.next()
-        if kind == "!":
-            return Not(self.unary())
-        if kind == "(":
-            f = self.iff()
-            kind2, text2, at2 = self.next()
-            if kind2 != ")":
-                raise ParseError(f"expected ')', got {text2!r}", at2)
-            return f
-        if kind == "CONST":
-            return Const(text == "true")
+    def unary(self) -> tuple[Formula, int]:
+        kind, text, at = self.tokens[self.pos]
+        self.pos += 1
         if kind == "ATOM":
             if text not in self.sig._index:
                 raise UnknownAtomError(text, at)
-            return Atom(text)
+            return Atom(text), 1
+        if kind == "!":
+            f, height = self.binary(5, at)  # 5: no binary operator binds that tight
+            if height == MAX_FORMULA_DEPTH:
+                raise _too_deep(at)
+            return Not(f), height + 1
+        if kind == "(":
+            f, height = self.binary(1, at)
+            kind2, text2, at2 = self.tokens[self.pos]
+            self.pos += 1
+            if kind2 != ")":
+                raise ParseError(f"expected ')', got {text2!r}", at2)
+            return f, height
+        if kind == "CONST":
+            return Const(text == "true"), 1
         raise ParseError(f"expected a formula, got {text or 'end of input'!r}", at)
+
+
+def _too_deep(at: int) -> ParseError:
+    return ParseError(f"formula nests more than {MAX_FORMULA_DEPTH} deep", at)
 
 
 def parse_formula(text: str, sig: Signature) -> Formula:

@@ -334,9 +334,6 @@ class _Clause:
     packed: Optional[Callable[[_Packed], Callable[[int, int], int]]]
     observed: str  # the _Block column holding the value the clause reports
     required: str
-    # KKF only: the packed vector is the same at (K, K') and (K', K), so the
-    # first counterexample has K <= K' and the sweep skips K' < K.
-    symmetric: bool = False
     decide: Optional[Callable[[_Packed], bool]] = None
 
 
@@ -351,8 +348,7 @@ _CLAUSES: dict[PostulateId, _Clause] = {
     PostulateId.K8: _Clause("KFF", None, "conj",
                             "if ¬psi ∉ K*phi then Cn(K*phi, psi) ⊆ K*(phi ∧ psi)"),
     PostulateId.K9: _Clause("KKF", _pk9, "prime",
-                            "if ¬phi ∈ K and ¬phi ∈ K' then K*phi = K'*phi",
-                            symmetric=True, decide=_dk9),
+                            "if ¬phi ∈ K and ¬phi ∈ K' then K*phi = K'*phi", decide=_dk9),
     PostulateId.K9_1: _Clause("KF", _pk9_1, "row",
                               "if ¬phi ∈ K then K*phi ⊆ bot*phi"),
     PostulateId.K9_2: _Clause("KF", _pk9_2, "row",
@@ -360,12 +356,11 @@ _CLAUSES: dict[PostulateId, _Clause] = {
     PostulateId.K9_2P: _Clause("KFF", None, "row",
                                "if psi ∈ K and psi ∈ bot*phi then psi ∈ K*phi"),
     PostulateId.U8: _Clause("KKF", _pu8, "union",
-                            "(K ∩ K')*phi = (K*phi) ∩ (K'*phi)", symmetric=True, decide=_du8),
+                            "(K ∩ K')*phi = (K*phi) ∩ (K'*phi)", decide=_du8),
     PostulateId.U8_1: _Clause("KKF", _pu8_1, "prime",
                               "if K ⊆ K' then K*phi ⊆ K'*phi"),
     PostulateId.U8_2: _Clause("KKF", _pu8_2, "union",
-                              "(K*phi) ∩ (K'*phi) ⊆ (K ∩ K')*phi", symmetric=True,
-                              decide=_du8_2),
+                              "(K*phi) ∩ (K'*phi) ⊆ (K ∩ K')*phi", decide=_du8_2),
     PostulateId.C1: _Clause("KFF", None, "iterated",
                             "if phi ⊨ psi then (K*psi)*phi = K*phi"),
     PostulateId.C2: _Clause("KFF", None, "iterated",
@@ -384,12 +379,10 @@ _CLAUSES: dict[PostulateId, _Clause] = {
                                "if psi ∈ K*phi then (K*psi)*phi = K*phi"),
     PostulateId.P_KM1: _Clause("KKF", _pkm1, "union",
                                "if ¬phi ∉ K and ¬phi ∉ K' then "
-                               "(K ∩ K')*phi = (K*phi) ∩ (K'*phi)", symmetric=True,
-                               decide=_dkm1),
+                               "(K ∩ K')*phi = (K*phi) ∩ (K'*phi)", decide=_dkm1),
     PostulateId.P_K9U81: _Clause("KKF", _pk9u81, "union",
                                  "if ¬phi ∈ K and ¬phi ∈ K' then "
-                                 "(K*phi) ∩ (K'*phi) = (K ∩ K')*phi", symmetric=True,
-                                 decide=_dk9u81),
+                                 "(K*phi) ∩ (K'*phi) = (K ∩ K')*phi", decide=_dk9u81),
 }
 
 
@@ -401,7 +394,7 @@ def _first_failure(clause: _Clause, t: _Packed) -> Optional[tuple[int, int, int,
     vec = clause.packed(t)
     n = t.nmasks
     for a in range(n):
-        for b in (0,) if clause.shape == "KF" else range(a if clause.symmetric else 0, n):
+        for b in (0,) if clause.shape == "KF" else range(n):
             v = vec(a, b)
             if v:
                 return a, b, _first_byte(v), 0
@@ -795,10 +788,15 @@ def run_suite(
     over it once for every clause of that shape. Exhaustive mode sweeps
     K once for all the KFF clauses, building the blocks over (phi, psi)
     they share once per K, and decides or sweeps each KF and KKF clause
-    on the same packed table."""
+    on the same packed table. Ids that are not PostulateId members, or
+    none, raise ValueError instead of passing vacuously."""
     _check_mode(mode, seed, samples)
     wanted = set(ids)
     pids = [pid for pid in PostulateId if pid in wanted]
+    if not pids or len(pids) != len(wanted):
+        unknown = sorted(map(repr, wanted.difference(PostulateId)))
+        raise ValueError(f"run_suite needs PostulateId members, got {', '.join(unknown)}"
+                         if unknown else "run_suite needs at least one postulate id")
     found: dict[PostulateId, Violation] = {}
     if mode == "sampled":
         shapes: dict[str, list[PostulateId]] = {}
@@ -806,7 +804,7 @@ def run_suite(
             shapes.setdefault(_CLAUSES[pid].shape, []).append(pid)
         for group in shapes.values():
             found.update(_sampled_pass(rv, group, seed, samples))
-    elif pids:
+    else:
         found = _exhaustive_pass(rv, pids)
     results = [(pid, found.get(pid)) for pid in pids]
     return SuiteReport(
@@ -819,6 +817,14 @@ def run_suite(
     )
 
 
+def _check_preconditions_fit(rv: Revision, what: str) -> None:
+    if rv.sig.n > TABLE_MAX_ATOMS:
+        raise DomainTooLargeError(
+            f"{what} checks its preconditions exhaustively, up to {TABLE_MAX_ATOMS} atoms; "
+            f"got {rv.sig.n}"
+        )
+
+
 def check_implication_9p_to_92(rv: Revision) -> Optional[Violation]:
     """The conditional: K1, K2 and K9.2' together force K9.2.
 
@@ -826,6 +832,7 @@ def check_implication_9p_to_92(rv: Revision) -> Optional[Violation]:
     the antecedent fails); a Violation only when the antecedent holds
     and K9.2 still fails somewhere.
     """
+    _check_preconditions_fit(rv, "the 9.2' to 9.2 implication")
     for pid in (PostulateId.K1, PostulateId.K2, PostulateId.K9_2P):
         if check_postulate(rv, pid) is not None:
             return None
@@ -870,6 +877,7 @@ def find_impossibility_witness(
     if not isinstance(which, ImpossibilityTarget):
         which = ImpossibilityTarget(which)
     if verify_preconditions:
+        _check_preconditions_fit(rv, f"witness search for {which.value}")
         for pid in _IMPOSSIBILITY_PRECONDITIONS[which]:
             if check_postulate(rv, pid) is not None:
                 raise ValueError(

@@ -90,11 +90,7 @@ class RankFunction:
         the entries for all 256 low bytes are two byte planes: the low
         plane is the low byte's own consequence where its first level is
         at most a, the high plane is c where that level is at least a."""
-        if self.sig.n > CONSEQUENCE_TABLE_MAX_ATOMS:
-            raise TableTooLargeError(
-                f"consequence table needs 2**{self.sig.num_valuations} entries; "
-                f"at most {CONSEQUENCE_TABLE_MAX_ATOMS} atoms supported"
-            )
+        _check_row_fits(self.sig, "consequence table")
         # relabelled onto 0..h, so at 16 valuations every level fits a
         # byte below the empty byte's 255 whatever the ranks given
         rank = normalize(self)
@@ -123,6 +119,14 @@ class RankFunction:
         table[first::2] = b"".join(lows)
         table[1 - first::2] = b"".join(highs)
         return memoryview(table).toreadonly().cast("H")
+
+
+def _check_row_fits(sig: Signature, what: str) -> None:
+    """Raise TableTooLargeError for a row over every formula class of sig
+    past CONSEQUENCE_TABLE_MAX_ATOMS."""
+    if sig.n > CONSEQUENCE_TABLE_MAX_ATOMS:
+        raise TableTooLargeError(f"{what} needs 2**{sig.num_valuations} entries; "
+                                 f"at most {CONSEQUENCE_TABLE_MAX_ATOMS} atoms supported")
 
 
 def _first_hits(n: int, levels: list[int]) -> list[int]:

@@ -21,9 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .errors import DomainTooLargeError, SignatureError, TableTooLargeError
+from .errors import DomainTooLargeError, SignatureError
 from .logic import _ZERO, PropSet, Signature, Theory, _first_byte, _ints, _masks
-from .ranking import CONSEQUENCE_TABLE_MAX_ATOMS, RankFunction
+from .ranking import RankFunction, _check_row_fits
 
 RATIONAL_PROPERTIES = ("REF", "LLE", "RW", "AND", "OR", "CM", "RM", "S", "CP")
 
@@ -57,11 +57,7 @@ class ConsequenceRelation:
     ) -> "ConsequenceRelation":
         """Tabulate an arbitrary phi-mask -> models-mask map; past the
         consequence table's cap this raises before calling theory_models."""
-        if sig.n > CONSEQUENCE_TABLE_MAX_ATOMS:
-            raise TableTooLargeError(
-                f"consequence relation needs 2**{sig.num_valuations} entries; "
-                f"at most {CONSEQUENCE_TABLE_MAX_ATOMS} atoms supported"
-            )
+        _check_row_fits(sig, "consequence relation")
         return cls(sig, tuple(theory_models(f) for f in range(sig.universe_mask + 1)))
 
     def theory_for(self, f: PropSet) -> Theory:

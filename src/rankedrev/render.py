@@ -7,32 +7,34 @@ byte-stable; minimization would only be cosmetic.
 
 from __future__ import annotations
 
+import functools
+
 from .logic import And, Atom, Const, Formula, Not, Or, PropSet, Theory
 
 
 def canonical_formula(s: PropSet) -> Formula:
     """The canonical DNF formula denoting s; `false`/`true` for the
-    empty/full set. models_of(canonical_formula(s)) == s."""
+    empty/full set. models_of(canonical_formula(s)) == s. The minterms,
+    in ascending valuation order, are joined pairwise, so the disjunction
+    is log2 of their count deep; minterms that begin with the same
+    literals share those conjunctions."""
     if s.mask == 0:
         return Const(False)
     if s.mask == s.sig.universe_mask:
         return Const(True)
-    minterms = [_minterm(s.sig.atoms, s.sig.n, v) for v in s.valuations()]
-    out = minterms[0]
-    for t in minterms[1:]:
-        out = Or(out, t)
-    return out
+    lits = [(Not(Atom(a)), Atom(a)) for a in s.sig.atoms]
 
+    @functools.cache
+    def minterm(k: int, bits: int) -> Formula:
+        """The conjunction of the first k literals; bits are their values."""
+        lit = lits[k - 1][bits & 1]
+        return lit if k == 1 else And(minterm(k - 1, bits >> 1), lit)
 
-def _minterm(atoms, n: int, v: int) -> Formula:
-    lits = [
-        Atom(a) if (v >> (n - 1 - i)) & 1 else Not(Atom(a))
-        for i, a in enumerate(atoms)
-    ]
-    out = lits[0]
-    for lit in lits[1:]:
-        out = And(out, lit)
-    return out
+    terms = [minterm(s.sig.n, v) for v in s.valuations()]
+    while len(terms) > 1:
+        terms = [Or(*terms[i:i + 2]) if i + 1 < len(terms) else terms[i]
+                 for i in range(0, len(terms), 2)]
+    return terms[0]
 
 
 def dnf_text(s: PropSet) -> str:

@@ -19,11 +19,11 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import DomainTooLargeError
 from .logic import PropSet, Signature, Theory, _masks
-from .ranking import RankFunction, normalize
+from .ranking import RankFunction, _check_row_fits, normalize
 from .relations import ConsequenceRelation
 
 TABLE_MAX_ATOMS = 3
@@ -55,8 +55,6 @@ class Revision:
     also keep their packed form of it in ``_packed``. Two revisions are
     the same revision when they agree pointwise over the finite domain.
     """
-
-    tag: str = "abstract"
 
     def __init__(self, sig: Signature):
         self.sig = sig
@@ -104,10 +102,13 @@ def _check_tabulable(sig: Signature) -> None:
 
 class _ExpandOrRow(Revision):
     """A revision that expands when K ∧ phi is consistent and otherwise
-    answers row[phi], whatever K is. Subclasses give the row as ``_row``
-    or through ``_build_row``, which the first severe revision calls."""
+    answers row[phi], whatever K is. The first severe revision calls
+    ``build_row``, which takes no argument, for the row."""
 
-    _row: Optional[Sequence[int]] = None
+    def __init__(self, sig: Signature, build_row: Callable[[], Sequence[int]]):
+        super().__init__(sig)
+        self._build_row = build_row
+        self._row = None
 
     def _cells(self) -> Sequence[int]:
         if self._row is None:
@@ -141,14 +142,9 @@ class RankedRevision(_ExpandOrRow):
     """Revision induced by a rank function: severe revisions return the
     minimum-rank models of the input, mild revisions expand."""
 
-    tag = "ranked"
-
     def __init__(self, rank: RankFunction):
-        super().__init__(rank.sig)
+        super().__init__(rank.sig, rank._consequence_cells)
         self.rank = rank
-
-    def _build_row(self) -> Sequence[int]:
-        return self.rank._consequence_cells()
 
     def consequence_masks(self) -> Sequence[int]:
         """The minimum-rank models of every formula, indexed by mask."""
@@ -160,8 +156,6 @@ class TableRevision(Revision):
     arbitrary candidate revisions. ``cells`` is the table flattened row
     by row, as bytes: the cells are model masks, so they fit a byte at
     the 3 atoms a table is capped at."""
-
-    tag = "table"
 
     def __init__(self, sig: Signature, cells: Iterable[int]):
         super().__init__(sig)
@@ -187,39 +181,18 @@ class TableRevision(Revision):
         return self._rows[k_mask][f_mask]
 
 
-class ConservativeRevision(_ExpandOrRow):
-    """Extension of an arbitrary revision from one anchor theory to the
-    whole domain: severe revisions are routed through the anchor's row of
-    the source revision, mild revisions expand as usual."""
-
-    tag = "conservative"
-
-    def __init__(self, source: Revision, anchor: Theory):
-        super().__init__(source.sig)
-        self.source = source
-        self.anchor = anchor
-
-    def _build_row(self) -> Sequence[int]:
-        am = self.anchor.models.mask
-        src = self.source.revise_mask
-        return tuple(src(am, f) for f in range(self.sig.universe_mask + 1))
+def _row_of(rv: Revision, k_mask: int) -> tuple[int, ...]:
+    """Row ``k_mask`` of ``rv``, its cells as revise_mask returns them."""
+    rm = rv.revise_mask
+    return tuple(rm(k_mask, f) for f in range(rv.sig.universe_mask + 1))
 
 
-class RelationRevision(_ExpandOrRow):
-    """Revision of a consequence relation: its row is the consequences."""
-
-    tag = "relation"
-
-    def __init__(self, rel: ConsequenceRelation):
-        super().__init__(rel.sig)
-        self.relation = rel
-        self._row = rel.consequences
-
-
-def conservative_extension(rv: Revision, k: Theory) -> ConservativeRevision:
+def conservative_extension(rv: Revision, k: Theory) -> Revision:
     """The revision that treats every severe revision the way ``rv``
-    revises ``k``; it agrees with ``rv`` on the whole row of ``k``."""
-    return ConservativeRevision(rv, k)
+    revises ``k``; it agrees with ``rv`` on the whole row of ``k``. Past
+    the consequence table's cap this raises before reading ``rv``."""
+    _check_row_fits(rv.sig, "conservative extension")
+    return _ExpandOrRow(rv.sig, functools.partial(_row_of, rv, k.models.mask))
 
 
 def relation_of_revision(rv: Revision, base: Theory) -> ConsequenceRelation:
@@ -229,10 +202,11 @@ def relation_of_revision(rv: Revision, base: Theory) -> ConsequenceRelation:
                                                                         base.models.mask))
 
 
-def revision_of_relation(rel: ConsequenceRelation) -> RelationRevision:
+def revision_of_relation(rel: ConsequenceRelation) -> Revision:
     """The inverse construction: severe revisions take the relation's
     consequences of the input, mild revisions expand."""
-    return RelationRevision(rel)
+    # tuple() of a tuple is that tuple: the row is the consequences, not a copy
+    return _ExpandOrRow(rel.sig, functools.partial(tuple, rel.consequences))
 
 
 def with_theory_floor(r: RankFunction, k: Theory) -> RankFunction:

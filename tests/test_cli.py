@@ -8,10 +8,11 @@ from pathlib import Path
 
 import pytest
 
-from rankedrev import enumerate_rank_functions, format_rank_file, random_rank_function
+from rankedrev import (Signature, dnf_text, enumerate_rank_functions, format_rank_file,
+                       models_of, parse_formula, random_rank_function)
 from rankedrev.cli import main
 
-from helpers import R0, SIG2, SIG3, SIG4, SIG5
+from helpers import R0, SIG2, SIG3, SIG4, SIG5, SIG16
 
 R0_FILE = "atoms: p q\n0: 11\n1: 01 10\n2: 00\n"
 
@@ -279,6 +280,13 @@ class TestWitness:
         assert "anchor: p & q" in out
         assert "first:" in out and "second:" in out
 
+    @pytest.mark.parametrize("which", ["C2", "U8_1"])
+    def test_impossibility_past_three_atoms_exit_two(self, capsys, rank4_path, which):
+        code, out, err = run(capsys, "witness", "--rank", rank4_path, "--which", which)
+        assert (code, out) == (2, "")
+        assert "checks its preconditions exhaustively, up to 3 atoms; got 4" in err
+        assert "sampled" not in err
+
     def test_dynamic_bottom_not_found(self, capsys, rank_path):
         code, _, err = run(capsys, "witness", "--rank", rank_path,
                            "--which", "dynamic", "--theory", "bot")
@@ -302,6 +310,23 @@ class TestRoundtrip:
         code, out, _ = run(capsys, "roundtrip", "--rank", rank_path)
         assert code == 0
         assert out == R0_FILE
+
+    @pytest.mark.parametrize("n", [12, 16])
+    def test_formula_at_many_atoms(self, capsys, n):
+        # half of the 2**n valuations: a disjunction of 2**(n-1) minterms
+        code, out, _ = run(capsys, "roundtrip", "--atoms", str(n), "--phi", "p")
+        assert code == 0
+        sig = Signature(SIG16.atoms[:n])
+        assert out == dnf_text(models_of(parse_formula("p", sig), sig)) + "\n"
+
+    @pytest.mark.parametrize("phi", ["(" * 400 + "p" + ")" * 400, " & ".join(["p"] * 2000)],
+                             ids=["400-parentheses", "2000-and-chain"])
+    def test_too_deep_formula_exit_two(self, capsys, rank_path, phi):
+        for argv in (["roundtrip", "--atoms", "p,q"], ["trace", "--rank", rank_path,
+                                                        "--theory", "p"]):
+            code, out, err = run(capsys, *argv, "--phi", phi)
+            assert (code, out) == (2, "")
+            assert err.startswith("error: formula nests more than 256 deep")
 
 
 class TestTrace:

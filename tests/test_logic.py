@@ -29,6 +29,8 @@ from rankedrev import (
     theory_intersect,
 )
 
+from rankedrev.logic import MAX_FORMULA_DEPTH
+
 from helpers import SIG2, SIG3, ps, th
 from oracles import atom_mask_reference, models_by_truth_table
 
@@ -131,6 +133,57 @@ class TestParse:
     def test_rejects_malformed(self, bad, sig2):
         with pytest.raises(ParseError):
             parse_formula(bad, sig2)
+
+
+def _nested_chains(levels):
+    """((p & q & q & q) & q & q & q)...: three levels of tree per
+    parenthesis."""
+    text = "p"
+    for _ in range(levels):
+        text = f"({text} & q & q & q)"
+    return text
+
+
+def _height(f):
+    kids = [getattr(f, name) for name in ("operand", "left", "right") if hasattr(f, name)]
+    return 1 + max(map(_height, kids), default=0)
+
+
+class TestNestingLimit:
+    """Text nests at most MAX_FORMULA_DEPTH deep, so neither the parser
+    nor models_of and format_formula on the tree run out of stack; deeper
+    text fails with ParseError."""
+
+    @pytest.mark.parametrize("text, height", [
+        ("(" * (MAX_FORMULA_DEPTH - 1) + "p" + ")" * (MAX_FORMULA_DEPTH - 1), 1),
+        ("!" * (MAX_FORMULA_DEPTH - 1) + "p", MAX_FORMULA_DEPTH),
+        (" & ".join(["p"] * MAX_FORMULA_DEPTH), MAX_FORMULA_DEPTH),
+        (" -> ".join(["p"] * MAX_FORMULA_DEPTH), MAX_FORMULA_DEPTH),
+        ("!" * 100 + "(" + " | ".join(["q"] * 156) + ")", MAX_FORMULA_DEPTH),
+        (_nested_chains(85), MAX_FORMULA_DEPTH),
+    ], ids=["parentheses", "negations", "and-chain", "implication-chain", "mixed", "chains"])
+    def test_at_the_limit(self, text, height, sig2):
+        f = parse_formula(text, sig2)
+        assert _height(f) == height
+        assert models_of(f, sig2) == models_of(parse_formula(format_formula(f), sig2), sig2)
+
+    @pytest.mark.parametrize("text, position", [
+        ("(" * 400 + "p" + ")" * 400, MAX_FORMULA_DEPTH - 1),
+        ("(" * MAX_FORMULA_DEPTH + "p" + ")" * MAX_FORMULA_DEPTH, MAX_FORMULA_DEPTH - 1),
+        ("!" * MAX_FORMULA_DEPTH + "p", MAX_FORMULA_DEPTH - 1),
+        (" & ".join(["p"] * 2000), 4 * MAX_FORMULA_DEPTH - 2),
+        (" & ".join(["p"] * (MAX_FORMULA_DEPTH + 1)), 4 * MAX_FORMULA_DEPTH - 2),
+        (" <-> ".join(["p"] * 2000), None),
+        ("!" * 100 + "(" + " | ".join(["q"] * 157) + ")", 0),
+        # heights add up across parentheses, not only along one chain
+        (_nested_chains(86), None),
+    ], ids=["400-parentheses", "parentheses", "negations", "2000-and-chain", "and-chain",
+            "iff-chain", "mixed", "chains"])
+    def test_past_the_limit(self, text, position, sig2):
+        with pytest.raises(ParseError, match=f"nests more than {MAX_FORMULA_DEPTH} deep") as exc:
+            parse_formula(text, sig2)
+        if position is not None:
+            assert exc.value.position == position
 
 
 class TestModels:

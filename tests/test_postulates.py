@@ -1,6 +1,7 @@
 """Postulate checkers, impossibility witnesses, implication and
 under-determination searches."""
 
+import hashlib
 import json
 import random
 import tracemalloc
@@ -250,27 +251,6 @@ def _perturbed_revisions(revs75, count, seed):
 
 
 class TestPackedKernelSweep:
-    def test_symmetric_clauses_have_symmetric_vectors(self, revs75):
-        # a clause marked symmetric is swept over K <= K' only, which is
-        # sound only when its vector at (K, K') equals the one at (K', K)
-        clauses = postulates._CLAUSES
-        assert {pid.name for pid, c in clauses.items() if c.symmetric} == {
-            "K9", "U8", "U8_2", "P_KM1", "P_K9U81"}
-        asymmetric = set()
-        for rv in [*revs75, *_perturbed_revisions(revs75, 200, 2002)]:
-            t = postulates._Packed(rv.table(), rv.sig.universe_mask)
-            for pid, clause in clauses.items():
-                if clause.shape != "KKF":
-                    continue
-                vec = clause.packed(t)
-                same = all(vec(K, Kp) == vec(Kp, K) for K in range(16) for Kp in range(K))
-                if clause.symmetric:
-                    assert same, pid
-                elif not same:
-                    asymmetric.add(pid)
-        # the check can tell: the one unmarked KKF clause is asymmetric
-        assert asymmetric == {PostulateId.U8_1}
-
     def test_one_packed_table_per_revision(self, monkeypatch):
         built = []
 
@@ -801,9 +781,11 @@ class TestSampledMode:
 
     @pytest.mark.parametrize("kwargs", [dict(), dict(mode="sampled", seed=1)])
     def test_no_ids_no_results(self, kwargs):
-        # nothing is evaluated, not even at a size exhaustive mode refuses
+        # an empty suite would pass vacuously: it raises before any clause,
+        # also at a size exhaustive mode refuses
         for sig in (SIG2, SIG4):
-            assert run_suite(_Untouchable(sig), [], **kwargs).results == ()
+            with pytest.raises(ValueError, match="at least one postulate id"):
+                run_suite(_Untouchable(sig), [], **kwargs)
 
     def test_memory_does_not_grow_with_samples(self, rv0):
         # one clause of each shape, each holding on every sample drawn
@@ -866,6 +848,23 @@ class TestSuiteReport:
         report = run_suite(rv0, [PostulateId.U8, PostulateId.K2])
         assert not report.all_pass
         assert [v.postulate for v in report.violations] == [PostulateId.U8]
+
+    @pytest.mark.parametrize("ids, named", [
+        (["U8_1", "K9"], "'K9', 'U8_1'"),
+        ([PostulateId.K2, "K9"], "'K9'"),
+        ([PostulateId.U8_1, 8], "8"),
+    ])
+    def test_ids_that_are_not_postulates_raise(self, rv0, ids, named):
+        # U8_1 fails on every ranked revision, so a report that dropped the
+        # names and passed would hide a violation
+        with pytest.raises(ValueError, match=f"PostulateId members, got {named}$"):
+            run_suite(rv0, ids)
+        with pytest.raises(ValueError, match=f"got {named}$"):
+            run_suite(rv0, ids, mode="sampled", seed=1)
+
+    def test_repeated_ids_count_once(self, rv0):
+        report = run_suite(rv0, [PostulateId.U8_1, PostulateId.K2, PostulateId.U8_1])
+        assert [pid for pid, _ in report.results] == [PostulateId.K2, PostulateId.U8_1]
 
 
 class TestViolationSoundness:
@@ -984,6 +983,38 @@ class TestImpossibilityWitness:
         )
         with pytest.raises(ValueError):
             find_impossibility_witness(broken, ImpossibilityTarget.U8_1_VS_K4K5)
+
+    @pytest.mark.parametrize("call", [
+        lambda rv: find_impossibility_witness(rv, "C2_vs_K1K4"),
+        lambda rv: find_impossibility_witness(rv, ImpossibilityTarget.U8_1_VS_K4K5),
+        check_implication_9p_to_92,
+    ])
+    def test_preconditions_past_three_atoms_raise(self, call):
+        rv = RankedRevision(random_rank_function(SIG4, 3, 1))
+        with pytest.raises(DomainTooLargeError,
+                           match="checks its preconditions exhaustively, up to 3 atoms; got 4"):
+            call(rv)
+
+    def test_unchecked_preconditions_at_four_atoms(self):
+        rv = RankedRevision(random_rank_function(SIG4, 3, 1))
+        for which in ImpossibilityTarget:
+            v = find_impossibility_witness(rv, which, verify_preconditions=False)
+            assert v.replay(rv)
+
+
+class TestPinnedOutputs:
+    def test_two_atom_reports_replays_and_witnesses(self, revs75):
+        # one digest over what a refactor must not move: the JSON report of
+        # the whole catalogue, the replay of each violation and both
+        # impossibility witnesses, for every two-atom ranked revision
+        h = hashlib.sha256()
+        for rv in revs75:
+            report = run_suite(rv, PostulateId)
+            h.update(json.dumps(report.to_json_records(), indent=2).encode())
+            h.update(repr([v.replay(rv) for v in report.violations]).encode())
+            for which in ImpossibilityTarget:
+                h.update(json.dumps(find_impossibility_witness(rv, which).witness_json()).encode())
+        assert h.hexdigest() == "d4b9fa5a81bd02bcc49f77a9d3e0ddf2cb1805a2d968063b14a563b318b4dd47"
 
 
 class TestDynamicUnderdetermination:

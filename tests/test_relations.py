@@ -112,6 +112,9 @@ class TestRankRelationsAreRational:
         assert check_rationality(ConsequenceRelation.from_rank(r)).all_pass
 
 
+_CORE = ("REF", "LLE", "RW", "AND", "S", "RM", "CP")
+
+
 class TestCoreImpliesOrCm:
     def test_recorded_implication_on_random_tables(self, sig2):
         # whenever {REF, LLE, RW, AND, S, RM, CP} all pass, OR and CM do too
@@ -126,6 +129,33 @@ class TestCoreImpliesOrCm:
                 table.append(sum(1 << v for v in chosen))
             report = check_rationality(ConsequenceRelation(sig2, tuple(table)))
             assert report.core_implies_or_cm()
+
+    @pytest.mark.parametrize("sig, functions", [
+        (SIG1, list(enumerate_rank_functions(SIG1))),
+        (SIG2, list(enumerate_rank_functions(SIG2))),
+        (SIG3, [random_rank_function(SIG3, 1 + i % 5, i) for i in range(12)]),
+    ], ids=["1atom", "2atoms", "3atoms"])
+    def test_core_holds_on_rank_relations_and_kept_changes(self, sig, functions):
+        # Rank relations satisfy the core, so the implication is exercised
+        # rather than passed vacuously. Below 3 atoms, so are the tables
+        # with one entry C(phi) moved to another nonempty subset of phi that
+        # keep the core; each of them is again a rank relation.
+        rank_tables = {r.consequence_table() for r in functions}
+        tables = [(True, t) for t in rank_tables]
+        if sig.n < 3:
+            tables += [(False, t[:phi] + (moved,) + t[phi + 1:])
+                       for t in rank_tables for phi in range(1, len(t))
+                       for moved in range(1, phi + 1) if moved | phi == phi and moved != t[phi]]
+        held = Counter()
+        for ranked, t in tables:
+            report = check_rationality(ConsequenceRelation(sig, t))
+            assert report.core_implies_or_cm()
+            if all(report.passes(p) for p in _CORE):
+                held[ranked] += 1
+                assert report.passes("OR") and report.passes("CM")
+                assert t in rank_tables
+        assert held[True] == len(rank_tables)
+        assert held[False] >= (sig.n < 3)
 
 
 class TestRepresentationCompleteness:

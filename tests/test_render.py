@@ -1,5 +1,7 @@
 """Canonical DNF emission and theory literals."""
 
+import random
+
 from rankedrev import (
     And,
     Atom,
@@ -7,6 +9,7 @@ from rankedrev import (
     Not,
     Or,
     PropSet,
+    Signature,
     Theory,
     canonical_formula,
     dnf_text,
@@ -14,7 +17,14 @@ from rankedrev import (
     theory_text,
 )
 
-from helpers import SIG1, SIG2, SIG3, ps
+from helpers import SIG1, SIG2, SIG3, SIG16, ps
+
+SIG12 = Signature(SIG16.atoms[:12])
+
+
+def _height(f):
+    kids = [getattr(f, name) for name in ("operand", "left", "right") if hasattr(f, name)]
+    return 1 + max(map(_height, kids), default=0)
 
 
 class TestCanonicalFormula:
@@ -46,6 +56,22 @@ class TestCanonicalFormula:
         for m in range(256):
             s = PropSet(SIG3, m)
             assert models_of(canonical_formula(s), SIG3) == s
+
+    def test_round_trip_at_twelve_atoms(self):
+        # about 2048 minterms joined pairwise: 11 or 12 levels of
+        # disjunction, where a chain of them was about 2047 deep, over
+        # 11 conjunctions of literals of height 1 or 2
+        s = PropSet(SIG12, random.Random(12).getrandbits(1 << 12))
+        f = canonical_formula(s)
+        assert models_of(f, SIG12) == s
+        assert _height(f) <= (s.mask.bit_count() - 1).bit_length() + 11 + 2
+        assert models_of(canonical_formula(PropSet(SIG12, 1 << 4095)), SIG12).mask == 1 << 4095
+
+    def test_minterms_share_their_leading_literals(self):
+        f = canonical_formula(PropSet.from_bits(SIG3, "000", "001"))
+        assert f == Or(And(And(Not(Atom("p")), Not(Atom("q"))), Not(Atom("r"))),
+                       And(And(Not(Atom("p")), Not(Atom("q"))), Atom("r")))
+        assert f.left.left is f.right.left
 
 
 class TestDnfText:
