@@ -10,6 +10,7 @@ a table over 2**32 formula classes.
 """
 
 import argparse
+import statistics
 import sys
 import time
 
@@ -45,10 +46,11 @@ def main() -> int:
     if sig.n > CONSEQUENCE_TABLE_MAX_ATOMS:
         parser.error(f"sampled checks support at most {CONSEQUENCE_TABLE_MAX_ATOMS} atoms, "
                      f"got {sig.n}")
-    start = time.perf_counter()
+    seconds = []
     bad = 0
     for i in range(args.functions):
         seed = args.seed + i
+        start = time.perf_counter()
         rank = random_rank_function(sig, levels=(i % sig.num_valuations) + 1, seed=seed)
         try:
             report = run_suite(RankedRevision(rank), IDS, mode="sampled",
@@ -56,15 +58,16 @@ def main() -> int:
         except RankedRevError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
+        seconds.append(time.perf_counter() - start)
         if not report.all_pass:
             bad += 1
             for pid, violation in report.results:
                 if violation is not None:
                     print(f"seed {seed}: {pid.name} FAIL {violation.describe()}")
-    elapsed = time.perf_counter() - start
     print(
         f"{args.functions} rank functions, {args.samples} samples per clause, "
-        f"base seed {args.seed}: {bad} failures ({elapsed:.2f}s)"
+        f"base seed {args.seed}: {bad} failures ({sum(seconds):.2f}s, "
+        f"median {statistics.median(seconds):.4f}s per function)"
     )
     return 0 if bad == 0 else 1
 

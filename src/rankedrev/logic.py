@@ -287,26 +287,37 @@ class Iff(Formula):
 
 def models_of(f: Formula, sig: Signature) -> PropSet:
     """Truth-table semantics: the valuations under which f evaluates true."""
-    return PropSet(sig, _mask_of(f, sig))
+    return PropSet(sig, _mask_of(f, sig, {}))
 
 
-def _mask_of(f: Formula, sig: Signature) -> int:
+def _mask_of(f: Formula, sig: Signature, seen: dict[int, int]) -> int:
+    """f's models mask. ``seen`` keeps the last binary nodes' masks by id,
+    so that a subtree the tree shares, such as the leading conjunctions of
+    canonical_formula's minterms, is evaluated once; 64 at most are kept."""
     uni = sig.universe_mask
     if isinstance(f, Atom):
         return sig.atom_truth_mask(f.name)
     if isinstance(f, Const):
         return uni if f.value else 0
     if isinstance(f, Not):
-        return uni ^ _mask_of(f.operand, sig)
+        return uni ^ _mask_of(f.operand, sig, seen)
+    key = id(f)
+    if key in seen:
+        return seen[key]
     if isinstance(f, And):
-        return _mask_of(f.left, sig) & _mask_of(f.right, sig)
-    if isinstance(f, Or):
-        return _mask_of(f.left, sig) | _mask_of(f.right, sig)
-    if isinstance(f, Implies):
-        return (uni ^ _mask_of(f.left, sig)) | _mask_of(f.right, sig)
-    if isinstance(f, Iff):
-        return uni ^ (_mask_of(f.left, sig) ^ _mask_of(f.right, sig))
-    raise TypeError(f"not a formula node: {f!r}")
+        m = _mask_of(f.left, sig, seen) & _mask_of(f.right, sig, seen)
+    elif isinstance(f, Or):
+        m = _mask_of(f.left, sig, seen) | _mask_of(f.right, sig, seen)
+    elif isinstance(f, Implies):
+        m = (uni ^ _mask_of(f.left, sig, seen)) | _mask_of(f.right, sig, seen)
+    elif isinstance(f, Iff):
+        m = uni ^ (_mask_of(f.left, sig, seen) ^ _mask_of(f.right, sig, seen))
+    else:
+        raise TypeError(f"not a formula node: {f!r}")
+    if len(seen) == 64:
+        seen.clear()
+    seen[key] = m
+    return m
 
 
 # --- parsing --------------------------------------------------------------

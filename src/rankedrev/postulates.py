@@ -10,7 +10,7 @@ reports stable. Sampled mode draws bindings from a seeded generator and
 reports the seed, so every run is replayable.
 
 Violations are self-certifying: replaying the recorded bindings reads
-the revision afresh, through the clause's block form, and reproduces the
+the revision afresh, through the clause's lane form, and reproduces the
 clause failure.
 """
 
@@ -21,8 +21,10 @@ import functools
 import random
 from dataclasses import dataclass
 from enum import Enum
-from itertools import count, repeat
-from typing import Callable, Iterable, Iterator, Optional, Union
+from itertools import repeat
+from operator import itemgetter
+from struct import Struct, error as StructError
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import (
     DomainTooLargeError,
@@ -76,10 +78,7 @@ AGM_PLUS_MINIMAL_INFLUENCE = AGM_POSTULATES + (PostulateId.K9,)
 # KFF, a violation vector over the inner quantifiers: phi, or for KFF the
 # pairs (phi, psi) in lexicographic order. Its byte is nonzero exactly
 # where the clause fails, so the lowest nonzero byte of the first nonzero
-# vector is the lexicographically first counterexample. A KF or KKF
-# clause's packed form binds a packed table and returns its vector
-# function; the KFF vectors are written out in _kff_pass, which
-# evaluates them all per K on blocks over every pair (phi, psi).
+# vector is the lexicographically first counterexample.
 
 
 class _Packed:
@@ -135,73 +134,29 @@ def _packed(rv: Revision) -> _Packed:
     return rv._packed
 
 
-def _pk1(t):
-    bad = t.bad
-    return lambda K, _: bad[K]
-
-
-def _pk2(t):
-    P, ident = t.P, t.m.ident
-    return lambda K, _: P[K] & ~ident
-
-
-def _pk3(t):
-    P, inter = t.P, t.m.inter
-    return lambda K, _: inter[K] & ~P[K]
-
-
-def _pk4(t):
-    P, inter, meet = t.P, t.m.inter, t.m.meet
-    return lambda K, _: P[K] & ~inter[K] & meet[K]
-
-
-def _pk5(t):
-    rows = t.rows
-    return lambda K, _: int.from_bytes(rows[K].translate(_ZERO), "little") & ~0xFF
-
-
-def _pk6(t):
-    return lambda K, _: 0
-
-
-def _pk9_1(t):
-    P, apart = t.P, t.m.apart
-    return lambda K, _: P[0] & ~P[K] & apart[K]
-
-
-def _pk9_2(t):
-    P, apart = t.P, t.m.apart
-    return lambda K, _: P[K] & ~P[0] & apart[K]
-
-
-def _pk9(t):
-    P, apart = t.P, t.m.apart
-    return lambda K, Kp: (P[K] ^ P[Kp]) & apart[K] & apart[Kp]
-
-
-def _pu8(t):
-    P = t.P
-    return lambda K, Kp: P[K | Kp] ^ (P[K] | P[Kp])
-
-
-def _pu8_1(t):
-    P = t.P
-    return lambda K, Kp: P[Kp] & ~P[K] if (Kp | K) == K else 0
-
-
-def _pu8_2(t):
-    P = t.P
-    return lambda K, Kp: P[K | Kp] & ~(P[K] | P[Kp])
-
-
-def _pkm1(t):
-    P, meet = t.P, t.m.meet
-    return lambda K, Kp: (P[K | Kp] ^ (P[K] | P[Kp])) & meet[K] & meet[Kp]
-
-
-def _pk9u81(t):
-    P, apart = t.P, t.m.apart
-    return lambda K, Kp: (P[K | Kp] ^ (P[K] | P[Kp])) & apart[K] & apart[Kp]
+# Each KF and KKF clause's violation vector over phi, per outer binding
+# (K, K'), on a packed table t whose vectors it binds as defaults.
+_PACKED: dict[str, Callable[[_Packed], Callable[[int, int], int]]] = {
+    "K1": lambda t: lambda K, _, bad=t.bad: bad[K],
+    "K2": lambda t: lambda K, _, P=t.P, ident=t.m.ident: P[K] & ~ident,
+    "K3": lambda t: lambda K, _, P=t.P, inter=t.m.inter: inter[K] & ~P[K],
+    "K4": lambda t: lambda K, _, P=t.P, inter=t.m.inter, meet=t.m.meet:
+        P[K] & ~inter[K] & meet[K],
+    "K5": lambda t: lambda K, _, rows=t.rows:
+        int.from_bytes(rows[K].translate(_ZERO), "little") & ~0xFF,
+    "K6": lambda t: lambda K, _: 0,
+    "K9_1": lambda t: lambda K, _, P=t.P, apart=t.m.apart: P[0] & ~P[K] & apart[K],
+    "K9_2": lambda t: lambda K, _, P=t.P, apart=t.m.apart: P[K] & ~P[0] & apart[K],
+    "K9": lambda t: lambda K, Kp, P=t.P, apart=t.m.apart:
+        (P[K] ^ P[Kp]) & apart[K] & apart[Kp],
+    "U8": lambda t: lambda K, Kp, P=t.P: P[K | Kp] ^ (P[K] | P[Kp]),
+    "U8_1": lambda t: lambda K, Kp, P=t.P: P[Kp] & ~P[K] if (Kp | K) == K else 0,
+    "U8_2": lambda t: lambda K, Kp, P=t.P: P[K | Kp] & ~(P[K] | P[Kp]),
+    "P_KM1": lambda t: lambda K, Kp, P=t.P, meet=t.m.meet:
+        (P[K | Kp] ^ (P[K] | P[Kp])) & meet[K] & meet[Kp],
+    "P_K9U81": lambda t: lambda K, Kp, P=t.P, apart=t.m.apart:
+        (P[K | Kp] ^ (P[K] | P[Kp])) & apart[K] & apart[Kp],
+}
 
 
 # Deciders for the symmetric KKF clauses: True exactly when the clause
@@ -279,22 +234,6 @@ def _every(t):
     return [(1 << 8 * t.nmasks) - 1] * t.nmasks
 
 
-def _du8(t):
-    return _union_generated(t, _every(t))
-
-
-def _du8_2(t):
-    return _sub(t, _every(t))
-
-
-def _dkm1(t):
-    return _sub(t, t.m.meet) and _sup(t, t.m.meet)
-
-
-def _dk9u81(t):
-    return _union_generated(t, t.m.apart)
-
-
 class _Pairs:
     """Gather indexes and vectors over the pairs (phi, psi), byte
     phi * nmasks + psi, that depend only on the signature. Conditions are
@@ -314,7 +253,7 @@ class _Pairs:
         self.apart = self.high ^ self.nonzero(self.phi & self.psi)  # phi ∩ psi = ∅
 
     def nonzero(self, v: int) -> int:
-        # byte-wise v != 0: adding 0x7F to the low seven bits carries into bit 7
+        # lane-wise v != 0: adding low to a lane's low bits carries into its top bit
         return ((v & self.low) + self.low | v) & self.high
 
 
@@ -327,40 +266,41 @@ class _Clause:
     the first counterexample of a KF or KKF clause (KFF clauses are
     located by ``_kff_pass``), and ``decide``, where set, tells from the
     packed table alone whether there is one, so exhaustive mode locates
-    only after it says the clause fails. Its form over a block of
-    bindings, which sampled mode and replay read, is in _BLOCK_FAILS."""
+    only after it says the clause fails. Its lane form, which sampled
+    mode, replay and violation records read, is in _LANE_FAILS."""
 
     shape: str  # "KF": (K, phi); "KKF": (K, K', phi); "KFF": (K, phi, psi)
     packed: Optional[Callable[[_Packed], Callable[[int, int], int]]]
-    observed: str  # the _Block column holding the value the clause reports
+    observed: str  # the _COLUMNS column holding the value the clause reports
     required: str
     decide: Optional[Callable[[_Packed], bool]] = None
 
 
 _CLAUSES: dict[PostulateId, _Clause] = {
-    PostulateId.K1: _Clause("KF", _pk1, "row", "K*phi is a theory over the signature"),
-    PostulateId.K2: _Clause("KF", _pk2, "row", "phi ∈ K*phi"),
-    PostulateId.K3: _Clause("KF", _pk3, "row", "K*phi ⊆ Cn(K, phi)"),
-    PostulateId.K4: _Clause("KF", _pk4, "row", "if ¬phi ∉ K then Cn(K, phi) ⊆ K*phi"),
-    PostulateId.K5: _Clause("KF", _pk5, "row", "K*phi inconsistent only if phi ≡ false"),
-    PostulateId.K6: _Clause("KF", _pk6, "row", "equivalent inputs revise equally"),
+    PostulateId.K1: _Clause("KF", _PACKED["K1"], "row", "K*phi is a theory over the signature"),
+    PostulateId.K2: _Clause("KF", _PACKED["K2"], "row", "phi ∈ K*phi"),
+    PostulateId.K3: _Clause("KF", _PACKED["K3"], "row", "K*phi ⊆ Cn(K, phi)"),
+    PostulateId.K4: _Clause("KF", _PACKED["K4"], "row", "if ¬phi ∉ K then Cn(K, phi) ⊆ K*phi"),
+    PostulateId.K5: _Clause("KF", _PACKED["K5"], "row", "K*phi inconsistent only if phi ≡ false"),
+    PostulateId.K6: _Clause("KF", _PACKED["K6"], "row", "equivalent inputs revise equally"),
     PostulateId.K7: _Clause("KFF", None, "conj", "K*(phi ∧ psi) ⊆ Cn(K*phi, psi)"),
     PostulateId.K8: _Clause("KFF", None, "conj",
                             "if ¬psi ∉ K*phi then Cn(K*phi, psi) ⊆ K*(phi ∧ psi)"),
-    PostulateId.K9: _Clause("KKF", _pk9, "prime",
+    PostulateId.K9: _Clause("KKF", _PACKED["K9"], "prime",
                             "if ¬phi ∈ K and ¬phi ∈ K' then K*phi = K'*phi", decide=_dk9),
-    PostulateId.K9_1: _Clause("KF", _pk9_1, "row",
+    PostulateId.K9_1: _Clause("KF", _PACKED["K9_1"], "row",
                               "if ¬phi ∈ K then K*phi ⊆ bot*phi"),
-    PostulateId.K9_2: _Clause("KF", _pk9_2, "row",
+    PostulateId.K9_2: _Clause("KF", _PACKED["K9_2"], "row",
                               "if ¬phi ∈ K then bot*phi ⊆ K*phi"),
     PostulateId.K9_2P: _Clause("KFF", None, "row",
                                "if psi ∈ K and psi ∈ bot*phi then psi ∈ K*phi"),
-    PostulateId.U8: _Clause("KKF", _pu8, "union",
-                            "(K ∩ K')*phi = (K*phi) ∩ (K'*phi)", decide=_du8),
-    PostulateId.U8_1: _Clause("KKF", _pu8_1, "prime",
+    PostulateId.U8: _Clause("KKF", _PACKED["U8"], "union", "(K ∩ K')*phi = (K*phi) ∩ (K'*phi)",
+                            decide=lambda t: _union_generated(t, _every(t))),
+    PostulateId.U8_1: _Clause("KKF", _PACKED["U8_1"], "prime",
                               "if K ⊆ K' then K*phi ⊆ K'*phi"),
-    PostulateId.U8_2: _Clause("KKF", _pu8_2, "union",
-                              "(K*phi) ∩ (K'*phi) ⊆ (K ∩ K')*phi", decide=_du8_2),
+    PostulateId.U8_2: _Clause("KKF", _PACKED["U8_2"], "union",
+                              "(K*phi) ∩ (K'*phi) ⊆ (K ∩ K')*phi",
+                              decide=lambda t: _sub(t, _every(t))),
     PostulateId.C1: _Clause("KFF", None, "iterated",
                             "if phi ⊨ psi then (K*psi)*phi = K*phi"),
     PostulateId.C2: _Clause("KFF", None, "iterated",
@@ -377,12 +317,14 @@ _CLAUSES: dict[PostulateId, _Clause] = {
                                "if ¬phi ∈ K*(psi ∨ phi) then (K*psi)*phi = K*phi"),
     PostulateId.P_GEN: _Clause("KFF", None, "iterated",
                                "if psi ∈ K*phi then (K*psi)*phi = K*phi"),
-    PostulateId.P_KM1: _Clause("KKF", _pkm1, "union",
+    PostulateId.P_KM1: _Clause("KKF", _PACKED["P_KM1"], "union",
                                "if ¬phi ∉ K and ¬phi ∉ K' then "
-                               "(K ∩ K')*phi = (K*phi) ∩ (K'*phi)", decide=_dkm1),
-    PostulateId.P_K9U81: _Clause("KKF", _pk9u81, "union",
+                               "(K ∩ K')*phi = (K*phi) ∩ (K'*phi)",
+                               decide=lambda t: _sub(t, t.m.meet) and _sup(t, t.m.meet)),
+    PostulateId.P_K9U81: _Clause("KKF", _PACKED["P_K9U81"], "union",
                                  "if ¬phi ∈ K and ¬phi ∈ K' then "
-                                 "(K*phi) ∩ (K'*phi) = (K ∩ K')*phi", decide=_dk9u81),
+                                 "(K*phi) ∩ (K'*phi) = (K ∩ K')*phi",
+                                 decide=lambda t: _union_generated(t, t.m.apart)),
 }
 
 
@@ -480,11 +422,11 @@ class Violation:
 
     def replay(self, rv: Revision) -> bool:
         """True when the recorded bindings still violate the clause, by its
-        _BLOCK_FAILS form on a block of this one binding."""
-        block = _one(rv, self.k.models.mask,
-                     self.kprime.models.mask if self.kprime is not None else 0,
-                     self.phi.mask, self.psi.mask if self.psi is not None else 0)
-        return next(_BLOCK_FAILS[self.postulate.name](block), None) is not None
+        lane form on a one-lane block of these bindings."""
+        block = _Lane(rv, self.k.models.mask,
+                      self.kprime.models.mask if self.kprime is not None else 0,
+                      self.phi.mask, self.psi.mask if self.psi is not None else 0)
+        return block.run(_LANE_FAILS[self.postulate.name]) is not None
 
     def describe(self) -> str:
         return "; ".join(f"{k}={v}" for k, v in self.witness_json().items())
@@ -504,22 +446,18 @@ class Violation:
 
 def _make_violation(rv: Revision, pid: PostulateId, K: int, Kp: int,
                     phi: int, psi: int) -> Violation:
-    return _violation(rv, pid, _one(rv, K, Kp, phi, psi), 0)
-
-
-def _violation(rv: Revision, pid: PostulateId, block: _Block, i: int) -> Violation:
-    """The record of the clause failing at binding i of the block, with the
-    value it reports read from its column there."""
+    """The record of the clause failing at this binding, with the value it
+    reports read from its column on a one-lane block there."""
     sig = rv.sig
     clause = _CLAUSES[pid]
     shape = clause.shape
-    observed = getattr(block, clause.observed)[i]
+    observed = getattr(_Lane(rv, K, Kp, phi, psi), clause.observed)
     return Violation(
         postulate=pid,
-        k=Theory(PropSet(sig, block.K[i])),
-        kprime=Theory(PropSet(sig, block.Kp[i])) if shape == "KKF" else None,
-        phi=PropSet(sig, block.phi[i]),
-        psi=PropSet(sig, block.psi[i]) if shape == "KFF" else None,
+        k=Theory(PropSet(sig, K)),
+        kprime=Theory(PropSet(sig, Kp)) if shape == "KKF" else None,
+        phi=PropSet(sig, phi),
+        psi=PropSet(sig, psi) if shape == "KFF" else None,
         observed=(Theory(PropSet(sig, observed))
                   if 0 <= observed <= sig.universe_mask else None),
         required=clause.required,
@@ -538,6 +476,7 @@ def _check_mode(mode: str, seed: Optional[int], samples: int) -> None:
 
 _BLOCK = 128  # bindings that sampled mode checks at a time
 _QUANTIFIERS = {"KF": ("K", "phi"), "KKF": ("K", "Kp", "phi"), "KFF": ("K", "phi", "psi")}
+_BINDINGS = ("K", "Kp", "phi", "psi")
 
 
 def _draws(seed: int, n: int, size: int) -> Iterator[list[int]]:
@@ -552,126 +491,196 @@ def _draws(seed: int, n: int, size: int) -> Iterator[list[int]]:
         yield out
 
 
+@functools.lru_cache(maxsize=4)  # bounded: at 16 atoms an entry holds 6 MB of masks
+def _lanes(sig: Signature, size: int) -> tuple[int, int, int, int, Optional[Struct]]:
+    """Lane width in bits; over ``size`` lanes, each one's top bit, the bits
+    below it and past a mask; and their struct, if a code fits (8 bytes)."""
+    nbytes = max(1, sig.num_valuations // 4)
+    code = dict(zip((1, 2, 4, 8), "bhiq")).get(nbytes)
+    ones = int.from_bytes((b"\1" + bytes(nbytes - 1)) * size, "little")
+    high = ones << 8 * nbytes - 1
+    return (8 * nbytes, high, high - ones, (1 << 8 * nbytes * size) - 1 ^ ones * sig.universe_mask,
+            code and Struct(f"<{size}{code}"))
+
+
 class _Block:
-    """A block of bindings as columns K, Kp, phi and psi, and the columns
-    of _COLUMNS over them, each computed on first use for the whole block."""
+    """Bindings, lists by name among K, Kp, phi and psi (0 where missing),
+    one lane of ``bits`` bits each: a column is one int whose lane i, read
+    signed, is its value at binding i, packed on first use for the whole
+    block. Lanes are twice a mask wide, so -1 and 2**(2**n) fit; where a
+    value does not fit, ``run`` checks the bindings one at a time."""
 
-    def __init__(self, rv: Revision, K: list, Kp: list, phi: list, psi: list):
-        self.uni, self.col = rv.sig.universe_mask, rv._revise_column
-        self.K, self.Kp, self.phi, self.psi = K, Kp, phi, psi
+    def __init__(self, rv: Revision, cols: dict[str, list[int]]):
+        self.rv, self.cols, self.size = rv, cols, len(cols["K"])
+        self.bits, self.high, self.low, self.over, self.struct = _lanes(rv.sig, self.size)
 
-    def __getattr__(self, name: str) -> list[int]:
-        if name not in _COLUMNS:
+    def __getattr__(self, name: str) -> int:
+        if name in _COLUMNS:
+            value = _COLUMNS[name](self)
+        elif name in _BINDINGS:
+            value = self.pack(self.cols[name]) if name in self.cols else 0
+        else:
             raise AttributeError(name)
-        value = self.__dict__[name] = _COLUMNS[name](self)
+        setattr(self, name, value)
         return value
 
+    def run(self, form: Callable[[_Block], int]) -> Optional[int]:
+        """The first binding where the clause's violation vector is nonzero."""
+        try:
+            v = form(self)
+        except StructError:  # a value that does not fit a lane
+            return next((i for i in range(self.size)
+                         if _Lane(self.rv, *self.binding(i)).run(form) is not None), None)
+        return ((v & -v).bit_length() - 1) // self.bits if v else None
 
-_COLUMNS: dict[str, Callable[[_Block], list[int]]] = {
-    "meet": lambda b: [k & f for k, f in zip(b.K, b.phi)],  # K ∧ phi
-    "row": lambda b: b.col(b.K, b.phi),  # rev(K, phi)
-    "prime": lambda b: b.col(b.Kp, b.phi),  # rev(K', phi)
-    "union": lambda b: b.col([k | kp for k, kp in zip(b.K, b.Kp)], b.phi),  # rev(K ∪ K', phi)
-    "bot": lambda b: b.col([0] * len(b.K), b.phi),  # rev(⊥, phi)
-    "by_psi": lambda b: b.col(b.K, b.psi),  # rev(K, psi)
-    "iterated": lambda b: b.col(b.by_psi, b.phi),  # rev(rev(K, psi), phi)
-    "conj": lambda b: b.col(b.K, [f & s for f, s in zip(b.phi, b.psi)]),  # rev(K, phi ∧ psi)
-    "disj": lambda b: b.col(b.K, [f | s for f, s in zip(b.phi, b.psi)]),  # rev(K, psi ∨ phi)
+    def binding(self, i: int) -> tuple[int, ...]:
+        return tuple(self.cols[name][i] if name in self.cols else 0 for name in _BINDINGS)
+
+    def rev(self, ks: int, fs: int) -> int:
+        """The column rev(ks, fs), from the revision's lane hook."""
+        return self.rv._revise_lanes(self, ks, fs)
+
+    def pack(self, values: Sequence[int]) -> int:
+        if self.struct:
+            return int.from_bytes(self.struct.pack(*values), "little")
+        try:
+            return int.from_bytes(b"".join(v.to_bytes(self.bits // 8, "little", signed=True)
+                                           for v in values), "little")
+        except OverflowError:
+            raise StructError("a value does not fit a lane") from None
+
+    def unpack(self, column: int) -> Sequence[int]:
+        nb = self.bits // 8
+        data = column.to_bytes(nb * self.size, "little")
+        if self.struct:
+            return self.struct.unpack(data)
+        return [int.from_bytes(data[i:i + nb], "little", signed=True)
+                for i in range(0, len(data), nb)]
+
+    nonzero = _Pairs.nonzero  # on lanes of any width
+
+    def expand_or_row(self, row: Sequence[int], ks: int, fs: int) -> int:
+        """The column ks & fs, and row[fs] on the lanes where that is 0: read
+        there one lane at a time, or at once on all lanes, as in rev(⊥, phi)."""
+        meet = ks & fs
+        flags = self.high ^ self.nonzero(meet)  # the top bit of each such lane
+        if flags == self.high:  # itemgetter of two or more indexes gives a tuple
+            return self.pack(itemgetter(0, *self.unpack(fs))(row)[1:])
+        half = 1 << self.bits - 1
+        while flags:
+            top = flags.bit_length() - 1
+            cell = row[fs >> top + 1 - self.bits & 2 * half - 1]
+            if not -half <= cell < half:
+                raise StructError(f"{cell} does not fit a lane")
+            meet |= (cell & 2 * half - 1) << top + 1 - self.bits
+            flags ^= 1 << top
+        return meet
+
+
+class _Lane(_Block):
+    """The block of one binding, whose columns are the values themselves,
+    as if in a lane as wide as they are; a condition holds where it is 1."""
+
+    high = 1
+
+    def __init__(self, rv: Revision, K: int, Kp: int, phi: int, psi: int):
+        self.rv, self.over = rv, ~rv.sig.universe_mask
+        self.K, self.Kp, self.phi, self.psi = K, Kp, phi, psi
+
+    def run(self, form: Callable[[_Block], int]) -> Optional[int]:
+        return 0 if form(self) else None
+
+    def rev(self, ks: int, fs: int) -> int:
+        return self.rv.revise_mask(ks, fs)
+
+    def nonzero(self, v: int) -> int:
+        return 1 if v else 0
+
+
+_COLUMNS: dict[str, Callable[[_Block], int]] = {
+    "meet": lambda b: b.K & b.phi,  # K ∧ phi
+    "row": lambda b: b.rev(b.K, b.phi),  # rev(K, phi)
+    "prime": lambda b: b.rev(b.Kp, b.phi),  # rev(K', phi)
+    "union": lambda b: b.rev(b.K | b.Kp, b.phi),  # rev(K ∪ K', phi)
+    "bot": lambda b: b.rev(0, b.phi),  # rev(⊥, phi)
+    "by_psi": lambda b: b.rev(b.K, b.psi),  # rev(K, psi)
+    "iterated": lambda b: b.rev(b.by_psi, b.phi),  # rev(rev(K, psi), phi)
+    "conj": lambda b: b.rev(b.K, b.phi & b.psi),  # rev(K, phi ∧ psi)
+    "disj": lambda b: b.rev(b.K, b.phi | b.psi),  # rev(K, psi ∨ phi)
 }
 
 
-def _one(rv: Revision, K: int, Kp: int, phi: int, psi: int) -> _Block:
-    """The block of the single binding (K, K', phi, psi)."""
-    return _Block(rv, [K], [Kp], [phi], [psi])
-
-
-# Each clause's failing bindings in a block, as indices in binding order,
-# written over the block's columns. The clause's scalar statement, one
-# binding at a time, is kept in tests/oracles.py as the reference that
-# these forms and the packed kernels are tested against.
-_BLOCK_FAILS: dict[str, Callable[[_Block], Iterator[int]]] = {
-    "K1": lambda b: (i for i, r in enumerate(b.row) if not 0 <= r <= b.uni),
-    "K2": lambda b: (i for i, r, f in _ix(b.row, b.phi) if r | f != f),
-    "K3": lambda b: (i for i, m, r in _ix(b.meet, b.row) if m | r != r),
-    "K4": lambda b: (i for i, m, r in _ix(b.meet, b.row) if m and r | m != m),
-    "K5": lambda b: (i for i, r, f in _ix(b.row, b.phi) if r == 0 and f != 0),
+# Each clause's violation vector over a block, nonzero on the lanes where
+# it fails: a ⊆ b fails where a & ~b is nonzero, a = b where a ^ b is, and
+# a condition enters through nonzero. tests/oracles.py keeps the clause's
+# scalar statement, the reference for these forms and the packed kernels.
+_LANE_FAILS: dict[str, Callable[[_Block], int]] = {
+    "K1": lambda b: b.row & b.over,
+    "K2": lambda b: b.row & ~b.phi,
+    "K3": lambda b: b.meet & ~b.row,
+    "K4": lambda b: b.nonzero(b.meet) & b.nonzero(b.row & ~b.meet),
+    "K5": lambda b: b.nonzero(b.phi) & ~b.nonzero(b.row),
     # a second column of rev(K, phi): only a nondeterministic revise fails
-    "K6": lambda b: (i for i, r, s in _ix(b.row, b.col(b.K, b.phi)) if r != s),
-    "K7": lambda b: (i for i, r, s, c in _ix(b.row, b.psi, b.conj) if r & s | c != c),
-    "K8": lambda b: (i for i, r, s, c in _ix(b.row, b.psi, b.conj)
-                     if r & s and c | r & s != r & s),
-    "K9": lambda b: (i for i, m, kp, f, r, p in _ix(b.meet, b.Kp, b.phi, b.row, b.prime)
-                     if not (m or kp & f) and r != p),
-    "K9_1": lambda b: (i for i, m, o, r in _ix(b.meet, b.bot, b.row) if not m and o | r != r),
-    "K9_2": lambda b: (i for i, m, o, r in _ix(b.meet, b.bot, b.row) if not m and r | o != o),
-    "K9_2P": lambda b: (i for i, k, s, o, r in _ix(b.K, b.psi, b.bot, b.row)
-                        if k | s == s and o | s == s and r | s != s),
-    "U8": lambda b: (i for i, u, r, p in _ix(b.union, b.row, b.prime) if u != r | p),
-    "U8_1": lambda b: (i for i, k, kp, r, p in _ix(b.K, b.Kp, b.row, b.prime)
-                       if kp | k == k and p | r != r),
-    "U8_2": lambda b: (i for i, u, r, p in _ix(b.union, b.row, b.prime) if u | r | p != r | p),
-    "C1": lambda b: (i for i, f, s, it, r in _ix(b.phi, b.psi, b.iterated, b.row)
-                     if f | s == s and it != r),
-    "C2": lambda b: (i for i, f, s, it, r in _ix(b.phi, b.psi, b.iterated, b.row)
-                     if not f & s and it != r),
-    "C2P": lambda b: (i for i, m, f, s, it, r in _ix(b.meet, b.phi, b.psi, b.iterated, b.row)
-                      if not (m or f & s) and it != r),
-    "C3": lambda b: (i for i, s, it, r in _ix(b.psi, b.iterated, b.row)
-                     if r | s == s and it | s != s),
-    "C4": lambda b: (i for i, s, it, r in _ix(b.psi, b.iterated, b.row) if r & s and not it & s),
-    "P_PHIANDPSI": lambda b: (i for i, f, q, it, c in _ix(b.phi, b.by_psi, b.iterated, b.conj)
-                              if q & f and it != c),
-    "P_PSI": lambda b: (i for i, f, d, it, r in _ix(b.phi, b.disj, b.iterated, b.row)
-                        if not d & f and it != r),
-    "P_GEN": lambda b: (i for i, s, it, r in _ix(b.psi, b.iterated, b.row)
-                        if r | s == s and it != r),
-    "P_KM1": lambda b: (i for i, m, kp, f, u, r, p
-                        in _ix(b.meet, b.Kp, b.phi, b.union, b.row, b.prime)
-                        if m and kp & f and u != r | p),
-    "P_K9U81": lambda b: (i for i, m, kp, f, u, r, p
-                          in _ix(b.meet, b.Kp, b.phi, b.union, b.row, b.prime)
-                          if not (m or kp & f) and u != r | p),
+    "K6": lambda b: b.row ^ b.rev(b.K, b.phi),
+    "K7": lambda b: b.row & b.psi & ~b.conj,
+    "K8": lambda b: b.nonzero(b.row & b.psi) & b.nonzero(b.conj & ~(b.row & b.psi)),
+    "K9": lambda b: b.nonzero(b.row ^ b.prime) & ~b.nonzero(b.meet | b.Kp & b.phi),
+    "K9_1": lambda b: b.nonzero(b.bot & ~b.row) & ~b.nonzero(b.meet),
+    "K9_2": lambda b: b.nonzero(b.row & ~b.bot) & ~b.nonzero(b.meet),
+    "K9_2P": lambda b: b.nonzero(b.row & ~b.psi) & ~b.nonzero((b.K | b.bot) & ~b.psi),
+    "U8": lambda b: b.union ^ (b.row | b.prime),
+    "U8_1": lambda b: b.nonzero(b.prime & ~b.row) & ~b.nonzero(b.Kp & ~b.K),
+    "U8_2": lambda b: b.union & ~(b.row | b.prime),
+    "C1": lambda b: b.nonzero(b.iterated ^ b.row) & ~b.nonzero(b.phi & ~b.psi),
+    "C2": lambda b: b.nonzero(b.iterated ^ b.row) & ~b.nonzero(b.phi & b.psi),
+    "C2P": lambda b: b.nonzero(b.iterated ^ b.row) & ~b.nonzero(b.meet | b.phi & b.psi),
+    "C3": lambda b: b.nonzero(b.iterated & ~b.psi) & ~b.nonzero(b.row & ~b.psi),
+    "C4": lambda b: b.nonzero(b.row & b.psi) & ~b.nonzero(b.iterated & b.psi),
+    "P_PHIANDPSI": lambda b: b.nonzero(b.by_psi & b.phi) & b.nonzero(b.iterated ^ b.conj),
+    "P_PSI": lambda b: b.nonzero(b.iterated ^ b.row) & ~b.nonzero(b.disj & b.phi),
+    "P_GEN": lambda b: b.nonzero(b.iterated ^ b.row) & ~b.nonzero(b.row & ~b.psi),
+    "P_KM1": lambda b: (b.nonzero(b.meet) & b.nonzero(b.Kp & b.phi)
+                        & b.nonzero(b.union ^ (b.row | b.prime))),
+    "P_K9U81": lambda b: (b.nonzero(b.union ^ (b.row | b.prime))
+                          & ~b.nonzero(b.meet | b.Kp & b.phi)),
 }
-
-
-def _ix(*columns: list[int]) -> Iterator[tuple[int, ...]]:
-    """The columns' entries by binding, each led by its index."""
-    return zip(count(), *columns)
 
 
 def _sampled_pass(rv: Revision, pids: list[PostulateId], seed: int,
                   samples: int) -> dict[PostulateId, Violation]:
-    """The first violation of each clause in ``pids``, all of one shape,
-    checked _BLOCK bindings at a time against every clause that has not
-    failed yet. A column is read over the whole block, also at bindings
-    where a clause's condition would skip its cell."""
-    names = _QUANTIFIERS[_CLAUSES[pids[0]].shape]
-    width = len(names)
-    blocks = _draws(seed, rv.sig.universe_mask + 1, width * _BLOCK)
-    live = list(pids)
+    """The first violation of each clause in ``pids``, checked _BLOCK
+    bindings at a time against every clause not yet failed: two draws per
+    binding for KF clauses, three shared by KKF and KFF. A column is read
+    over the whole block, also where a clause's condition skips its cell."""
     found: dict[PostulateId, Violation] = {}
-    for start in range(0, samples, _BLOCK):
-        draws = next(blocks)[:width * (samples - start)]
-        cols = dict.fromkeys(("K", "Kp", "phi", "psi"), [0] * (len(draws) // width))
-        cols.update((name, draws[i::width]) for i, name in enumerate(names))
-        block = _Block(rv, **cols)
-        for pid in live:
-            hit = next(_BLOCK_FAILS[pid.name](block), None)
-            if hit is not None:
-                found[pid] = _violation(rv, pid, block, hit)
-        live = [pid for pid in live if pid not in found]
-        if not live:
-            break
+    clauses = [(pid, _QUANTIFIERS[_CLAUSES[pid].shape], _LANE_FAILS[pid.name]) for pid in pids]
+    for width in (2, 3):
+        live = [clause for clause in clauses if len(clause[1]) == width]
+        blocks = _draws(seed, rv.sig.universe_mask + 1, width * _BLOCK)
+        for start in range(0, samples, _BLOCK):
+            if not live:
+                break
+            draws = next(blocks)[:width * (samples - start)]
+            by_names = {names: _Block(rv, dict(zip(names, (draws[i::width] for i in range(width)))))
+                        for names in {clause[1] for clause in live}}
+            passed = []
+            for clause in live:
+                pid, names, form = clause
+                block = by_names[names]
+                hit = block.run(form)
+                if hit is None:
+                    passed.append(clause)
+                else:
+                    found[pid] = _make_violation(rv, pid, *block.binding(hit))
+            live = passed
     return found
 
 
 def _exhaustive_pass(rv: Revision, pids: list[PostulateId]) -> dict[PostulateId, Violation]:
     """The first violation of each clause in ``pids``, which is not empty,
     in lexicographic binding order. The KFF clauses share one
-    ``_kff_pass``; a KF or KKF clause with a decider is first decided on
-    the whole table, and only when it fails, or when the clause has no
-    decider, is its binding domain swept to locate the first
-    counterexample."""
+    ``_kff_pass``; a KF or KKF clause is swept for its first failure
+    only where it has no decider or its decider says it fails."""
     if rv.sig.n > TABLE_MAX_ATOMS:
         raise DomainTooLargeError(
             f"{pids[0].name} quantifies over too many bindings at {rv.sig.n} atoms; "
@@ -699,21 +708,28 @@ def check_postulate(
 ) -> Optional[Violation]:
     """Evaluate one postulate; None means it holds everywhere checked.
 
-    Exhaustive mode works on packed table rows and needs n <= 3. A
-    clause with a decider is first decided on the whole table; only when
-    it fails, or when the clause has no decider, is the binding domain
-    swept in lexicographic order to locate the first counterexample. A
-    KFF clause is located by the same pass, one K at a time over blocks
-    of every (phi, psi), that run_suite makes for all its KFF clauses.
-    Sampled mode draws ``samples`` bindings as random.Random(seed).randrange
-    would, one per quantifier in binding order, so for a given seed every
-    clause of one shape (KF, KKF or KFF) sees the same bindings. It reads
-    the revision one column at a time over a block of bindings.
-    """
+    Exhaustive mode needs n <= 3 and reports the lexicographically first
+    counterexample. Sampled mode draws ``samples`` bindings as
+    random.Random(seed).randrange would, one per quantifier in binding
+    order, so for a given seed the clauses with as many quantifiers see
+    the same values. An id that is not a PostulateId raises ValueError."""
     _check_mode(mode, seed, samples)
+    if not isinstance(pid, PostulateId):
+        _postulate_ids([pid], "check_postulate")  # raises run_suite's ValueError
     if mode == "sampled":
         return _sampled_pass(rv, [pid], seed, samples).get(pid)
     return _exhaustive_pass(rv, [pid]).get(pid)
+
+
+def _postulate_ids(ids: Iterable[PostulateId], caller: str) -> list[PostulateId]:
+    """The ids in canonical order, each once; other ids, or none, raise ValueError."""
+    wanted = set(ids)
+    pids = [pid for pid in PostulateId if pid in wanted]
+    if not pids or len(pids) != len(wanted):
+        unknown = sorted(map(repr, wanted.difference(PostulateId)))
+        raise ValueError(f"{caller} needs PostulateId members, got {', '.join(unknown)}"
+                         if unknown else f"{caller} needs at least one postulate id")
+    return pids
 
 
 @dataclass(frozen=True)
@@ -780,30 +796,15 @@ def run_suite(
     seed: Optional[int] = None,
     samples: int = 500,
 ) -> SuiteReport:
-    """check_postulate over a set of ids, merged in canonical order.
-
-    Both modes make one pass per clause shape, which gives the verdicts
-    and witnesses of one check_postulate call per clause. Sampled mode
-    draws each block of bindings once, and reads each revision column
-    over it once for every clause of that shape. Exhaustive mode sweeps
-    K once for all the KFF clauses, building the blocks over (phi, psi)
-    they share once per K, and decides or sweeps each KF and KKF clause
-    on the same packed table. Ids that are not PostulateId members, or
-    none, raise ValueError instead of passing vacuously."""
+    """check_postulate over a set of ids, merged in canonical order: the
+    same verdicts and witnesses from one pass per mode, which reads each
+    revision column, or builds each block over (phi, psi), once for every
+    clause that reads it. Ids that are not PostulateId members, or none,
+    raise ValueError instead of passing vacuously."""
     _check_mode(mode, seed, samples)
-    wanted = set(ids)
-    pids = [pid for pid in PostulateId if pid in wanted]
-    if not pids or len(pids) != len(wanted):
-        unknown = sorted(map(repr, wanted.difference(PostulateId)))
-        raise ValueError(f"run_suite needs PostulateId members, got {', '.join(unknown)}"
-                         if unknown else "run_suite needs at least one postulate id")
-    found: dict[PostulateId, Violation] = {}
+    pids = _postulate_ids(ids, "run_suite")
     if mode == "sampled":
-        shapes: dict[str, list[PostulateId]] = {}
-        for pid in pids:
-            shapes.setdefault(_CLAUSES[pid].shape, []).append(pid)
-        for group in shapes.values():
-            found.update(_sampled_pass(rv, group, seed, samples))
+        found = _sampled_pass(rv, pids, seed, samples)
     else:
         found = _exhaustive_pass(rv, pids)
     results = [(pid, found.get(pid)) for pid in pids]
@@ -837,11 +838,8 @@ def check_implication_9p_to_92(rv: Revision) -> Optional[Violation]:
         if check_postulate(rv, pid) is not None:
             return None
     v = check_postulate(rv, PostulateId.K9_2)
-    if v is None:
-        return None
-    return dataclasses.replace(
-        v, required="K1, K2 and K9_2P hold, so K9_2 must: " + v.required
-    )
+    return v and dataclasses.replace(v, required="K1, K2 and K9_2P hold, so K9_2 must: "
+                                     + v.required)
 
 
 class ImpossibilityTarget(Enum):
@@ -887,29 +885,19 @@ def find_impossibility_witness(
     uni = rv.sig.universe_mask
     bottom_true = rv.revise_mask(0, uni)
 
-    if which is ImpossibilityTarget.U8_1_VS_K4K5:
-        # Any consistent Cn(phi) missing some default consequence of true
-        # breaks monotonicity against bot: Cn(phi) ⊆ bot yet
-        # Cn(phi)*true keeps phi (by K4) while bot*true may not.
-        for phi in range(1, uni + 1):
-            if (bottom_true | phi) != phi:
-                block = _one(rv, phi, 0, uni, 0)
-                if next(_BLOCK_FAILS["U8_1"](block), None) is not None:
-                    return _violation(rv, PostulateId.U8_1, block, 0)
-        raise SearchExhaustedError(
-            "no U8_1 witness found; the revision cannot satisfy K4 and K5"
-        )
-
-    # C2 instantiated at psi = false collapses every severe row to the
-    # bottom row, so any consistent theory other than bot*true witnesses.
-    for km in range(1, uni + 1):
-        if km != bottom_true:
-            block = _one(rv, km, 0, uni, 0)
-            if next(_BLOCK_FAILS["C2"](block), None) is not None:
-                return _violation(rv, PostulateId.C2, block, 0)
-    raise SearchExhaustedError(
-        "no C2 witness found; the revision cannot satisfy K1-K4"
-    )
+    # Both searches bind (K, bot, true, false). U8_1: a consistent K that
+    # misses some default consequence of true breaks monotonicity against
+    # bot: K ⊆ bot, yet K*true keeps K (by K4) while bot*true may not. C2:
+    # at psi = false every severe row collapses to the bottom row, so any
+    # consistent theory other than bot*true witnesses.
+    u8_1 = which is ImpossibilityTarget.U8_1_VS_K4K5
+    pid = PostulateId.U8_1 if u8_1 else PostulateId.C2
+    for K in range(1, uni + 1):
+        candidate = (bottom_true | K) != K if u8_1 else K != bottom_true
+        if candidate and _Lane(rv, K, 0, uni, 0).run(_LANE_FAILS[pid.name]) is not None:
+            return _make_violation(rv, pid, K, 0, uni, 0)
+    raise SearchExhaustedError(f"no {pid.name} witness found; the revision cannot satisfy "
+                               + ("K4 and K5" if u8_1 else "K1-K4"))
 
 
 @dataclass(frozen=True)

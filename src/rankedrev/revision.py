@@ -81,9 +81,10 @@ class Revision:
         rm = self.revise_mask
         return tuple(tuple(rm(k, f) for f in range(nmasks)) for k in range(nmasks))
 
-    def _revise_column(self, ks: Iterable[int], fs: Iterable[int]) -> list[int]:
-        """revise_mask at each pair (ks[i], fs[i]): a column of bindings."""
-        return list(map(self.revise_mask, ks, fs))
+    def _revise_lanes(self, lanes, ks: int, fs: int) -> int:
+        """revise_mask on each lane of the columns ks and fs, packed as
+        ``lanes`` (a postulates._Block) packs them."""
+        return lanes.pack(list(map(self.revise_mask, lanes.unpack(ks), lanes.unpack(fs))))
 
     def same_revision(self, other: "Revision") -> bool:
         """Pointwise equality over the finite domain; a row of bytes equals
@@ -118,9 +119,8 @@ class _ExpandOrRow(Revision):
     def revise_mask(self, k_mask: int, f_mask: int) -> int:
         return k_mask & f_mask or self._cells()[f_mask]
 
-    def _revise_column(self, ks: Iterable[int], fs: Iterable[int]) -> list[int]:
-        row = self._cells()
-        return [k & f or row[f] for k, f in zip(ks, fs)]
+    def _revise_lanes(self, lanes, ks: int, fs: int) -> int:
+        return lanes.expand_or_row(self._cells(), ks, fs)
 
     def _tabulate(self) -> Sequence[Sequence[int]]:
         """One packed row per theory: byte phi of inter[K] | (ROW & apart[K])

@@ -21,6 +21,7 @@ from rankedrev import (
     Signature,
     Theory,
     UnknownAtomError,
+    canonical_formula,
     cn_with,
     format_formula,
     models_of,
@@ -29,6 +30,7 @@ from rankedrev import (
     theory_intersect,
 )
 
+from rankedrev import logic
 from rankedrev.logic import MAX_FORMULA_DEPTH
 
 from helpers import SIG2, SIG3, ps, th
@@ -202,6 +204,27 @@ class TestModels:
     def test_equivalent_formulas_same_propset(self, sig2):
         assert ps(sig2, "p -> q") == ps(sig2, "!p | q")
         assert ps(sig2, "!(p & q)") == ps(sig2, "!p | !q")
+
+    def test_shared_subtrees_are_evaluated_once(self, monkeypatch):
+        # canonical_formula's 320 minterms at 10 atoms share their leading
+        # conjunctions, and its literals are shared nodes too: a call per
+        # node and minterm would walk each prefix again. The last two atoms
+        # are not free, so a prefix's mask is no minterm's
+        sig = Signature(tuple("pqrstuvwxy"))
+        s = ps(sig, "(p | q & !r) & (x <-> y)")
+        f = canonical_formula(s)
+        nodes, todo = set(), [f]
+        while todo:
+            g = todo.pop()
+            if id(g) not in nodes:
+                nodes.add(id(g))
+                todo += [g.operand] if isinstance(g, Not) else [
+                    getattr(g, side) for side in ("left", "right") if hasattr(g, side)]
+        calls = []
+        mask_of = logic._mask_of
+        monkeypatch.setattr(logic, "_mask_of", lambda *a: calls.append(1) or mask_of(*a))
+        assert models_of(f, sig) == s
+        assert len(nodes) == 1307 and len(calls) <= 3 * len(nodes)
 
 
 def _formulas(sig):

@@ -44,8 +44,9 @@ from rankedrev import (
     with_theory_floor,
 )
 
-from helpers import SIG1, SIG2, SIG3, SIG4, OutOfRange, ps, th
+from helpers import SIG1, SIG2, SIG3, SIG4, SIG5, OutOfRange, ps, run_capped, th
 from oracles import (
+    HOLDS,
     dynamic_underdetermination_reference,
     first_violation,
     kff_pass_reference,
@@ -164,6 +165,16 @@ class TestCheckPostulate:
     def test_sampled_mode_requires_seed(self, rv0):
         with pytest.raises(ValueError):
             check_postulate(rv0, PostulateId.K7, mode="sampled")
+
+    @pytest.mark.parametrize("sig", [SIG2, SIG4], ids=["2atoms", "4atoms"])
+    @pytest.mark.parametrize("kwargs", [dict(), dict(mode="sampled", seed=1)],
+                             ids=["exhaustive", "sampled"])
+    def test_id_that_is_not_a_postulate_raises(self, sig, kwargs):
+        # the same ValueError as run_suite, before any clause reads the
+        # revision, also at a size exhaustive mode refuses
+        for pid, named in (("K9", "'K9'"), (9, "9"), (None, "None")):
+            with pytest.raises(ValueError, match=f"PostulateId members, got {named}$"):
+                check_postulate(_Untouchable(sig), pid, **kwargs)
 
 
 def _bindings(v):
@@ -826,6 +837,172 @@ class TestSampledMode:
         assert abs(peak4(20_000) - peak4(1_000)) < 64 * 1024
 
 
+def _lane_cases(sig, seed):
+    """Revisions and bindings for the lane forms: a ranked revision; the
+    same one answering -1, 2**(2**n), 300, the lowest value a lane holds
+    and values past any lane (10**6, 2**40, -2**70) at cells that the
+    bindings read as rev(K, phi), rev(K', phi), rev(K ∪ K', phi),
+    rev(K, psi), rev(⊥, phi) and through rev(rev(K, psi), phi); and a
+    conservative extension whose row holds those values, read where
+    K ∧ phi is empty."""
+    rng = random.Random(seed)
+    nm = sig.universe_mask + 1
+    half = 1 << max(8, 2 * sig.num_valuations) - 1  # lanes are twice a mask wide
+    ranked = RankedRevision(random_rank_function(sig, min(nm, 5), seed))
+
+    def draw():
+        return rng.randrange(nm)
+
+    bindings = [(draw(), draw(), draw(), draw()) for _ in range(40)]
+    cells = {}
+    for value in (-1, nm, 300, -half, 10**6, 2**40, -2**70):
+        k, f, other = draw(), draw(), draw()
+        cells[k, f] = cells[0, f] = value
+        bindings += [(k, other, f, other), (other, k, f, other), (k, k, f, other),
+                     (k, other, other, f), (0, other, f, f), (other, 0, f, k),
+                     (sig.universe_mask ^ f, other, f, other)]
+    return {"ranked": ranked, "out_of_range": OutOfRange(ranked, cells),
+            "lane_sized": OutOfRange(ranked, {c: v for c, v in cells.items()
+                                              if -half <= v < half}),
+            "conservative": conservative_extension(
+                OutOfRange(ranked, {(0, f): v for (k, f), v in cells.items()}),
+                Theory.bottom(sig))}, bindings
+
+
+class TestLaneForms:
+    """Each clause's lane form against its scalar statement in the oracles,
+    on one-lane blocks and lane by lane on blocks of many bindings."""
+
+    def test_one_form_clause_and_statement_per_postulate(self):
+        names = [pid.name for pid in PostulateId]
+        assert sorted(postulates._LANE_FAILS) == sorted(names)
+        assert list(postulates._CLAUSES) == list(HOLDS) == list(PostulateId)
+        forms = list(postulates._LANE_FAILS.values())
+        assert len({id(form) for form in forms}) == len(forms) == len(names)
+
+    @pytest.mark.parametrize("sig", [SIG1, SIG2, SIG3, SIG4],
+                             ids=["1atom", "2atoms", "3atoms", "4atoms"])
+    def test_forms_match_scalar_statements(self, sig):
+        uni = sig.universe_mask
+        revisions, bindings = _lane_cases(sig, sig.n)
+        fails = Counter()
+        for kind, rv in revisions.items():
+            want = {pid: [not HOLDS[pid](rv.revise_mask, uni, *b) for b in bindings]
+                    for pid in PostulateId}
+            block = postulates._Block(rv, dict(zip(("K", "Kp", "phi", "psi"),
+                                                   map(list, zip(*bindings)))))
+            for pid in PostulateId:
+                form = postulates._LANE_FAILS[pid.name]
+                one = [postulates._Lane(rv, *b).run(form) is not None for b in bindings]
+                assert one == want[pid], (kind, pid)
+                first = want[pid].index(True) if True in want[pid] else None
+                assert block.run(form) == first, (kind, pid)
+                fails[kind] += sum(want[pid])
+                if kind in ("ranked", "lane_sized"):  # every value fits: read each lane
+                    v = form(block)
+                    lanes = [v >> i * block.bits & (1 << block.bits) - 1 != 0
+                             for i in range(len(bindings))]
+                    assert lanes == want[pid], (kind, pid)
+        # every kind fails somewhere, the changed cells most
+        assert 0 < fails["ranked"] < fails["lane_sized"] <= fails["out_of_range"], fails
+        assert fails["conservative"] > fails["ranked"], fails
+
+    def test_k6_reads_rev_k_phi_twice(self):
+        # equivalent inputs are one mask, so only a revise that answers a
+        # cell differently from one call to the next fails K6
+        class Flaky(Revision):
+            calls = 0
+
+            def revise_mask(self, k, f):
+                self.calls += 1
+                return self.calls % 256
+
+        k6 = postulates._LANE_FAILS["K6"]
+        assert postulates._Lane(Flaky(SIG2), 3, 0, 5, 0).run(k6) == 0
+        assert postulates._Lane(RankedRevision(random_rank_function(SIG2, 2, 1)), 3, 0, 5, 0
+                                ).run(k6) is None
+        for samples in (1, 200):
+            v = check_postulate(Flaky(SIG3), PostulateId.K6, mode="sampled", seed=4,
+                                samples=samples)
+            assert v is not None and v.postulate is PostulateId.K6
+
+    def test_lanes_past_eight_bytes(self):
+        # at 6 atoms a lane is 16 bytes, which no struct code packs. Negative
+        # answers fit a lane, and rev(rev(K, psi), phi) reads them back as K;
+        # Wild also answers values past a lane at other cells
+        class Generic(Revision):
+            def revise_mask(self, k, f):
+                return k & f or f >> 1
+
+        class Negative(Generic):
+            def revise_mask(self, k, f):
+                if not 0 <= k <= self.sig.universe_mask:
+                    return f if k < 0 else 0
+                return super().revise_mask(k, f) if (k ^ f) % 7 else -((k | f) << 20)
+
+        class Wild(Negative):
+            def revise_mask(self, k, f):
+                return -((k | f) << 80) if k >= 0 and (k ^ f) % 11 == 0 else super().revise_mask(k, f)
+
+        sig = Signature(tuple("pqrstu"))
+        rng = random.Random(6)
+        bindings = [tuple(rng.randrange(sig.universe_mask + 1) for _ in range(4)) for _ in range(60)]
+        for rv in (Generic(sig), Negative(sig), Wild(sig)):
+            for samples in (1, 129):
+                _sampled_against_reference(rv, 66, samples)
+            if isinstance(rv, Wild):
+                continue
+            block = postulates._Block(rv, dict(zip(("K", "Kp", "phi", "psi"),
+                                                   map(list, zip(*bindings)))))
+            for pid in PostulateId:
+                v = postulates._LANE_FAILS[pid.name](block)
+                assert [v >> i * block.bits & (1 << block.bits) - 1 != 0
+                        for i in range(len(bindings))] == [
+                    not HOLDS[pid](rv.revise_mask, sig.universe_mask, *b) for b in bindings], pid
+
+    @pytest.mark.parametrize("samples", [127, 128, 129])
+    def test_block_edges(self, samples):
+        rank = random_rank_function(SIG3, 5, 11)
+        ranked = RankedRevision(rank)
+        revisions = (
+            ranked,
+            _perturbed_table(ranked, 200, 17, 3),
+            revision_of_relation(ConsequenceRelation.from_rank(rank)),
+            conservative_extension(ranked, th(SIG3, "p | q & !r")),
+            conservative_extension(OutOfRange(ranked, {(5, 9): -1, (5, 77): 256}),
+                                   Theory(PropSet(SIG3, 5))),
+        )
+        for i, rv in enumerate(revisions):
+            _sampled_against_reference(rv, 300 + i, samples)
+
+    def test_sampled_past_four_atoms_raises_before_any_verdict(self):
+        # a ranked revision's first column reads its consequence row, which
+        # past 4 atoms raises, whatever the bindings: this seed draws no
+        # binding of its first (K, K', phi) block with K ∧ phi, K' ∧ phi or
+        # (K ∪ K') ∧ phi empty, so no lane needs a row cell
+        n = SIG5.universe_mask + 1
+        seed = next(s for s in range(100) if all(
+            k & f and kp & f for k, kp, f in zip(*[iter(next(postulates._draws(s, n, 384)))] * 3)))
+        done = run_capped(f"""
+from rankedrev import (PostulateId, RankedRevision, Signature, TableTooLargeError,
+                       check_postulate, random_rank_function, run_suite)
+rv = RankedRevision(random_rank_function(Signature(tuple("pqrst")), 3, 1))
+for ids in ([PostulateId.U8_1], [PostulateId.K9], [PostulateId.K2], [PostulateId.C2],
+            list(PostulateId)):
+    for samples in (1, 500):
+        for call in (lambda: run_suite(rv, ids, mode="sampled", seed={seed}, samples=samples),
+                     lambda: check_postulate(rv, ids[0], mode="sampled", seed={seed},
+                                             samples=samples)):
+            try:
+                call()
+                print("verdict")
+            except TableTooLargeError as e:
+                print(type(e).__name__)
+""")
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["TableTooLargeError"] * 20
+
+
 class TestSuiteReport:
     def test_text_lists_every_requested_postulate(self, rv0):
         report = run_suite(rv0, AGM_PLUS_MINIMAL_INFLUENCE)
@@ -889,8 +1066,8 @@ class TestViolationSoundness:
 
 
 class TestReplayMatchesScalarForm:
-    """Violation.replay, which evaluates the clause's block form on one
-    binding, against the clause's scalar statement in the oracles: the same
+    """Violation.replay, which evaluates the clause's lane form on a one-lane
+    block, against the clause's scalar statement in the oracles: the same
     answer on every violation the corpora give, and again after the
     witness's own cell rev(K, phi) is changed, in a TableRevision copy up
     to 3 atoms and past that in a revision that overrides the one cell."""
