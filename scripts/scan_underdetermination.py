@@ -5,7 +5,8 @@ iterated revision across all rank functions.
 Prints, per anchor theory, either a witness pair of rank functions with
 identical rows that later diverge, or a note that the anchor's row is
 determining. The inconsistent theory is always determining: its row is
-the whole default structure.
+the whole default structure. Exits 141 if the reader of the output
+closes it early.
 """
 
 import sys
@@ -19,6 +20,7 @@ from rankedrev import (
     dynamic_underdetermination,
     theory_text,
 )
+from rankedrev.cli import exit_code
 
 
 def main() -> int:
@@ -39,4 +41,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(exit_code(main))

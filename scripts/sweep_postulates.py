@@ -11,8 +11,9 @@ all 75 (or 545835) functions.
 
 The K1-K9 block and the derived clauses pass on every rank-induced
 revision; U8, U8.1 and C2 fail on every one of them (witnesses exist by
-the impossibility results). Exits 1 if that picture is disturbed, and 2
-if the atoms do not form a signature of at most three atoms.
+the impossibility results). Exits 1 if that picture is disturbed, 2 if
+the atoms do not form a signature of at most three atoms, and 141 if the
+reader of the output closes it early.
 """
 
 import argparse
@@ -23,12 +24,12 @@ from collections import Counter
 
 from rankedrev import (
     PostulateId,
-    RankedRevError,
     RankedRevision,
     Signature,
     run_suite,
     sweep_orbits,
 )
+from rankedrev.cli import exit_code
 
 EXPECTED_TO_FAIL = {PostulateId.U8, PostulateId.U8_1, PostulateId.C2}
 
@@ -38,11 +39,7 @@ def main() -> int:
     parser.add_argument("--atoms", default="p,q", help="comma-separated atom names")
     args = parser.parse_args()
 
-    try:
-        orbits = list(sweep_orbits(Signature(tuple(args.atoms.split(",")))))
-    except RankedRevError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    orbits = list(sweep_orbits(Signature(tuple(args.atoms.split(",")))))
     fail_counts: Counter = Counter()
     seconds = []
     for rank, weight in orbits:
@@ -72,4 +69,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(exit_code(main))

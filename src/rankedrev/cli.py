@@ -19,7 +19,7 @@ import json
 import os
 import re
 import sys
-from typing import Optional
+from typing import Callable, Optional
 
 from .errors import RankedRevError, RankFileError
 from .logic import Formula, Signature, Theory, format_formula, models_of, parse_formula
@@ -336,14 +336,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
-    parser = build_parser()
+def exit_code(run: Callable[[], int]) -> int:
+    """run()'s exit code, once stdout is flushed; 2, with the message on
+    stderr, on a RankedRevError or OSError; 141, with nothing on stderr,
+    when the reader of stdout has closed it. The scripts exit through it."""
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 0 if exc.code in (0, None) else 2
-    try:
-        return args.func(args)
+        code = run()
+        sys.stdout.flush()  # so that a late close is caught here
+        return code
     except BrokenPipeError:
         # nothing more can be written; send what is still buffered to
         # /dev/null so that the interpreter's final flush raises nothing
@@ -352,6 +352,15 @@ def main(argv=None) -> int:
     except (RankedRevError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+
+
+def main(argv=None) -> int:
+    parser = build_parser()
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        return 0 if exc.code in (0, None) else 2
+    return exit_code(lambda: args.func(args))
 
 
 if __name__ == "__main__":

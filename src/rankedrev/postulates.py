@@ -68,6 +68,7 @@ class PostulateId(Enum):
     P_K9U81 = "P_K9U81"
 
 
+_CANONICAL = tuple(PostulateId)
 AGM_POSTULATES = tuple(PostulateId[f"K{i}"] for i in range(1, 9))
 AGM_PLUS_MINIMAL_INFLUENCE = AGM_POSTULATES + (PostulateId.K9,)
 
@@ -723,13 +724,13 @@ def check_postulate(
 
 def _postulate_ids(ids: Iterable[PostulateId], caller: str) -> list[PostulateId]:
     """The ids in canonical order, each once; other ids, or none, raise ValueError."""
-    wanted = set(ids)
-    pids = [pid for pid in PostulateId if pid in wanted]
-    if not pids or len(pids) != len(wanted):
-        unknown = sorted(map(repr, wanted.difference(PostulateId)))
+    ids = list(ids)
+    if not ids or not all(isinstance(pid, PostulateId) for pid in ids):
+        unknown = sorted(map(repr, set(ids).difference(PostulateId)))
         raise ValueError(f"{caller} needs PostulateId members, got {', '.join(unknown)}"
                          if unknown else f"{caller} needs at least one postulate id")
-    return pids
+    names = {pid._name_ for pid in ids}  # members hash through Python-level Enum.__hash__
+    return [pid for pid in _CANONICAL if pid._name_ in names]
 
 
 @dataclass(frozen=True)

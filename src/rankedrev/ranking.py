@@ -15,7 +15,7 @@ import functools
 import math
 import random
 import sys
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass
 from itertools import chain, repeat
 from typing import Iterator, Sequence
@@ -181,7 +181,9 @@ def enumerate_rank_functions(sig: Signature) -> Iterator[RankFunction]:
     It is lazy per prefix of half the valuations: each prefix is followed
     by its completions, whose list depends only on the position and the
     ranks used so far, so it is built once and shared by every prefix
-    that reaches it. The order is the one above.
+    that reaches it. The order is the one above. A prefix's functions are
+    built at once without the constructor, whose checks they pass by
+    construction.
     """
     _check_enumerable(sig)
     m = sig.num_valuations
@@ -201,7 +203,13 @@ def enumerate_rank_functions(sig: Signature) -> Iterator[RankFunction]:
 
     def functions(i: int, used: int, head: tuple[int, ...]) -> Iterator[RankFunction]:
         if i == m // 2:
-            return map(RankFunction, repeat(sig), map(head.__add__, completions(i, used)))
+            # RankFunction's checks hold by construction: each vector is an
+            # exact tuple of m ranks, all natural numbers (c in range(m))
+            tails = completions(i, used)
+            fs = list(map(object.__new__, repeat(RankFunction, len(tails))))
+            deque(map(RankFunction.sig.__set__, fs, repeat(sig)), 0)
+            deque(map(RankFunction.ranks.__set__, fs, map(head.__add__, tails)), 0)
+            return iter(fs)
         return chain.from_iterable(functions(i + 1, u, head + (c,)) for c, u in choices(i, used))
 
     return functions(0, 0, ())

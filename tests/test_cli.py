@@ -246,6 +246,19 @@ class TestEnumerate:
             proc.kill()
             proc.wait()
 
+    def test_pipe_closed_before_a_buffered_write_exits_141_quietly(self):
+        # a short listing is written by the flush at the end of the run
+        read, write = os.pipe()
+        os.close(read)
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"),
+                   PYTHONUNBUFFERED="")
+        try:
+            done = subprocess.run([sys.executable, "-m", "rankedrev", "enumerate", "--atoms", "1"],
+                                  stdout=write, stderr=subprocess.PIPE, env=env, timeout=60)
+        finally:
+            os.close(write)
+        assert (done.returncode, done.stderr) == (141, b"")
+
     @pytest.mark.parametrize("atoms", ["p,p", "true"])
     def test_bad_atoms_exit_two(self, capsys, atoms):
         code, out, err = run(capsys, "enumerate", "--atoms", atoms)

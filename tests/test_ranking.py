@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import gc
 import pickle
 import random
 
@@ -245,18 +246,33 @@ class TestEnumerate:
             count += 1
         assert count == fubini(8) == 545835
 
-    def test_first_three_atom_function_is_cheap(self, monkeypatch):
-        built = 0
-        check = RankFunction.__post_init__
+    def test_first_three_atom_function_is_cheap(self):
+        # the enumerator builds each prefix's functions at once, without the
+        # constructor, so count the functions alive once the first is yielded
+        def alive():
+            return sum(type(o) is RankFunction for o in gc.get_objects())
 
-        def counting(self):
-            nonlocal built
-            built += 1
-            check(self)
+        gc.collect()
+        before = alive()
+        functions = enumerate_rank_functions(SIG3)
+        assert next(functions).ranks == (0,) * 8
+        built = alive() - before
+        assert 0 < built < 545835 // 100
 
-        monkeypatch.setattr(RankFunction, "__post_init__", counting)
-        assert next(enumerate_rank_functions(SIG3)).ranks == (0,) * 8
-        assert built < 545835 // 100
+    def test_bulk_built_functions_match_checked_ones(self):
+        wanted = {0, 4321, 545834}
+        picked = [r for i, r in enumerate(enumerate_rank_functions(SIG3)) if i in wanted]
+        for r in [*enumerate_rank_functions(SIG2), *picked]:
+            checked = RankFunction(r.sig, r.ranks)
+            assert r == checked and hash(r) == hash(checked)
+            assert type(r) is RankFunction and type(r.ranks) is tuple
+            assert not hasattr(r, "__dict__")
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                r.ranks = checked.ranks
+            for clone in (pickle.loads(pickle.dumps(r)), copy.copy(r), copy.deepcopy(r),
+                          dataclasses.replace(r)):
+                assert clone == checked and hash(clone) == hash(checked)
+                assert type(clone.ranks) is tuple
 
     def test_four_atoms_rejected(self):
         with pytest.raises(SignatureTooLargeError):

@@ -98,3 +98,25 @@ def test_typed_errors_exit_two(name, args, message):
     assert "error: " in done.stderr and message in done.stderr
     assert "failures" not in done.stdout
 
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+@pytest.mark.parametrize("name, args", [
+    ("sweep_postulates.py", ()),
+    ("scan_underdetermination.py", ()),
+    ("sample_iterated_laws.py", ("--functions", "1")),
+])
+def test_closed_pipe_exits_141_quietly(name, args, unbuffered):
+    # exit 1 means a clause was violated. The reader closes the pipe before
+    # the script writes: each script's output fits a pipe's buffer, so a
+    # reader that read a line first could close after the last write.
+    # Buffered, the first write is the flush at the end of the run.
+    read, write = os.pipe()
+    os.close(read)
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONUNBUFFERED=unbuffered)
+    try:
+        done = subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args], env=env,
+                              stdout=write, stderr=subprocess.PIPE, text=True, timeout=120)
+    finally:
+        os.close(write)
+    assert (done.returncode, done.stderr) == (141, "")
