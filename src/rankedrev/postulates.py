@@ -9,6 +9,8 @@ reports the first counterexample in lexicographic binding order
 reports stable. Sampled mode draws bindings from a seeded generator and
 reports the seed, so every run is replayable.
 
+Each clause is stated once, as a lane form in _LANE_FAILS; every witness
+is found by it but those of the exhaustive KFF pass, _kff_pass.
 Violations are self-certifying: replaying the recorded bindings reads
 the revision afresh, through the clause's lane form, and reproduces the
 clause failure.
@@ -21,7 +23,7 @@ import functools
 import random
 from dataclasses import dataclass
 from enum import Enum
-from itertools import repeat
+from itertools import chain, islice, product, repeat
 from operator import itemgetter
 from struct import Struct, error as StructError
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
@@ -30,9 +32,10 @@ from .errors import (
     DomainTooLargeError,
     SamplingError,
     SearchExhaustedError,
+    SignatureError,
     WitnessNotFoundError,
 )
-from .logic import _ZERO, PropSet, Signature, Theory, _first_byte, _ints, _masks
+from .logic import PropSet, Signature, Theory, _first_byte, _ints, _masks
 from .ranking import RankFunction, enumerate_rank_functions
 from .render import dnf_text, theory_text
 from .revision import TABLE_MAX_ATOMS, RankedRevision, Revision
@@ -41,6 +44,7 @@ from .revision import TABLE_MAX_ATOMS, RankedRevision, Revision
 class PostulateId(Enum):
     """Closed enumeration of the checkable postulates."""
 
+    __hash__ = object.__hash__  # members compare by identity; Enum's hash is Python code
     K1 = "K1"
     K2 = "K2"
     K3 = "K3"
@@ -73,41 +77,20 @@ AGM_POSTULATES = tuple(PostulateId[f"K{i}"] for i in range(1, 9))
 AGM_PLUS_MINIMAL_INFLUENCE = AGM_POSTULATES + (PostulateId.K9,)
 
 
-# Exhaustive checking runs on packed rows (see logic.py): row K of the
-# revision table packs into one int whose byte phi is rev(K, phi). Each
-# clause has, per outer binding, (K, -) for KF, (K, K') for KKF and K for
-# KFF, a violation vector over the inner quantifiers: phi, or for KFF the
-# pairs (phi, psi) in lexicographic order. Its byte is nonzero exactly
-# where the clause fails, so the lowest nonzero byte of the first nonzero
-# vector is the lexicographically first counterexample.
+# Exhaustive checking of a table whose cells are all model masks runs on
+# its rows of bytes (see logic.py): the deciders on one int per row, the
+# KF and KKF clauses on _Rows, the KFF clauses on the vectors of _kff_pass.
 
 
 class _Packed:
-    """A revision table packed one row per int, with the signature's masks.
+    """A revision table whose cells are all model masks, as rows of bytes
+    and one int per row, with the signature's masks. Built once per
+    revision by ``_packed``."""
 
-    Cells outside 0..universe_mask are packed as 0 and flagged in
-    ``bad``, which only K1 reads; every other clause sees such a cell as
-    the empty model set. Built once per revision by ``_packed``.
-    """
-
-    def __init__(self, table, uni: int):
-        self.nmasks = uni + 1
+    def __init__(self, rows: list[bytes]):
+        self.nmasks = len(rows)
         self.m = _masks(self.nmasks)
-        valid = bytes(range(self.nmasks))
-        try:  # rows of bytes, as a revision builds them: nothing left once valid cells go
-            in_range = not b"".join(table).translate(None, valid)
-        except TypeError:  # rows of ints
-            in_range = False
-        if in_range:
-            self.rows, self.bad = list(map(bytes, table)), [0] * self.nmasks
-        else:
-            self.rows, self.bad = [], []
-            for row in table:
-                ok = [0 <= c <= uni for c in row]
-                self.rows.append(bytes(c if good else 0 for c, good in zip(row, ok)))
-                self.bad.append(int.from_bytes(bytes(0 if good else 255 for good in ok),
-                                               "little"))
-        self.P = _ints(self.rows)
+        self.rows, self.P = rows, _ints(rows)
         # rows and columns zero-padded to 256 bytes, as bytes.translate tables
         pad = bytes(256 - self.nmasks)
         self.tab = [r + pad for r in self.rows]
@@ -118,6 +101,22 @@ class _Packed:
         pad = bytes(256 - self.nmasks)
         return [bytes(c) + pad for c in zip(*self.rows)]
 
+    def joined(self, index: bytes) -> int:
+        """Over the pairs (x, y) of _Pairs: rev(index[x], y)."""
+        return int.from_bytes(b"".join(map(self.rows.__getitem__, index)), "little")
+
+    def repeated(self, K: int) -> int:
+        """Over the pairs (x, y): rev(K, y), row K doubled out to every x."""
+        v, width = self.P[K], 8 * self.nmasks
+        while width < 8 * self.nmasks * self.nmasks:
+            v, width = v | v << width, 2 * width
+        return v
+
+    flat = functools.cached_property(lambda t: t.joined(t.m.or_idx[0]))  # rev(x, y)
+    bot = functools.cached_property(lambda t: t.repeated(0))  # rev(⊥, y)
+    every = functools.cached_property(lambda t: [(1 << 8 * t.nmasks) - 1] * t.nmasks)
+    sub_every = functools.cached_property(lambda t: _sub(t, t.every))  # U8_2's and P_KM1's
+
     def block(self, K: int, index: bytes) -> int:
         """Over the pairs (phi, psi) of _Pairs: rev(K, index[pair])."""
         return int.from_bytes(index.translate(self.tab[K]), "little")
@@ -127,47 +126,30 @@ class _Packed:
         return int.from_bytes(b"".join(map(self.rows[K].translate, self.cols)), "little")
 
 
-def _packed(rv: Revision) -> _Packed:
+def _packed(rv: Revision) -> Union[_Packed, bool]:
     """The revision's packed table, built on first use and kept on the
-    revision like the rows it packs."""
+    revision like the rows it packs; False when a cell of the table is
+    not a model mask over the signature."""
     if rv._packed is None:
-        rv._packed = _Packed(rv.table(), rv.sig.universe_mask)
+        try:
+            rows = list(map(bytes, rv.table()))
+            # nothing is left of rows in range once the model masks are deleted
+            in_range = not b"".join(rows).translate(None, bytes(range(rv.sig.universe_mask + 1)))
+        except ValueError:  # a cell outside 0..255
+            in_range = False
+        rv._packed = in_range and _Packed(rows)
     return rv._packed
 
 
-# Each KF and KKF clause's violation vector over phi, per outer binding
-# (K, K'), on a packed table t whose vectors it binds as defaults.
-_PACKED: dict[str, Callable[[_Packed], Callable[[int, int], int]]] = {
-    "K1": lambda t: lambda K, _, bad=t.bad: bad[K],
-    "K2": lambda t: lambda K, _, P=t.P, ident=t.m.ident: P[K] & ~ident,
-    "K3": lambda t: lambda K, _, P=t.P, inter=t.m.inter: inter[K] & ~P[K],
-    "K4": lambda t: lambda K, _, P=t.P, inter=t.m.inter, meet=t.m.meet:
-        P[K] & ~inter[K] & meet[K],
-    "K5": lambda t: lambda K, _, rows=t.rows:
-        int.from_bytes(rows[K].translate(_ZERO), "little") & ~0xFF,
-    "K6": lambda t: lambda K, _: 0,
-    "K9_1": lambda t: lambda K, _, P=t.P, apart=t.m.apart: P[0] & ~P[K] & apart[K],
-    "K9_2": lambda t: lambda K, _, P=t.P, apart=t.m.apart: P[K] & ~P[0] & apart[K],
-    "K9": lambda t: lambda K, Kp, P=t.P, apart=t.m.apart:
-        (P[K] ^ P[Kp]) & apart[K] & apart[Kp],
-    "U8": lambda t: lambda K, Kp, P=t.P: P[K | Kp] ^ (P[K] | P[Kp]),
-    "U8_1": lambda t: lambda K, Kp, P=t.P: P[Kp] & ~P[K] if (Kp | K) == K else 0,
-    "U8_2": lambda t: lambda K, Kp, P=t.P: P[K | Kp] & ~(P[K] | P[Kp]),
-    "P_KM1": lambda t: lambda K, Kp, P=t.P, meet=t.m.meet:
-        (P[K | Kp] ^ (P[K] | P[Kp])) & meet[K] & meet[Kp],
-    "P_K9U81": lambda t: lambda K, Kp, P=t.P, apart=t.m.apart:
-        (P[K | Kp] ^ (P[K] | P[Kp])) & apart[K] & apart[Kp],
-}
-
-
-# Deciders for the symmetric KKF clauses: True exactly when the clause
-# holds at every (K, K', phi), found on the packed rows without a sweep
-# over (K, K') pairs. Lane (phi, w) is bit w of byte phi; per lane, f(a)
-# is that bit of P[a], and the clause ranges over the sets a whose
-# family vector (apart, meet or every set) has the lane. "sub" is
+# Deciders for the KKF clauses: True exactly when the clause holds at
+# every (K, K', phi), found on the packed rows without a sweep over
+# (K, K') pairs. Lane (phi, w) is bit w of byte phi; per lane, f(a) is
+# that bit of P[a], and the clause ranges over the sets a whose family
+# vector (apart, meet or every set) has the lane. "sub" is
 # f(a ∪ b) ⊆ f(a) ∪ f(b), "sup" is f(a) ∪ f(b) ⊆ f(a ∪ b); U8 is both over
-# every set, U8_2 is sub, P_KM1 both over meet and P_K9U81 both over
-# apart. Every family here is closed under union.
+# every set, U8_1 (f monotone) sup and U8_2 sub over every set, P_KM1 both
+# over meet and P_K9U81 both over apart. Every family here is closed under union, and meet is upward
+# closed. Sub over every set implies it over meet, which P_KM1 reads.
 
 
 def _dk9(t):
@@ -213,7 +195,7 @@ def _sub(t, fam):
     it. reach[s] has the lane when a zero set c ⊆ s holds v, and cover[s]
     when that is so for every v ∈ s."""
     P, n = t.P, t.nmasks
-    zero = [~p & f for p, f in zip(P, fam)]
+    zero = [(p | f) ^ p for p, f in zip(P, fam)]  # f & ~p, without the slower ~
     cover = [-1] * n
     for holding, steps in _zeta_steps(n):
         reach = zero[:]
@@ -226,19 +208,17 @@ def _sub(t, fam):
 
 
 def _sup(t, fam):
-    """f is monotone along every step a -> a ∪ {x} inside the family."""
+    """f is monotone along every step a -> a ∪ {x} from a member a of an
+    upward closed family; P[a] & ~P[b] is written without the slower ~."""
     P = t.P
-    return not any(P[a] & ~P[b] & fam[a] & fam[b] for a, b in _covers(t.nmasks))
-
-
-def _every(t):
-    return [(1 << 8 * t.nmasks) - 1] * t.nmasks
+    return not any(((P[a] | P[b]) ^ P[b]) & fam[a] for a, b in _covers(t.nmasks))
 
 
 class _Pairs:
     """Gather indexes and vectors over the pairs (phi, psi), byte
     phi * nmasks + psi, that depend only on the signature. Conditions are
-    0x80 in the bytes where they hold."""
+    0x80 in the bytes where they hold. For (K, phi) or (K', phi), ``phi``
+    is the first index and ``psi`` the second."""
 
     def __init__(self, nmasks: int):
         xs = range(nmasks)
@@ -248,6 +228,7 @@ class _Pairs:
         self.at_disj = bytes(phi | psi for phi in xs for psi in xs)
         self.ones = int.from_bytes(b"\1" * nmasks * nmasks, "little")
         self.low, self.high = 0x7F * self.ones, 0x80 * self.ones
+        self.over = (0xFF ^ nmasks - 1) * self.ones  # the bits past a model mask
         self.phi, self.psi = _ints((self.at_phi, self.at_psi))
         self.not_psi = 0xFF * self.ones ^ self.psi
         self.sub = self.high ^ self.nonzero(self.phi & self.not_psi)  # phi ⊆ psi
@@ -258,90 +239,64 @@ class _Pairs:
         return ((v & self.low) + self.low | v) & self.high
 
 
-_pairs = functools.cache(_Pairs)  # built on the first KFF check at a size
+_pairs = functools.cache(_Pairs)  # built for the first block over pairs at a size
 
 
 @dataclass(frozen=True)
 class _Clause:
-    """One postulate: ``packed`` gives the violation vectors that locate
-    the first counterexample of a KF or KKF clause (KFF clauses are
-    located by ``_kff_pass``), and ``decide``, where set, tells from the
-    packed table alone whether there is one, so exhaustive mode locates
-    only after it says the clause fails. Its lane form, which sampled
-    mode, replay and violation records read, is in _LANE_FAILS."""
+    """One postulate: its shape, the column of its lane form (in
+    _LANE_FAILS) that holds the value it reports, its requirement in words
+    and, for some KKF clauses, ``decide``, which tells from the packed
+    table alone whether the clause holds everywhere, so that exhaustive
+    mode locates a witness only after it says the clause fails."""
 
     shape: str  # "KF": (K, phi); "KKF": (K, K', phi); "KFF": (K, phi, psi)
-    packed: Optional[Callable[[_Packed], Callable[[int, int], int]]]
     observed: str  # the _COLUMNS column holding the value the clause reports
     required: str
     decide: Optional[Callable[[_Packed], bool]] = None
 
 
 _CLAUSES: dict[PostulateId, _Clause] = {
-    PostulateId.K1: _Clause("KF", _PACKED["K1"], "row", "K*phi is a theory over the signature"),
-    PostulateId.K2: _Clause("KF", _PACKED["K2"], "row", "phi ∈ K*phi"),
-    PostulateId.K3: _Clause("KF", _PACKED["K3"], "row", "K*phi ⊆ Cn(K, phi)"),
-    PostulateId.K4: _Clause("KF", _PACKED["K4"], "row", "if ¬phi ∉ K then Cn(K, phi) ⊆ K*phi"),
-    PostulateId.K5: _Clause("KF", _PACKED["K5"], "row", "K*phi inconsistent only if phi ≡ false"),
-    PostulateId.K6: _Clause("KF", _PACKED["K6"], "row", "equivalent inputs revise equally"),
-    PostulateId.K7: _Clause("KFF", None, "conj", "K*(phi ∧ psi) ⊆ Cn(K*phi, psi)"),
-    PostulateId.K8: _Clause("KFF", None, "conj",
-                            "if ¬psi ∉ K*phi then Cn(K*phi, psi) ⊆ K*(phi ∧ psi)"),
-    PostulateId.K9: _Clause("KKF", _PACKED["K9"], "prime",
+    PostulateId.K1: _Clause("KF", "row", "K*phi is a theory over the signature"),
+    PostulateId.K2: _Clause("KF", "row", "phi ∈ K*phi"),
+    PostulateId.K3: _Clause("KF", "row", "K*phi ⊆ Cn(K, phi)"),
+    PostulateId.K4: _Clause("KF", "row", "if ¬phi ∉ K then Cn(K, phi) ⊆ K*phi"),
+    PostulateId.K5: _Clause("KF", "row", "K*phi inconsistent only if phi ≡ false"),
+    PostulateId.K6: _Clause("KF", "row", "equivalent inputs revise equally"),
+    PostulateId.K7: _Clause("KFF", "conj", "K*(phi ∧ psi) ⊆ Cn(K*phi, psi)"),
+    PostulateId.K8: _Clause("KFF", "conj", "if ¬psi ∉ K*phi then Cn(K*phi, psi) ⊆ K*(phi ∧ psi)"),
+    PostulateId.K9: _Clause("KKF", "prime",
                             "if ¬phi ∈ K and ¬phi ∈ K' then K*phi = K'*phi", decide=_dk9),
-    PostulateId.K9_1: _Clause("KF", _PACKED["K9_1"], "row",
-                              "if ¬phi ∈ K then K*phi ⊆ bot*phi"),
-    PostulateId.K9_2: _Clause("KF", _PACKED["K9_2"], "row",
-                              "if ¬phi ∈ K then bot*phi ⊆ K*phi"),
-    PostulateId.K9_2P: _Clause("KFF", None, "row",
-                               "if psi ∈ K and psi ∈ bot*phi then psi ∈ K*phi"),
-    PostulateId.U8: _Clause("KKF", _PACKED["U8"], "union", "(K ∩ K')*phi = (K*phi) ∩ (K'*phi)",
-                            decide=lambda t: _union_generated(t, _every(t))),
-    PostulateId.U8_1: _Clause("KKF", _PACKED["U8_1"], "prime",
-                              "if K ⊆ K' then K*phi ⊆ K'*phi"),
-    PostulateId.U8_2: _Clause("KKF", _PACKED["U8_2"], "union",
-                              "(K*phi) ∩ (K'*phi) ⊆ (K ∩ K')*phi",
-                              decide=lambda t: _sub(t, _every(t))),
-    PostulateId.C1: _Clause("KFF", None, "iterated",
-                            "if phi ⊨ psi then (K*psi)*phi = K*phi"),
-    PostulateId.C2: _Clause("KFF", None, "iterated",
-                            "if phi ⊨ ¬psi then (K*psi)*phi = K*phi"),
-    PostulateId.C2P: _Clause("KFF", None, "iterated",
+    PostulateId.K9_1: _Clause("KF", "row", "if ¬phi ∈ K then K*phi ⊆ bot*phi"),
+    PostulateId.K9_2: _Clause("KF", "row", "if ¬phi ∈ K then bot*phi ⊆ K*phi"),
+    PostulateId.K9_2P: _Clause("KFF", "row", "if psi ∈ K and psi ∈ bot*phi then psi ∈ K*phi"),
+    PostulateId.U8: _Clause("KKF", "union", "(K ∩ K')*phi = (K*phi) ∩ (K'*phi)",
+                            decide=lambda t: _union_generated(t, t.every)),
+    PostulateId.U8_1: _Clause("KKF", "prime", "if K ⊆ K' then K*phi ⊆ K'*phi",
+                              decide=lambda t: _sup(t, t.every)),
+    PostulateId.U8_2: _Clause("KKF", "union", "(K*phi) ∩ (K'*phi) ⊆ (K ∩ K')*phi",
+                              decide=lambda t: t.sub_every),
+    PostulateId.C1: _Clause("KFF", "iterated", "if phi ⊨ psi then (K*psi)*phi = K*phi"),
+    PostulateId.C2: _Clause("KFF", "iterated", "if phi ⊨ ¬psi then (K*psi)*phi = K*phi"),
+    PostulateId.C2P: _Clause("KFF", "iterated",
                              "if ¬phi ∈ K and phi ⊨ ¬psi then (K*psi)*phi = K*phi"),
-    PostulateId.C3: _Clause("KFF", None, "iterated",
-                            "if psi ∈ K*phi then psi ∈ (K*psi)*phi"),
-    PostulateId.C4: _Clause("KFF", None, "iterated",
-                            "if ¬psi ∉ K*phi then ¬psi ∉ (K*psi)*phi"),
-    PostulateId.P_PHIANDPSI: _Clause("KFF", None, "iterated",
+    PostulateId.C3: _Clause("KFF", "iterated", "if psi ∈ K*phi then psi ∈ (K*psi)*phi"),
+    PostulateId.C4: _Clause("KFF", "iterated", "if ¬psi ∉ K*phi then ¬psi ∉ (K*psi)*phi"),
+    PostulateId.P_PHIANDPSI: _Clause("KFF", "iterated",
                                      "if ¬phi ∉ K*psi then (K*psi)*phi = K*(psi ∧ phi)"),
-    PostulateId.P_PSI: _Clause("KFF", None, "iterated",
+    PostulateId.P_PSI: _Clause("KFF", "iterated",
                                "if ¬phi ∈ K*(psi ∨ phi) then (K*psi)*phi = K*phi"),
-    PostulateId.P_GEN: _Clause("KFF", None, "iterated",
-                               "if psi ∈ K*phi then (K*psi)*phi = K*phi"),
-    PostulateId.P_KM1: _Clause("KKF", _PACKED["P_KM1"], "union",
+    PostulateId.P_GEN: _Clause("KFF", "iterated", "if psi ∈ K*phi then (K*psi)*phi = K*phi"),
+    PostulateId.P_KM1: _Clause("KKF", "union",
                                "if ¬phi ∉ K and ¬phi ∉ K' then "
                                "(K ∩ K')*phi = (K*phi) ∩ (K'*phi)",
-                               decide=lambda t: _sub(t, t.m.meet) and _sup(t, t.m.meet)),
-    PostulateId.P_K9U81: _Clause("KKF", _PACKED["P_K9U81"], "union",
+                               decide=lambda t: _sup(t, t.m.meet)
+                               and (t.sub_every or _sub(t, t.m.meet))),
+    PostulateId.P_K9U81: _Clause("KKF", "union",
                                  "if ¬phi ∈ K and ¬phi ∈ K' then "
                                  "(K*phi) ∩ (K'*phi) = (K ∩ K')*phi",
                                  decide=lambda t: _union_generated(t, t.m.apart)),
 }
-
-
-def _first_failure(clause: _Clause, t: _Packed) -> Optional[tuple[int, int, int, int]]:
-    """The lexicographically first failing binding (K, K', phi, 0) of a KF
-    or KKF clause, with K' = 0 for KF, or None. The loops run over (K, K'),
-    K' only for KKF clauses; phi is the lowest nonzero byte of the
-    violation vector."""
-    vec = clause.packed(t)
-    n = t.nmasks
-    for a in range(n):
-        for b in (0,) if clause.shape == "KF" else range(n):
-            v = vec(a, b)
-            if v:
-                return a, b, _first_byte(v), 0
-    return None
 
 
 # The KFF clauses in canonical order: bit i of the pass's live mask stands
@@ -423,7 +378,10 @@ class Violation:
 
     def replay(self, rv: Revision) -> bool:
         """True when the recorded bindings still violate the clause, by its
-        lane form on a one-lane block of these bindings."""
+        lane form on a one-lane block of them; SignatureError on other atoms."""
+        if self.k.sig is not rv.sig and self.k.sig != rv.sig:
+            raise SignatureError(f"violation is over atoms {self.k.sig.atoms}, "
+                                 f"not {rv.sig.atoms}")
         block = _Lane(rv, self.k.models.mask,
                       self.kprime.models.mask if self.kprime is not None else 0,
                       self.phi.mask, self.psi.mask if self.psi is not None else 0)
@@ -475,7 +433,7 @@ def _check_mode(mode: str, seed: Optional[int], samples: int) -> None:
             raise SamplingError(f"sampled mode needs at least one sample, got {samples}")
 
 
-_BLOCK = 128  # bindings that sampled mode checks at a time
+_BLOCK = 128  # bindings in a block of sampled lanes
 _QUANTIFIERS = {"KF": ("K", "phi"), "KKF": ("K", "Kp", "phi"), "KFF": ("K", "phi", "psi")}
 _BINDINGS = ("K", "Kp", "phi", "psi")
 
@@ -532,6 +490,10 @@ class _Block:
         except StructError:  # a value that does not fit a lane
             return next((i for i in range(self.size)
                          if _Lane(self.rv, *self.binding(i)).run(form) is not None), None)
+        span = 256  # v & -v reads all of v, so first find a low span that holds a bit
+        while v and not v & (1 << span) - 1:
+            span <<= 2
+        v &= (1 << span) - 1
         return ((v & -v).bit_length() - 1) // self.bits if v else None
 
     def binding(self, i: int) -> tuple[int, ...]:
@@ -559,6 +521,13 @@ class _Block:
                 for i in range(0, len(data), nb)]
 
     nonzero = _Pairs.nonzero  # on lanes of any width
+
+    def zero(self, v: int) -> int:  # lane-wise v == 0
+        return self.high ^ self.nonzero(v)
+
+    @staticmethod
+    def minus(a: int, b: int) -> int:  # a & ~b: ~ of a big int is many times slower
+        return (a | b) ^ b
 
     def expand_or_row(self, row: Sequence[int], ks: int, fs: int) -> int:
         """The column ks & fs, and row[fs] on the lanes where that is 0: read
@@ -598,6 +567,36 @@ class _Lane(_Block):
         return 1 if v else 0
 
 
+class _Rows(_Block):
+    """Byte lanes over the pairs (x, y) of _Pairs on a packed table: the KF
+    clauses' (K, phi), or at one K the KKF clauses' (K', phi). A column
+    that revises joins rows: the table is rev(x, y), and row K, ⊥ or K | x
+    at the lanes of x is rev(K, phi), rev(⊥, phi) or rev(K ∪ K', phi)."""
+
+    bits = 8
+
+    def __init__(self, t: _Packed, K: Optional[int] = None):
+        p, self.t, self.outer = _pairs(t.nmasks), t, K
+        self.size, self.phi, self.bot = t.nmasks * t.nmasks, p.psi, t.bot
+        self.high, self.low, self.over = p.high, p.low, p.over
+        if K is None:
+            self.K, self.Kp, self.row = p.phi, 0, t.flat
+        else:
+            self.K, self.Kp, self.prime = K * p.ones, p.phi, t.flat
+            self.row = t.repeated(K) if K else t.bot
+
+    @functools.cached_property
+    def union(self) -> int:
+        return self.t.joined(self.t.m.or_idx[self.outer]) if self.outer else self.t.flat
+
+    def binding(self, i: int) -> tuple[int, ...]:
+        x, y = divmod(i, self.t.nmasks)
+        return (x, 0, y, 0) if self.outer is None else (self.outer, x, y, 0)
+
+    def rev(self, ks: int, fs: int) -> int:  # only K6 calls it: rev(K, phi) again
+        return self.row
+
+
 _COLUMNS: dict[str, Callable[[_Block], int]] = {
     "meet": lambda b: b.K & b.phi,  # K ∧ phi
     "row": lambda b: b.rev(b.K, b.phi),  # rev(K, phi)
@@ -612,90 +611,104 @@ _COLUMNS: dict[str, Callable[[_Block], int]] = {
 
 
 # Each clause's violation vector over a block, nonzero on the lanes where
-# it fails: a ⊆ b fails where a & ~b is nonzero, a = b where a ^ b is, and
-# a condition enters through nonzero. tests/oracles.py keeps the clause's
-# scalar statement, the reference for these forms and the packed kernels.
+# it fails: a ⊆ b fails where minus(a, b) is nonzero, a = b where a ^ b
+# is, and a condition enters through nonzero or zero. tests/oracles.py
+# keeps the clause's scalar statement, the reference for these forms.
 _LANE_FAILS: dict[str, Callable[[_Block], int]] = {
     "K1": lambda b: b.row & b.over,
-    "K2": lambda b: b.row & ~b.phi,
-    "K3": lambda b: b.meet & ~b.row,
-    "K4": lambda b: b.nonzero(b.meet) & b.nonzero(b.row & ~b.meet),
-    "K5": lambda b: b.nonzero(b.phi) & ~b.nonzero(b.row),
+    "K2": lambda b: b.minus(b.row, b.phi),
+    "K3": lambda b: b.minus(b.meet, b.row),
+    "K4": lambda b: b.nonzero(b.meet) & b.nonzero(b.minus(b.row, b.meet)),
+    "K5": lambda b: b.nonzero(b.phi) & b.zero(b.row),
     # a second column of rev(K, phi): only a nondeterministic revise fails
     "K6": lambda b: b.row ^ b.rev(b.K, b.phi),
-    "K7": lambda b: b.row & b.psi & ~b.conj,
-    "K8": lambda b: b.nonzero(b.row & b.psi) & b.nonzero(b.conj & ~(b.row & b.psi)),
-    "K9": lambda b: b.nonzero(b.row ^ b.prime) & ~b.nonzero(b.meet | b.Kp & b.phi),
-    "K9_1": lambda b: b.nonzero(b.bot & ~b.row) & ~b.nonzero(b.meet),
-    "K9_2": lambda b: b.nonzero(b.row & ~b.bot) & ~b.nonzero(b.meet),
-    "K9_2P": lambda b: b.nonzero(b.row & ~b.psi) & ~b.nonzero((b.K | b.bot) & ~b.psi),
+    "K7": lambda b: b.minus(b.row & b.psi, b.conj),
+    "K8": lambda b: b.nonzero(b.row & b.psi) & b.nonzero(b.minus(b.conj, b.row & b.psi)),
+    "K9": lambda b: b.nonzero(b.row ^ b.prime) & b.zero(b.meet | b.Kp & b.phi),
+    "K9_1": lambda b: b.nonzero(b.minus(b.bot, b.row)) & b.zero(b.meet),
+    "K9_2": lambda b: b.nonzero(b.minus(b.row, b.bot)) & b.zero(b.meet),
+    "K9_2P": lambda b: b.nonzero(b.minus(b.row, b.psi)) & b.zero(b.minus(b.K | b.bot, b.psi)),
     "U8": lambda b: b.union ^ (b.row | b.prime),
-    "U8_1": lambda b: b.nonzero(b.prime & ~b.row) & ~b.nonzero(b.Kp & ~b.K),
-    "U8_2": lambda b: b.union & ~(b.row | b.prime),
-    "C1": lambda b: b.nonzero(b.iterated ^ b.row) & ~b.nonzero(b.phi & ~b.psi),
-    "C2": lambda b: b.nonzero(b.iterated ^ b.row) & ~b.nonzero(b.phi & b.psi),
-    "C2P": lambda b: b.nonzero(b.iterated ^ b.row) & ~b.nonzero(b.meet | b.phi & b.psi),
-    "C3": lambda b: b.nonzero(b.iterated & ~b.psi) & ~b.nonzero(b.row & ~b.psi),
-    "C4": lambda b: b.nonzero(b.row & b.psi) & ~b.nonzero(b.iterated & b.psi),
+    "U8_1": lambda b: b.nonzero(b.minus(b.prime, b.row)) & b.zero(b.minus(b.Kp, b.K)),
+    "U8_2": lambda b: b.minus(b.union, b.row | b.prime),
+    "C1": lambda b: b.nonzero(b.iterated ^ b.row) & b.zero(b.minus(b.phi, b.psi)),
+    "C2": lambda b: b.nonzero(b.iterated ^ b.row) & b.zero(b.phi & b.psi),
+    "C2P": lambda b: b.nonzero(b.iterated ^ b.row) & b.zero(b.meet | b.phi & b.psi),
+    "C3": lambda b: b.nonzero(b.minus(b.iterated, b.psi)) & b.zero(b.minus(b.row, b.psi)),
+    "C4": lambda b: b.nonzero(b.row & b.psi) & b.zero(b.iterated & b.psi),
     "P_PHIANDPSI": lambda b: b.nonzero(b.by_psi & b.phi) & b.nonzero(b.iterated ^ b.conj),
-    "P_PSI": lambda b: b.nonzero(b.iterated ^ b.row) & ~b.nonzero(b.disj & b.phi),
-    "P_GEN": lambda b: b.nonzero(b.iterated ^ b.row) & ~b.nonzero(b.row & ~b.psi),
+    "P_PSI": lambda b: b.nonzero(b.iterated ^ b.row) & b.zero(b.disj & b.phi),
+    "P_GEN": lambda b: b.nonzero(b.iterated ^ b.row) & b.zero(b.minus(b.row, b.psi)),
     "P_KM1": lambda b: (b.nonzero(b.meet) & b.nonzero(b.Kp & b.phi)
                         & b.nonzero(b.union ^ (b.row | b.prime))),
-    "P_K9U81": lambda b: (b.nonzero(b.union ^ (b.row | b.prime))
-                          & ~b.nonzero(b.meet | b.Kp & b.phi)),
+    "P_K9U81": lambda b: b.nonzero(b.union ^ (b.row | b.prime)) & b.zero(b.meet | b.Kp & b.phi),
 }
 
 
-def _sampled_pass(rv: Revision, pids: list[PostulateId], seed: int,
-                  samples: int) -> dict[PostulateId, Violation]:
-    """The first violation of each clause in ``pids``, checked _BLOCK
-    bindings at a time against every clause not yet failed: two draws per
-    binding for KF clauses, three shared by KKF and KFF. A column is read
-    over the whole block, also where a clause's condition skips its cell."""
-    found: dict[PostulateId, Violation] = {}
-    clauses = [(pid, _QUANTIFIERS[_CLAUSES[pid].shape], _LANE_FAILS[pid.name]) for pid in pids]
+def _run(pids: list[PostulateId], blocks: Iterable[dict[str, _Block]]
+         ) -> dict[PostulateId, tuple[int, ...]]:
+    """The binding at which each clause in ``pids`` first fails by its lane
+    form over ``blocks``, which map a shape to the block of its next bindings."""
+    hits, live = {}, [(pid, _CLAUSES[pid].shape, _LANE_FAILS[pid._name_]) for pid in pids]
+    for by_shape in blocks if live else ():
+        for pid, shape, form in live:
+            hit = by_shape[shape].run(form)
+            if hit is not None:
+                hits[pid] = by_shape[shape].binding(hit)
+        live = [clause for clause in live if clause[0] not in hits]
+        if not live:
+            break
+    return hits
+
+
+def _lane_pass(rv: Revision, pids: list[PostulateId],
+               bindings: Callable[[int], Iterable[list[int]]]) -> dict[PostulateId, Violation]:
+    """The first violation of each clause in ``pids`` on blocks of sampled
+    lanes over ``bindings(width)``: lists of values, two a binding for KF
+    clauses and three shared by KKF and KFF, binding after binding."""
+    hits = {}
     for width in (2, 3):
-        live = [clause for clause in clauses if len(clause[1]) == width]
-        blocks = _draws(seed, rv.sig.universe_mask + 1, width * _BLOCK)
-        for start in range(0, samples, _BLOCK):
-            if not live:
-                break
-            draws = next(blocks)[:width * (samples - start)]
-            by_names = {names: _Block(rv, dict(zip(names, (draws[i::width] for i in range(width)))))
-                        for names in {clause[1] for clause in live}}
-            passed = []
-            for clause in live:
-                pid, names, form = clause
-                block = by_names[names]
-                hit = block.run(form)
-                if hit is None:
-                    passed.append(clause)
-                else:
-                    found[pid] = _make_violation(rv, pid, *block.binding(hit))
-            live = passed
-    return found
+        live = [pid for pid in pids if len(_QUANTIFIERS[_CLAUSES[pid].shape]) == width]
+        shapes = {_CLAUSES[pid].shape for pid in live}
+        columns = ([values[i::width] for i in range(width)] for values in bindings(width))
+        hits.update(_run(live, ({shape: _Block(rv, dict(zip(_QUANTIFIERS[shape], cols)))
+                                 for shape in shapes} for cols in columns)))
+    return {pid: _make_violation(rv, pid, *hit) for pid, hit in hits.items()}
 
 
-def _exhaustive_pass(rv: Revision, pids: list[PostulateId]) -> dict[PostulateId, Violation]:
-    """The first violation of each clause in ``pids``, which is not empty,
-    in lexicographic binding order. The KFF clauses share one
-    ``_kff_pass``; a KF or KKF clause is swept for its first failure
-    only where it has no decider or its decider says it fails."""
+def _enumerated(n: int, width: int) -> Iterator[list[int]]:
+    """Every binding of ``width`` values below n in order, _BLOCK at a time."""
+    values = chain.from_iterable(product(range(n), repeat=width))
+    while chunk := list(islice(values, width * _BLOCK)):
+        yield chunk
+
+
+def _pass(rv: Revision, pids: list[PostulateId], mode: str, seed: Optional[int],
+          samples: int) -> dict[PostulateId, Violation]:
+    """The first violation of each clause in ``pids``, which is not empty:
+    among ``samples`` bindings drawn from ``seed``, or exhaustively in
+    lexicographic binding order. A packed table is checked by one _kff_pass
+    and by the lane forms, on _Rows, of the clauses no decider proves; any
+    other table on the blocks of sampled mode fed every binding in turn."""
+    n = rv.sig.universe_mask + 1
+    if mode == "sampled":
+        return _lane_pass(rv, pids, lambda width: (
+            values[:width * (samples - start)]
+            for start, values in zip(range(0, samples, _BLOCK), _draws(seed, n, width * _BLOCK))))
     if rv.sig.n > TABLE_MAX_ATOMS:
-        raise DomainTooLargeError(
-            f"{pids[0].name} quantifies over too many bindings at {rv.sig.n} atoms; "
-            "run in sampled mode instead"
-        )
+        raise DomainTooLargeError(f"{pids[0].name} quantifies over too many bindings at "
+                                  f"{rv.sig.n} atoms; run in sampled mode instead")
     t = _packed(rv)
-    kff = [pid for pid in pids if _CLAUSES[pid].shape == "KFF"]
-    hits = _kff_pass(t, kff) if kff else {}
+    if not t:
+        return _lane_pass(rv, pids, functools.partial(_enumerated, n))
+    swept: dict[str, list[PostulateId]] = {"KF": [], "KKF": [], "KFF": []}
     for pid in pids:
         clause = _CLAUSES[pid]
-        if clause.shape != "KFF" and not (clause.decide is not None and clause.decide(t)):
-            hit = _first_failure(clause, t)
-            if hit is not None:
-                hits[pid] = hit
+        if not (clause.decide and clause.decide(t)):
+            swept[clause.shape].append(pid)
+    hits = _kff_pass(t, swept["KFF"]) if swept["KFF"] else {}
+    hits.update(_run(swept["KF"], [{"KF": _Rows(t)}] if swept["KF"] else ()))
+    hits.update(_run(swept["KKF"], ({"KKF": _Rows(t, K)} for K in range(t.nmasks))))
     return {pid: _make_violation(rv, pid, *hit) for pid, hit in hits.items()}
 
 
@@ -717,9 +730,7 @@ def check_postulate(
     _check_mode(mode, seed, samples)
     if not isinstance(pid, PostulateId):
         _postulate_ids([pid], "check_postulate")  # raises run_suite's ValueError
-    if mode == "sampled":
-        return _sampled_pass(rv, [pid], seed, samples).get(pid)
-    return _exhaustive_pass(rv, [pid]).get(pid)
+    return _pass(rv, [pid], mode, seed, samples).get(pid)
 
 
 def _postulate_ids(ids: Iterable[PostulateId], caller: str) -> list[PostulateId]:
@@ -729,8 +740,8 @@ def _postulate_ids(ids: Iterable[PostulateId], caller: str) -> list[PostulateId]
         unknown = sorted(map(repr, set(ids).difference(PostulateId)))
         raise ValueError(f"{caller} needs PostulateId members, got {', '.join(unknown)}"
                          if unknown else f"{caller} needs at least one postulate id")
-    names = {pid._name_ for pid in ids}  # members hash through Python-level Enum.__hash__
-    return [pid for pid in _CANONICAL if pid._name_ in names]
+    wanted = set(ids)
+    return [pid for pid in _CANONICAL if pid in wanted]
 
 
 @dataclass(frozen=True)
@@ -759,19 +770,14 @@ class SuiteReport:
         raise KeyError(pid.name)
 
     def to_text(self) -> str:
-        head = (
-            f"postulate suite over atoms {' '.join(self.sig.atoms)}: "
-            f"mode={self.mode}"
-        )
+        head = f"postulate suite over atoms {' '.join(self.sig.atoms)}: mode={self.mode}"
         if self.mode == "sampled":
             head += f" seed={self.seed} samples={self.samples}"
-        head += f" domain={self.domain_size} theories x {self.domain_size} formula classes"
-        lines = [head]
-        for pid, v in self.results:
-            if v is None:
-                lines.append(f"{pid.name} pass")
-            else:
-                lines.append(f"{pid.name} FAIL {v.describe()}")
+        # a power past 4 atoms: str() refuses ints of over 4300 digits, 2**(2**14)
+        size = self.domain_size if self.sig.n <= 4 else f"2**{self.domain_size.bit_length() - 1}"
+        lines = [f"{head} domain={size} theories x {size} formula classes"]
+        lines += [f"{pid.name} pass" if v is None else f"{pid.name} FAIL {v.describe()}"
+                  for pid, v in self.results]
         return "\n".join(lines) + "\n"
 
     def to_json_records(self) -> list[dict]:
@@ -804,10 +810,7 @@ def run_suite(
     raise ValueError instead of passing vacuously."""
     _check_mode(mode, seed, samples)
     pids = _postulate_ids(ids, "run_suite")
-    if mode == "sampled":
-        found = _sampled_pass(rv, pids, seed, samples)
-    else:
-        found = _exhaustive_pass(rv, pids)
+    found = _pass(rv, pids, mode, seed, samples)
     results = [(pid, found.get(pid)) for pid in pids]
     return SuiteReport(
         sig=rv.sig,
@@ -927,12 +930,12 @@ def dynamic_underdetermination(sig: Signature, k: Theory) -> UnderdeterminationW
     Raises WitnessNotFoundError when no pair exists; the anchor is then
     degenerate in the sense that its row pins down the whole operator
     (the inconsistent theory always is, since its row is the entire
-    default structure).
+    default structure), and SignatureError when k is over other atoms.
     """
+    if k.sig != sig:
+        raise SignatureError(f"anchor is over atoms {k.sig.atoms}, not {sig.atoms}")
     if sig.n != 2:
-        raise DomainTooLargeError(
-            "under-determination search is defined for exactly 2 atoms"
-        )
+        raise DomainTooLargeError("under-determination search is defined for exactly 2 atoms")
     nmasks = sig.universe_mask + 1
     km = k.models.mask
     revs = _two_atom_revisions()
@@ -946,13 +949,9 @@ def dynamic_underdetermination(sig: Signature, k: Theory) -> UnderdeterminationW
         if row in rows[i + 1:]:
             j = rows.index(row, i + 1)
             phi = next(f for f in range(nmasks) if tables[i][0][f] != tables[j][0][f])
-            return UnderdeterminationWitness(
-                anchor=k,
-                first=RankFunction(sig, revs[i].rank.ranks),
-                second=RankFunction(sig, revs[j].rank.ranks),
-                psi=PropSet.empty(sig),
-                phi=PropSet(sig, phi),
-            )
+            return UnderdeterminationWitness(k, RankFunction(sig, revs[i].rank.ranks),
+                                             RankFunction(sig, revs[j].rank.ranks),
+                                             psi=PropSet.empty(sig), phi=PropSet(sig, phi))
     raise WitnessNotFoundError(
         f"anchor {theory_text(k)} is degenerate: its row determines "
         "iterated revision for every rank function pair"

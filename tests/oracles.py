@@ -8,8 +8,8 @@ sort-based minimum-rank extractor, per-valuation atom masks, the
 token-by-token rank-file parser, a constraint search that finds every
 rational choice table at small sizes, the per-mask consequence table,
 the scalar statement of each postulate clause (``HOLDS``, one binding at
-a time, the reference that the packed kernels, the lane forms of
-sampled mode and ``Violation.replay`` are compared against), the
+a time, the reference that the lane forms, the fused KFF pass and
+``Violation.replay`` are compared against), the
 per-binding postulate sweep built on it, the rationality sweep, the
 exhaustive (K, phi, psi) pass one (K, phi) at a time, sampled mode run
 one clause at a time, and the under-determination scan by revise_mask

@@ -19,10 +19,12 @@ from rankedrev import (
     ImpossibilityTarget,
     PostulateId,
     PropSet,
+    RankFunction,
     RankedRevision,
     Revision,
     SamplingError,
     Signature,
+    SignatureError,
     SuiteReport,
     TableRevision,
     Theory,
@@ -44,7 +46,7 @@ from rankedrev import (
     with_theory_floor,
 )
 
-from helpers import SIG1, SIG2, SIG3, SIG4, SIG5, OutOfRange, ps, run_capped, th
+from helpers import SIG1, SIG2, SIG3, SIG4, SIG5, SIG16, OutOfRange, ps, run_capped, th
 from oracles import (
     HOLDS,
     dynamic_underdetermination_reference,
@@ -53,6 +55,12 @@ from oracles import (
     replay_reference,
     sampled_reference,
 )
+
+KF_IDS = [pid for pid, clause in postulates._CLAUSES.items() if clause.shape == "KF"]
+# the clauses that read rev(rev(K, psi), phi), which the reference reads
+# from the table, so that a cell outside the signature cannot index a row
+ITERATED = [PostulateId[name] for name in ("C1", "C2", "C2P", "C3", "C4",
+                                           "P_PHIANDPSI", "P_PSI", "P_GEN")]
 
 DERIVED_IDS = (
     PostulateId.U8_2,
@@ -191,8 +199,9 @@ def _assert_matches_reference(rv, pids):
 
 
 class TestPackedKernelsMatchReference:
-    """Exhaustive mode against the per-binding reference sweep: the same
-    verdict and the same lexicographically first witness."""
+    """Exhaustive mode, the lane forms and the fused KFF pass, against the
+    per-binding reference sweep: the same verdict and the same
+    lexicographically first witness."""
 
     def test_two_atom_ranked_revisions(self, revs75):
         for rv in revs75:
@@ -235,18 +244,43 @@ class TestPackedKernelsMatchReference:
                 compared += 1
         assert compared >= 12
 
+    def test_three_atom_kf_late_witnesses(self):
+        # every KF clause holds on a ranked table, so each witness is a
+        # changed cell at K >= 128
+        late = 0
+        for rv in _late_three_atom_tables(3, 808):
+            report = run_suite(rv, KF_IDS)
+            for pid in KF_IDS:
+                want = first_violation(rv, pid)
+                assert _bindings(report.verdict(pid)) == want, pid
+                late += want is not None and want[0] >= 128
+        assert late >= 6, late
+
     @pytest.mark.parametrize("sig, cells", [
         (SIG2, {(3, 5): -1, (7, 2): 16, (9, 9): 300}),
         (SIG3, {(200, 17): 256, (201, 3): -7}),
+        (SIG1, {(1, 2): -1, (3, 1): 4, (2, 3): 300}),  # fewer bindings than a block
     ])
     def test_cells_outside_the_signature(self, sig, cells):
-        rv = OutOfRange(RankedRevision(random_rank_function(sig, 3, 1)), cells)
+        rv = OutOfRange(RankedRevision(random_rank_function(sig, min(3, sig.num_valuations), 1)),
+                        cells)
         v = check_postulate(rv, PostulateId.K1)
         assert _bindings(v) == first_violation(rv, PostulateId.K1)
         assert v.observed is None and v.replay(rv)
         assert "observed=not a theory over the signature" in v.describe()
-        if sig.n == 2:
-            run_suite(rv, PostulateId)
+        # the reference reads the table, where a cell past the masks cannot
+        # index a row, so it checks every clause but the iterated ones up to
+        # 2 atoms, and the KF clauses, which it sweeps in test time, at 3
+        ids = [pid for pid in (PostulateId if sig.n <= 2 else KF_IDS) if pid not in ITERATED]
+        report = run_suite(rv, PostulateId if sig.n <= 2 else KF_IDS)
+        for pid in ids:
+            assert _bindings(report.verdict(pid)) == first_violation(rv, pid), pid
+        if sig.n <= 2:
+            for pid in PostulateId:
+                assert _bindings(check_postulate(rv, pid)) == _bindings(report.verdict(pid)), pid
+        assert len(report.violations) >= (4 if sig.n == 3 else 13)
+        for v in report.violations:
+            assert v.replay(rv) and replay_reference(v, rv), v.describe()
 
 
 def _perturbed_revisions(revs75, count, seed):
@@ -266,9 +300,9 @@ class TestPackedKernelSweep:
         built = []
 
         class Counting(postulates._Packed):
-            def __init__(self, table, uni):
+            def __init__(self, rows):
                 built.append(self)
-                super().__init__(table, uni)
+                super().__init__(rows)
 
         monkeypatch.setattr(postulates, "_Packed", Counting)
         first, second = (RankedRevision(r) for r in islice(enumerate_rank_functions(SIG2), 2))
@@ -306,22 +340,26 @@ def _byte_row_revisions(sig):
 
 class TestByteRows:
     """Every row of a revision's table(), which _packed reads, has the
-    cells revise_mask gives one by one, and packs as that table would."""
+    cells revise_mask gives one by one; the table packs into those rows
+    exactly when every cell is a model mask over the signature."""
 
     @pytest.mark.parametrize("sig", [SIG1, SIG2, SIG3], ids=["1atom", "2atoms", "3atoms"])
     def test_packed_from_rows_matches_packed_from_table(self, sig):
         uni = sig.universe_mask
         cells = range(uni + 1)
+        unpacked = set()
         for kind, rv in _byte_row_revisions(sig).items():
             got = postulates._packed(rv)
             table = tuple(tuple(rv.revise_mask(k, f) for f in cells) for k in cells)
             assert tuple(map(tuple, rv.table())) == table, kind
-            want = postulates._Packed(table, uni)
-            assert got.rows == want.rows, kind
-            assert got.P == want.P, kind
-            assert got.bad == want.bad, kind
-        assert any(postulates._packed(rv).bad
-                   for rv in _byte_row_revisions(sig).values())
+            if all(0 <= c <= uni for row in table for c in row):
+                assert got.rows == [bytes(row) for row in table], kind
+                assert got.P == [int.from_bytes(bytes(row), "little") for row in table], kind
+            else:
+                assert got is False, kind
+                unpacked.add(kind)
+        assert unpacked == {"conservative_out_of_range", "conservative_past_the_masks",
+                            "revise_mask_only_out_of_range"}
 
     def test_run_suite_builds_rows_once_and_no_tuple_table(self, monkeypatch):
         built = []
@@ -468,13 +506,17 @@ class TestKffPassMatchesReference:
                         for K, _, phi, psi in expected.values())
         assert late >= 24, late
 
-    def test_pairs_built_only_for_kff_clauses(self, revs75):
+    def test_pairs_built_only_for_packed_tables(self, revs75):
+        # the blocks over pairs serve exhaustive checks of a packed table
+        # that a decider does not settle; sampled mode and tables with a
+        # cell outside the signature check on lanes of their own
         postulates._pairs.cache_clear()
-        rv = revs75[40]
-        run_suite(rv, [pid for pid in PostulateId if pid not in KFF])
+        rv = RankedRevision(revs75[40].rank)  # with no blocks kept from other tests
+        run_suite(rv, [PostulateId.K9, PostulateId.U8_2, PostulateId.P_KM1])
         run_suite(rv, PostulateId, mode="sampled", seed=1, samples=50)
+        run_suite(OutOfRange(rv, {(3, 5): -1}), PostulateId)
         assert postulates._pairs.cache_info().currsize == 0
-        run_suite(rv, [PostulateId.C4])
+        run_suite(rv, [PostulateId.K2])
         assert postulates._pairs.cache_info().currsize == 1
 
 
@@ -506,7 +548,7 @@ class TestOrbitSweep:
             assert verdicts(rv) == expected[sizes(rv.rank)]
 
 
-DECIDED = ("K9", "U8", "U8_2", "P_KM1", "P_K9U81")
+DECIDED = ("K9", "U8", "U8_1", "U8_2", "P_KM1", "P_K9U81")
 
 
 def _union_homomorphic(sig, rng):
@@ -525,10 +567,14 @@ def _union_homomorphic(sig, rng):
     return TableRevision.from_function(sig, cell)
 
 
-def _packed_sweep(rv, pid):
-    """The exhaustive sweep alone, without the decider; TestPackedKernelsMatchReference
-    checks it against first_violation at sizes where that is fast."""
-    return postulates._first_failure(postulates._CLAUSES[pid], postulates._packed(rv))
+def _lane_sweep(rv, pid):
+    """The exhaustive sweep of a KKF clause alone, its lane form on the
+    block over (K', phi) per K without the decider;
+    TestPackedKernelsMatchReference checks it against first_violation at
+    sizes where that is fast."""
+    t = postulates._packed(rv)
+    blocks = ({"KKF": postulates._Rows(t, K)} for K in range(t.nmasks))
+    return postulates._run([pid], blocks).get(pid)
 
 
 class TestDeciders:
@@ -549,7 +595,7 @@ class TestDeciders:
 
     def test_two_atom_ranked_revisions(self, revs75):
         for rv in revs75:
-            assert self._check(rv) == {"K9": True, "U8": False, "U8_2": True,
+            assert self._check(rv) == {"K9": True, "U8": False, "U8_1": False, "U8_2": True,
                                        "P_KM1": True, "P_K9U81": True}
 
     @pytest.mark.parametrize("sig", [SIG1, SIG2], ids=["1atom", "2atoms"])
@@ -567,10 +613,10 @@ class TestDeciders:
             for tables in (rv, _random_table(sig, rng)):
                 for name, holds in self._check(tables).items():
                     passes[name] += holds
-        # every clause fails somewhere, and all but U8 also hold somewhere;
-        # U8 holds on the union-homomorphic tables below
+        # every clause fails somewhere, and all but U8 and U8_1 also hold
+        # somewhere; they hold on the union-homomorphic tables below
         assert all(n < 300 for n in passes.values()), passes
-        assert all(n > 0 for name, n in passes.items() if name != "U8"), passes
+        assert all(n > 0 for name, n in passes.items() if name not in ("U8", "U8_1")), passes
 
     @pytest.mark.parametrize("sig", [SIG1, SIG2], ids=["1atom", "2atoms"])
     def test_union_homomorphic_tables(self, sig):
@@ -580,7 +626,7 @@ class TestDeciders:
         for _ in range(100):
             rv = _union_homomorphic(sig, rng)
             assert {k: v for k, v in self._check(rv).items() if k != "K9"} == {
-                "U8": True, "U8_2": True, "P_KM1": True, "P_K9U81": True}
+                "U8": True, "U8_1": True, "U8_2": True, "P_KM1": True, "P_K9U81": True}
             # one changed cell breaks some of them and keeps others
             rv = _perturbed_table(rv, rng.randrange(nm), rng.randrange(nm),
                                   rng.randrange(nm))
@@ -590,12 +636,12 @@ class TestDeciders:
 
     def test_three_atom_union_homomorphic_tables(self):
         # a passing clause costs first_violation 16.7M bindings at three
-        # atoms, so the holding verdicts are compared with the packed sweep
+        # atoms, so the holding verdicts are compared with the lane sweep
         rng = random.Random(6006)
         for _ in range(2):
             rv = _union_homomorphic(SIG3, rng)
-            assert self._check(rv, _packed_sweep) == {
-                "K9": False, "U8": True, "U8_2": True, "P_KM1": True, "P_K9U81": True}
+            assert self._check(rv, _lane_sweep) == {"K9": False, "U8": True, "U8_1": True,
+                                                    "U8_2": True, "P_KM1": True, "P_K9U81": True}
             v = check_postulate(rv, PostulateId.K9)
             assert _bindings(v) == first_violation(rv, PostulateId.K9)
 
@@ -625,33 +671,49 @@ class TestDeciders:
         assert _bindings(v) == first_violation(rv, PostulateId.K9) == (0, 96, 1, 0)
 
     def test_no_sweep_where_a_decider_proves_the_clause(self, revs75, monkeypatch):
-        # every undecided clause is located exactly once: a KF or KKF clause
-        # by its own sweep, the KFF clauses together by one fused pass
-        swept, passes = [], []
-        sweep, fused = postulates._first_failure, postulates._kff_pass
+        # every undecided clause is located exactly once: the KF clauses by
+        # one sweep of their lane forms, the KKF clauses by another, the KFF
+        # clauses together by one fused pass
+        swept, sweeps, passes = [], [], []
+        run, fused = postulates._run, postulates._kff_pass
 
-        def counting(clause, t):
-            swept.append(clause)
-            return sweep(clause, t)
+        def counting(pids, blocks):
+            sweeps.append(pids)
+            swept.extend(pids)
+            return run(pids, blocks)
 
         def counting_fused(t, pids):
             passes.append(pids)
-            swept.extend(postulates._CLAUSES[pid] for pid in pids)
+            swept.extend(pids)
             return fused(t, pids)
 
-        monkeypatch.setattr(postulates, "_first_failure", counting)
+        monkeypatch.setattr(postulates, "_run", counting)
         monkeypatch.setattr(postulates, "_kff_pass", counting_fused)
         for rv in revs75[::5]:
             swept.clear()
+            sweeps.clear()
             passes.clear()
             report = run_suite(rv, PostulateId)
-            assert len(passes) == 1
+            assert len(passes) == 1 and len(sweeps) == 2
             decided = {pid for pid in PostulateId if pid.name in DECIDED}
-            located = {pid for pid in decided if postulates._CLAUSES[pid] in swept}
+            located = {pid for pid in decided if pid in swept}
             assert located == {pid for pid in decided if report.verdict(pid) is not None}
-            assert located == {PostulateId.U8}
-            assert len(swept) == len(PostulateId) - len(decided) + 1
-            assert len({id(clause) for clause in swept}) == len(swept)
+            assert located == {PostulateId.U8, PostulateId.U8_1}
+            assert len(swept) == len(PostulateId) - len(decided) + 2
+            assert len(set(swept)) == len(swept)
+
+    @pytest.mark.parametrize("sig", [SIG2, SIG3], ids=["2atoms", "3atoms"])
+    def test_exhaustive_mode_runs_the_lane_forms(self, sig, monkeypatch):
+        # a KF form, and the form of a KKF clause that its decider does not
+        # prove on a ranked table, that fail on every lane: exhaustive mode
+        # reports them at the first binding, so it reads no other statement
+        rv = RankedRevision(random_rank_function(sig, 3, 2))
+        assert check_postulate(rv, PostulateId.K2) is None
+        for name in ("K2", "U8_1"):
+            monkeypatch.setitem(postulates._LANE_FAILS, name, lambda b: b.high)
+        for pid in (PostulateId.K2, PostulateId.U8_1):
+            assert _bindings(check_postulate(rv, pid)) == (0, 0, 0, 0), pid
+            assert _bindings(run_suite(rv, [pid]).verdict(pid)) == (0, 0, 0, 0), pid
 
 
 def _sampled_against_reference(rv, seed, samples):
@@ -1039,6 +1101,21 @@ class TestSuiteReport:
         with pytest.raises(ValueError, match=f"got {named}$"):
             run_suite(rv0, ids, mode="sampled", seed=1)
 
+    @pytest.mark.parametrize("atoms, size", [(4, "65536"), (5, "2**32"), (14, "2**16384"),
+                                             (16, "2**65536")])
+    def test_domain_in_text(self, atoms, size):
+        # 2**(2**n) has more digits past 13 atoms than str() converts, so
+        # past 4 atoms the text gives the power
+        class Generic(Revision):
+            def revise_mask(self, k, f):
+                return k & f or f >> 1
+
+        sig = Signature(SIG16.atoms[:atoms])
+        report = run_suite(Generic(sig), [PostulateId.K2], mode="sampled", seed=1, samples=2)
+        assert report.to_text().splitlines()[0] == (
+            f"postulate suite over atoms {' '.join(sig.atoms)}: mode=sampled seed=1 samples=2 "
+            f"domain={size} theories x {size} formula classes")
+
     def test_repeated_ids_count_once(self, rv0):
         report = run_suite(rv0, [PostulateId.U8_1, PostulateId.K2, PostulateId.U8_1])
         assert [pid for pid, _ in report.results] == [PostulateId.K2, PostulateId.U8_1]
@@ -1118,6 +1195,24 @@ class TestReplayMatchesScalarForm:
         assert outcomes == {False: 3}
 
 
+class TestOtherSignature:
+    def test_replay_on_a_revision_over_other_atoms(self, rv0):
+        v = check_postulate(rv0, PostulateId.U8_1)
+        v3 = check_postulate(RankedRevision(random_rank_function(SIG3, 3, 1)), PostulateId.U8_1)
+        for witness, rv in ((v, RankedRevision(random_rank_function(SIG3, 3, 1))),
+                            (v3, rv0),
+                            (v, RankedRevision(RankFunction(Signature(("y", "x")),
+                                                            rv0.rank.ranks)))):
+            with pytest.raises(SignatureError, match="violation is over atoms"):
+                witness.replay(rv)
+
+    @pytest.mark.parametrize("sig, anchor", [(SIG2, Theory.top(SIG3)), (SIG3, Theory.top(SIG2)),
+                                             (Signature(("y", "x")), Theory.top(SIG2))])
+    def test_underdetermination_anchor_over_other_atoms(self, sig, anchor):
+        with pytest.raises(SignatureError, match="anchor is over atoms"):
+            dynamic_underdetermination(sig, anchor)
+
+
 class TestImplication9pTo92:
     def test_holds_on_ranked_revisions(self, revs75):
         for rv in revs75:
@@ -1192,6 +1287,27 @@ class TestPinnedOutputs:
             for which in ImpossibilityTarget:
                 h.update(json.dumps(find_impossibility_witness(rv, which).witness_json()).encode())
         assert h.hexdigest() == "d4b9fa5a81bd02bcc49f77a9d3e0ddf2cb1805a2d968063b14a563b318b4dd47"
+
+    def test_three_atom_kf_and_kkf_reports(self, sig3):
+        # the JSON report and the replays of the 14 KF and KKF clauses on
+        # ranked tables early, mid-way and last in the enumeration, and on
+        # copies with one cell changed, so that clauses fail at early and
+        # late bindings
+        ids = [pid for pid, clause in postulates._CLAUSES.items() if clause.shape != "KFF"]
+        wanted = (0, 4321, 545834)
+        ranks = [r for i, r in enumerate(enumerate_rank_functions(sig3)) if i in wanted]
+        h = hashlib.sha256()
+        for rank in ranks:
+            ranked = RankedRevision(rank)
+            for rv in (ranked, _perturbed_table(ranked, 1, 200, 8),
+                       _perturbed_table(ranked, 96, 1, ranked.revise_mask(96, 1) ^ 1),
+                       _perturbed_table(ranked, 0, 77, ranked.revise_mask(0, 77) ^ 16),
+                       _perturbed_table(ranked, 255, 255, 0),
+                       _perturbed_table(ranked, 170, 85, 255)):
+                report = run_suite(rv, ids)
+                h.update(json.dumps(report.to_json_records(), indent=2).encode())
+                h.update(repr([v.replay(rv) for v in report.violations]).encode())
+        assert h.hexdigest() == "2239eb0c483e8a438a90e3d83f134ebe7c1eace7f712e89fe08a17e9fd00fa89"
 
 
 class TestDynamicUnderdetermination:
