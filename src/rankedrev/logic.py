@@ -1,12 +1,13 @@
 """Finite propositional logic over a fixed signature.
 
-Formulas are quotiented by logical equivalence as soon as they are
-evaluated: the working representation is the set of valuations
-satisfying the formula (:class:`PropSet`), a bitmask over the 2**n
-valuations of the signature. Theories are deductively closed sets of
-formulas and are represented by their model sets; the inconsistent
-theory has an empty model set and contains every formula. Note the
-order inversion this buys: K ⊆ K' as formula sets exactly when
+Formula trees have And and Or nodes of two or more operands, one per
+chain of the operator in the text. Formulas are quotiented by logical
+equivalence as soon as they are evaluated: the working representation is
+the set of valuations satisfying the formula (:class:`PropSet`), a bitmask
+over the 2**n valuations of the signature. Theories are deductively
+closed sets of formulas and are represented by their model sets; the
+inconsistent theory has an empty model set and contains every formula.
+Note the order inversion this buys: K ⊆ K' as formula sets exactly when
 models(K) ⊇ models(K').
 
 Valuations are indexed 0 .. 2**n - 1 with the first atom of the
@@ -21,6 +22,7 @@ across concurrent workers.
 from __future__ import annotations
 
 import functools
+import operator
 import re
 from dataclasses import dataclass
 from itertools import repeat
@@ -70,6 +72,8 @@ class Signature:
                 m, width = m | m << width, 2 * width
             masks.append(m)
         object.__setattr__(self, "_atom_masks", tuple(masks))
+        object.__setattr__(self, "_negated_masks",
+                           {a: self.universe_mask ^ m for a, m in zip(atoms, masks)})
 
     def atom_truth_mask(self, name: str) -> int:
         """Mask of the valuations that make ``name`` true."""
@@ -179,6 +183,14 @@ class Theory:
         return not self.models.is_empty
 
 
+def _check_over(sig: Signature, *values) -> None:
+    """SignatureError unless every value, a PropSet or Theory, is over sig."""
+    for x in values:
+        if x.sig is not sig and x.sig != sig:
+            raise SignatureError(f"{type(x).__name__} is over atoms {x.sig.atoms}, "
+                                 f"not {sig.atoms}")
+
+
 def cn_with(k: Theory, f: PropSet) -> Theory:
     """Consequences of k together with f: model set is the intersection."""
     return Theory(k.models & f)
@@ -261,16 +273,24 @@ class Not(Formula):
     operand: Formula
 
 
-@dataclass(frozen=True)
-class And(Formula):
-    left: Formula
-    right: Formula
+class _Chain(Formula):
+    """Two or more operands joined by one operator: ``And(a, b, c)`` is
+    a & b & c. One operand would not survive a format round trip."""
+
+    def __init__(self, *operands: Formula):
+        if len(operands) < 2:
+            raise ValueError(f"{type(self).__name__} needs two or more operands")
+        object.__setattr__(self, "operands", operands)
 
 
-@dataclass(frozen=True)
-class Or(Formula):
-    left: Formula
-    right: Formula
+@dataclass(frozen=True, init=False)
+class And(_Chain):
+    operands: tuple[Formula, ...]
+
+
+@dataclass(frozen=True, init=False)
+class Or(_Chain):
+    operands: tuple[Formula, ...]
 
 
 @dataclass(frozen=True)
@@ -287,37 +307,28 @@ class Iff(Formula):
 
 def models_of(f: Formula, sig: Signature) -> PropSet:
     """Truth-table semantics: the valuations under which f evaluates true."""
-    return PropSet(sig, _mask_of(f, sig, {}))
+    return PropSet(sig, _mask_of(f, sig))
 
 
-def _mask_of(f: Formula, sig: Signature, seen: dict[int, int]) -> int:
-    """f's models mask. ``seen`` keeps the last binary nodes' masks by id,
-    so that a subtree the tree shares, such as the leading conjunctions of
-    canonical_formula's minterms, is evaluated once; 64 at most are kept."""
+def _mask_of(f: Formula, sig: Signature) -> int:
     uni = sig.universe_mask
     if isinstance(f, Atom):
         return sig.atom_truth_mask(f.name)
     if isinstance(f, Const):
         return uni if f.value else 0
     if isinstance(f, Not):
-        return uni ^ _mask_of(f.operand, sig, seen)
-    key = id(f)
-    if key in seen:
-        return seen[key]
+        if isinstance(f.operand, Atom) and f.operand.name in sig._negated_masks:
+            return sig._negated_masks[f.operand.name]  # a literal: computed once
+        return uni ^ _mask_of(f.operand, sig)
     if isinstance(f, And):
-        m = _mask_of(f.left, sig, seen) & _mask_of(f.right, sig, seen)
-    elif isinstance(f, Or):
-        m = _mask_of(f.left, sig, seen) | _mask_of(f.right, sig, seen)
-    elif isinstance(f, Implies):
-        m = (uni ^ _mask_of(f.left, sig, seen)) | _mask_of(f.right, sig, seen)
-    elif isinstance(f, Iff):
-        m = uni ^ (_mask_of(f.left, sig, seen) ^ _mask_of(f.right, sig, seen))
-    else:
-        raise TypeError(f"not a formula node: {f!r}")
-    if len(seen) == 64:
-        seen.clear()
-    seen[key] = m
-    return m
+        return functools.reduce(operator.and_, map(_mask_of, f.operands, repeat(sig)))
+    if isinstance(f, Or):
+        return functools.reduce(operator.or_, map(_mask_of, f.operands, repeat(sig)))
+    if isinstance(f, Implies):
+        return (uni ^ _mask_of(f.left, sig)) | _mask_of(f.right, sig)
+    if isinstance(f, Iff):
+        return uni ^ (_mask_of(f.left, sig) ^ _mask_of(f.right, sig))
+    raise TypeError(f"not a formula node: {f!r}")
 
 
 # --- parsing --------------------------------------------------------------
@@ -330,40 +341,28 @@ def _mask_of(f: Formula, sig: Signature, seen: dict[int, int]) -> int:
 #   and     := unary ("&" unary)*
 #   unary   := "!" unary | "(" formula ")" | "true" | "false" | atom
 #
-# Formulas nest at most MAX_FORMULA_DEPTH deep, counting each "!", "(" and
-# binary operator on the way down the text, and each level of the tree:
-# the parser, models_of and format_formula recurse that deep.
+# A chain of & or of | is one node, but not across parentheses: (p & q) & r
+# is an And inside an And. Formulas nest at most MAX_FORMULA_DEPTH deep,
+# counting each "!", "(" and binary operator on the way down the text, and
+# each level of the tree: the parser, models_of and format_formula recurse
+# that deep.
 
 MAX_FORMULA_DEPTH = 256
 
-_WORD_RE = re.compile(r"[a-z][a-z0-9_]*")
+# an operator, a word, or any other non-space character, which is an error
+_TOKEN_RE = re.compile(r"(<->|->|[!&|()])|([a-z][a-z0-9_]*)|(\S)")
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     tokens = []
-    i = 0
-    while i < len(text):
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if text.startswith("<->", i):
-            tokens.append(("IFF", "<->", i))
-            i += 3
-        elif text.startswith("->", i):
-            tokens.append(("IMP", "->", i))
-            i += 2
-        elif c in "!&|()":
-            tokens.append((c, c, i))
-            i += 1
+    for m in _TOKEN_RE.finditer(text):
+        op, word, other = m.groups()
+        if other:
+            raise ParseError(f"unexpected character {other!r}", m.start())
+        if op:
+            tokens.append((op, op, m.start()))
         else:
-            m = _WORD_RE.match(text, i)
-            if not m:
-                raise ParseError(f"unexpected character {c!r}", i)
-            word = m.group()
-            kind = "CONST" if word in _RESERVED_WORDS else "ATOM"
-            tokens.append((kind, word, i))
-            i = m.end()
+            tokens.append(("CONST" if word in _RESERVED_WORDS else "ATOM", word, m.start()))
     tokens.append(("EOF", "", len(text)))
     return tokens
 
@@ -371,7 +370,7 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 # each binary operator: how tightly it binds, how tightly its right
 # operand must bind (-> and <-> group to the right, & and | to the left),
 # and its node
-_BINARY = {"IFF": (1, 1, Iff), "IMP": (2, 2, Implies), "|": (3, 4, Or), "&": (4, 5, And)}
+_BINARY = {"<->": (1, 1, Iff), "->": (2, 2, Implies), "|": (3, 4, Or), "&": (4, 5, And)}
 
 
 class _Parser:
@@ -393,19 +392,24 @@ class _Parser:
 
     def binary(self, min_prec: int, at: int) -> tuple[Formula, int]:
         """A unary, then the operators that bind at least min_prec; ``at``
-        is where the text nests too deep if it does."""
+        is where the text nests too deep if it does. A run of one operator is
+        one node; -> and <-> take one operand, whose own run takes the rest."""
         if self.depth == MAX_FORMULA_DEPTH:
             raise _too_deep(at)
         self.depth += 1
         left, height = self.unary()
         tokens = self.tokens
-        while (op := _BINARY.get(tokens[self.pos][0])) and op[0] >= min_prec:
-            at = tokens[self.pos][2]
-            self.pos += 1
-            right, h = self.binary(op[1], at)
-            left, height = op[2](left, right), max(height, h) + 1
-            if height > MAX_FORMULA_DEPTH:
-                raise _too_deep(at)
+        while (op := _BINARY.get(kind := tokens[self.pos][0])) and op[0] >= min_prec:
+            operands = [left]
+            while tokens[self.pos][0] == kind:
+                at = tokens[self.pos][2]
+                self.pos += 1
+                right, h = self.binary(op[1], at)
+                operands.append(right)
+                height = max(height, h)
+                if height == MAX_FORMULA_DEPTH:
+                    raise _too_deep(at)
+            left, height = op[2](*operands), height + 1
         self.depth -= 1
         return left, height
 
@@ -461,9 +465,9 @@ def _fmt(f: Formula, required: int) -> str:
     if isinstance(f, Not):
         s = "!" + _fmt(f.operand, prec)
     elif isinstance(f, (And, Or)):
-        op = "&" if isinstance(f, And) else "|"
-        # left-associative: right child needs strictly higher precedence
-        s = f"{_fmt(f.left, prec)} {op} {_fmt(f.right, prec + 1)}"
+        op = " & " if isinstance(f, And) else " | "
+        # an operand of the same operator is a node of its own: parenthesised
+        s = op.join(_fmt(g, prec + 1) for g in f.operands)
     else:
         op = "->" if isinstance(f, Implies) else "<->"
         # right-associative: left child needs strictly higher precedence

@@ -21,7 +21,7 @@ from itertools import chain, repeat
 from typing import Iterator, Sequence
 
 from .errors import RankFileError, SignatureTooLargeError, TableTooLargeError
-from .logic import PropSet, Signature, Theory
+from .logic import PropSet, Signature, Theory, _check_over
 
 ENUM_MAX_ATOMS = 3
 CONSEQUENCE_TABLE_MAX_ATOMS = 4  # 2**16 entries; 5 atoms would need 2**32
@@ -143,7 +143,9 @@ def _first_hits(n: int, levels: list[int]) -> list[int]:
 
 def consequences_of(r: RankFunction, f: PropSet) -> Theory:
     """The theory holding by default under f: its models are the
-    minimum-rank models of f. The empty f yields the inconsistent theory."""
+    minimum-rank models of f. The empty f yields the inconsistent theory;
+    f over other atoms, SignatureError."""
+    _check_over(r.sig, f)
     return Theory(PropSet(r.sig, r.min_models_mask(f.mask)))
 
 

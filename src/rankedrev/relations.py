@@ -131,6 +131,7 @@ def check_rationality(c: ConsequenceRelation, sig: Optional[Signature] = None) -
     conj = _ints(r.translate(tab) for r in m.and_idx)
     disj = _ints(r.translate(tab) for r in m.or_idx)
     ps = lambda mask: PropSet(sig, mask)
+    minus = lambda a, b: (a | b) ^ b  # a & ~b: ~ of a big int is many times slower
 
     def over_phi(prop: str, v: int, detail: str):
         return prop, RelationWitness(prop, ps(_first_byte(v)), None, None, detail) if v else None
@@ -145,24 +146,24 @@ def check_rationality(c: ConsequenceRelation, sig: Optional[Signature] = None) -
         return prop, None
 
     return RationalityReport((
-        over_phi("REF", P & ~m.ident, "C(phi) has a model outside phi"),
+        over_phi("REF", minus(P, m.ident), "C(phi) has a model outside phi"),
         # By construction: phi |~ psi is C(phi) ⊆ psi, so C(phi) ⊆ psi ⊆ chi
         # gives RW, and C(phi) ⊆ psi, C(phi) ⊆ chi give C(phi) ⊆ psi ∩ chi, AND.
         ("LLE", None),
         ("RW", None),
         ("AND", None),
-        over_pairs("OR", (disj[phi] & ~(m.spread[a] | P) for phi, a in enumerate(M)),
+        over_pairs("OR", (minus(disj[phi], m.spread[a] | P) for phi, a in enumerate(M)),
                    lambda phi, psi: M[phi] | M[psi],
                    "phi |~ chi and psi |~ chi but not phi ∨ psi |~ chi"),
-        over_pairs("CM", (m.sub[a] & conj[phi] & ~m.spread[a] for phi, a in enumerate(M)),
+        over_pairs("CM", (minus(m.sub[a] & conj[phi], m.spread[a]) for phi, a in enumerate(M)),
                    lambda phi, psi: M[phi],
                    "phi |~ psi and phi |~ chi but not phi ∧ psi |~ chi"),
-        over_pairs("RM", (m.meet[a] & conj[phi] & ~m.spread[a] for phi, a in enumerate(M)),
+        over_pairs("RM", (minus(m.meet[a] & conj[phi], m.spread[a]) for phi, a in enumerate(M)),
                    lambda phi, psi: M[phi],
                    "phi |~ chi, phi |~/ ¬psi, but not phi ∧ psi |~ chi"),
-        over_pairs("S", (m.inter[a] & ~conj[phi] for phi, a in enumerate(M)),
+        over_pairs("S", (minus(m.inter[a], conj[phi]) for phi, a in enumerate(M)),
                    lambda phi, psi: M[phi & psi],
                    "phi ∧ psi |~ chi but not phi |~ psi -> chi"),
-        over_phi("CP", int.from_bytes(row.translate(_ZERO), "little") & ~0xFF,
+        over_phi("CP", int.from_bytes(row.translate(_ZERO), "little") >> 8 << 8,
                  "consistent phi with C(phi) inconsistent"),
     ))

@@ -2,39 +2,29 @@
 
 The emitted form is full (unminimized) DNF over the whole signature,
 minterms in ascending valuation order, so output is deterministic and
-byte-stable; minimization would only be cosmetic.
+byte-stable; minimization would only be cosmetic. canonical_formula is
+the tree the text parses to: one Or of flat And minterms.
 """
 
 from __future__ import annotations
-
-import functools
 
 from .logic import And, Atom, Const, Formula, Not, Or, PropSet, Theory
 
 
 def canonical_formula(s: PropSet) -> Formula:
     """The canonical DNF formula denoting s; `false`/`true` for the
-    empty/full set. models_of(canonical_formula(s)) == s. The minterms,
-    in ascending valuation order, are joined pairwise, so the disjunction
-    is log2 of their count deep; minterms that begin with the same
-    literals share those conjunctions."""
+    empty/full set. models_of(canonical_formula(s)) == s. It is one Or of
+    the minterms in ascending valuation order, each one And of a literal
+    per atom, so it is the tree that dnf_text(s) parses to."""
     if s.mask == 0:
         return Const(False)
     if s.mask == s.sig.universe_mask:
         return Const(True)
+    n = s.sig.n
     lits = [(Not(Atom(a)), Atom(a)) for a in s.sig.atoms]
-
-    @functools.cache
-    def minterm(k: int, bits: int) -> Formula:
-        """The conjunction of the first k literals; bits are their values."""
-        lit = lits[k - 1][bits & 1]
-        return lit if k == 1 else And(minterm(k - 1, bits >> 1), lit)
-
-    terms = [minterm(s.sig.n, v) for v in s.valuations()]
-    while len(terms) > 1:
-        terms = [Or(*terms[i:i + 2]) if i + 1 < len(terms) else terms[i]
-                 for i in range(0, len(terms), 2)]
-    return terms[0]
+    terms = [[lit[v >> (n - 1 - i) & 1] for i, lit in enumerate(lits)] for v in s.valuations()]
+    terms = [And(*t) if n > 1 else t[0] for t in terms]
+    return Or(*terms) if len(terms) > 1 else terms[0]
 
 
 def dnf_text(s: PropSet) -> str:

@@ -22,7 +22,7 @@ from enum import Enum
 from typing import Callable, Iterable, Sequence
 
 from .errors import DomainTooLargeError
-from .logic import PropSet, Signature, Theory, _masks
+from .logic import PropSet, Signature, Theory, _check_over, _masks
 from .ranking import RankFunction, _check_row_fits, normalize
 from .relations import ConsequenceRelation
 
@@ -65,6 +65,8 @@ class Revision:
         raise NotImplementedError
 
     def revise(self, k: Theory, f: PropSet) -> Theory:
+        """The revision of k by f; SignatureError if either is over other atoms."""
+        _check_over(self.sig, k, f)
         return Theory(PropSet(self.sig, self.revise_mask(k.models.mask, f.mask)))
 
     def table(self) -> Sequence[Sequence[int]]:

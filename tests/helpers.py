@@ -8,6 +8,11 @@ import sys
 from pathlib import Path
 
 from rankedrev import (
+    And,
+    Iff,
+    Implies,
+    Not,
+    Or,
     PropSet,
     RankFunction,
     Revision,
@@ -38,6 +43,19 @@ def th(sig: Signature, text: str) -> Theory:
     if text == "bot":
         return Theory.bottom(sig)
     return Theory(ps(sig, text))
+
+
+def height(f) -> int:
+    """Levels of a formula's tree; an atom or a constant is one."""
+    if isinstance(f, Not):
+        kids = [f.operand]
+    elif isinstance(f, (And, Or)):
+        kids = f.operands
+    elif isinstance(f, (Implies, Iff)):
+        kids = [f.left, f.right]
+    else:
+        kids = []
+    return 1 + max(map(height, kids), default=0)
 
 
 class OutOfRange(Revision):

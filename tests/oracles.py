@@ -84,9 +84,9 @@ def eval_formula(f, env: dict) -> bool:
     if isinstance(f, Not):
         return not eval_formula(f.operand, env)
     if isinstance(f, And):
-        return eval_formula(f.left, env) and eval_formula(f.right, env)
+        return all(eval_formula(g, env) for g in f.operands)
     if isinstance(f, Or):
-        return eval_formula(f.left, env) or eval_formula(f.right, env)
+        return any(eval_formula(g, env) for g in f.operands)
     if isinstance(f, Implies):
         return (not eval_formula(f.left, env)) or eval_formula(f.right, env)
     if isinstance(f, Iff):

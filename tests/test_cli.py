@@ -101,6 +101,27 @@ class TestRevise:
         assert out == "" and err.startswith("error:") and "at most 4 atoms" in err
 
 
+    @pytest.mark.parametrize("n, theory, models", [(9, "p", 256),
+                                                   (16, "p & q & r & s & t & u & v", 512)],
+                             ids=["9atoms", "16atoms"])
+    def test_printed_theory_reads_back(self, capsys, tmp_path, rank16_path, n, theory, models):
+        # more minterms than MAX_FORMULA_DEPTH: these exited 2 while a chain
+        # of them was as tall as it is long
+        sig = Signature(SIG16.atoms[:n])
+        path = rank16_path
+        if n < 16:
+            path = tmp_path / "rank.rnk"
+            path.write_text(format_rank_file(random_rank_function(sig, 3, 1)))
+        code, out, _ = run(capsys, "revise", "--rank", str(path), "--theory", theory,
+                           "--phi", "true")
+        assert code == 0 and out.endswith(" [mild]\n")
+        text = out.removesuffix(" [mild]\n")
+        assert text.count("|") == models - 1
+        assert models_of(parse_formula(text, sig), sig) == models_of(parse_formula(theory, sig), sig)
+        assert run(capsys, "revise", "--rank", str(path), "--theory", text,
+                   "--phi", "true") == (0, out, "")
+
+
 class TestCheck:
     def test_all_pass_exit_zero(self, capsys, rank_path):
         code, out, _ = run(capsys, "check", "--rank", rank_path,
@@ -332,14 +353,24 @@ class TestRoundtrip:
         sig = Signature(SIG16.atoms[:n])
         assert out == dnf_text(models_of(parse_formula("p", sig), sig)) + "\n"
 
-    @pytest.mark.parametrize("phi", ["(" * 400 + "p" + ")" * 400, " & ".join(["p"] * 2000)],
-                             ids=["400-parentheses", "2000-and-chain"])
+    @pytest.mark.parametrize("phi", ["(" * 400 + "p" + ")" * 400, "(" * 257 + "p" + ")" * 257,
+                                     "!" * 257 + "p", " -> ".join(["p"] * 257)],
+                             ids=["400-parentheses", "257-parentheses", "257-negations",
+                                  "257-implication-chain"])
     def test_too_deep_formula_exit_two(self, capsys, rank_path, phi):
         for argv in (["roundtrip", "--atoms", "p,q"], ["trace", "--rank", rank_path,
                                                         "--theory", "p"]):
             code, out, err = run(capsys, *argv, "--phi", phi)
             assert (code, out) == (2, "")
             assert err.startswith("error: formula nests more than 256 deep")
+
+    def test_long_chain_exit_zero(self, capsys, rank_path):
+        # a chain of one operator is one level, however long
+        phi = " & ".join(["p"] * 2000)
+        code, out, _ = run(capsys, "roundtrip", "--atoms", "p,q", "--phi", phi)
+        assert (code, out) == (0, "(p & !q) | (p & q)\n")
+        code, out, _ = run(capsys, "trace", "--rank", rank_path, "--theory", "q", "--phi", phi)
+        assert (code, out) == (0, f"(!p & q) | (p & q) * {phi} => p & q [mild]\n")
 
 
 class TestTrace:
@@ -351,6 +382,14 @@ class TestTrace:
             "(!p & !q) | (p & !q) * p => p & !q [mild]",
             "p & !q * q => p & q [severe]",
         ]
+
+    def test_phi_echoed_as_parsed(self, capsys, rank_path):
+        # parentheses around a chain of one operator make a node of their own
+        code, out, _ = run(capsys, "trace", "--rank", rank_path, "--theory", "q",
+                           "--phi", "(p & q) & p", "--phi", "p & (q & p)", "--phi", "p&q&p")
+        assert code == 0
+        assert [line.split(" => ")[0].split(" * ")[1] for line in out.splitlines()] == [
+            "(p & q) & p", "p & (q & p)", "p & q & p"]
 
     def test_empty_trace(self, capsys, rank_path):
         code, out, _ = run(capsys, "trace", "--rank", rank_path, "--theory", "!q")

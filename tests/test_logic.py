@@ -33,7 +33,7 @@ from rankedrev import (
 from rankedrev import logic
 from rankedrev.logic import MAX_FORMULA_DEPTH
 
-from helpers import SIG2, SIG3, ps, th
+from helpers import SIG2, SIG3, height, ps, th
 from oracles import atom_mask_reference, models_by_truth_table
 
 
@@ -131,6 +131,42 @@ class TestParse:
             parse_formula("p & ", sig2)
         assert exc.value.position == 4
 
+    def test_chain_is_one_node(self, sig3):
+        p, q, r = Atom("p"), Atom("q"), Atom("r")
+        assert parse_formula("p & q & r", sig3) == And(p, q, r)
+        assert parse_formula("p | q & r | !p", sig3) == Or(p, And(q, r), Not(p))
+        assert parse_formula("p & q | r -> p & !q & r", sig3) == Implies(
+            Or(And(p, q), r), And(p, Not(q), r))
+
+    def test_parentheses_are_a_node_boundary(self, sig3):
+        p, q, r = Atom("p"), Atom("q"), Atom("r")
+        for text, f in [("(p & q) & r", And(And(p, q), r)), ("p & (q & r)", And(p, And(q, r))),
+                        ("(p | q) | (r | p)", Or(Or(p, q), Or(r, p)))]:
+            assert parse_formula(text, sig3) == f
+            assert format_formula(f) == text
+
+    @pytest.mark.parametrize("node", [And, Or])
+    def test_chain_needs_two_operands(self, node):
+        for operands in ((Atom("p"),), ()):
+            with pytest.raises(ValueError, match="two or more operands"):
+                node(*operands)
+        f = node(Atom("p"), Atom("q"), Atom("p"))
+        assert f.operands == (Atom("p"), Atom("q"), Atom("p"))
+        assert [x.name for x in dataclasses.fields(f)] == ["operands"]
+        assert not hasattr(f, "left") and not hasattr(f, "right")
+        for clone in (pickle.loads(pickle.dumps(f)), copy.deepcopy(f)):
+            assert clone == f and hash(clone) == hash(f)
+
+    def test_unicode_whitespace_is_skipped(self, sig2):
+        assert parse_formula("\tp\x1c&\u3000q\n", sig2) == And(Atom("p"), Atom("q"))
+
+    @pytest.mark.parametrize("text, position", [("p & é", 4), ("A", 0), ("p <- q", 2),
+                                                ("p & _q", 4), ("!1", 1), ("p - > q", 2)])
+    def test_unexpected_character_position(self, text, position, sig2):
+        with pytest.raises(ParseError, match="unexpected character") as exc:
+            parse_formula(text, sig2)
+        assert exc.value.position == position
+
     @pytest.mark.parametrize("bad", ["", "p q", "(p", "p &", "p @ q", "->"])
     def test_rejects_malformed(self, bad, sig2):
         with pytest.raises(ParseError):
@@ -138,49 +174,62 @@ class TestParse:
 
 
 def _nested_chains(levels):
-    """((p & q & q & q) & q & q & q)...: three levels of tree per
-    parenthesis."""
+    """((p & q & q & q) & q & q & q)...: one level of tree per parenthesis."""
     text = "p"
     for _ in range(levels):
         text = f"({text} & q & q & q)"
     return text
 
 
-def _height(f):
-    kids = [getattr(f, name) for name in ("operand", "left", "right") if hasattr(f, name)]
-    return 1 + max(map(_height, kids), default=0)
-
-
 class TestNestingLimit:
     """Text nests at most MAX_FORMULA_DEPTH deep, so neither the parser
     nor models_of and format_formula on the tree run out of stack; deeper
-    text fails with ParseError."""
+    text fails with ParseError. A chain of & or | is one level."""
 
-    @pytest.mark.parametrize("text, height", [
+    @pytest.mark.parametrize("text, height_", [
         ("(" * (MAX_FORMULA_DEPTH - 1) + "p" + ")" * (MAX_FORMULA_DEPTH - 1), 1),
         ("!" * (MAX_FORMULA_DEPTH - 1) + "p", MAX_FORMULA_DEPTH),
-        (" & ".join(["p"] * MAX_FORMULA_DEPTH), MAX_FORMULA_DEPTH),
+        (" & ".join(["p"] * MAX_FORMULA_DEPTH), 2),  # once 256 deep, now one And
         (" -> ".join(["p"] * MAX_FORMULA_DEPTH), MAX_FORMULA_DEPTH),
-        ("!" * 100 + "(" + " | ".join(["q"] * 156) + ")", MAX_FORMULA_DEPTH),
-        (_nested_chains(85), MAX_FORMULA_DEPTH),
+        ("!" * (MAX_FORMULA_DEPTH - 2) + "p | " + " | ".join(["q"] * 156), MAX_FORMULA_DEPTH),
+        # each parenthesis is a level of the text: 254 of them and the
+        # chain operator inside the last make 256
+        (_nested_chains(MAX_FORMULA_DEPTH - 2), MAX_FORMULA_DEPTH - 1),
     ], ids=["parentheses", "negations", "and-chain", "implication-chain", "mixed", "chains"])
-    def test_at_the_limit(self, text, height, sig2):
+    def test_at_the_limit(self, text, height_, sig2):
         f = parse_formula(text, sig2)
-        assert _height(f) == height
+        assert height(f) == height_
+        assert set(models_of(f, sig2).valuations()) == models_by_truth_table(f, sig2)
         assert models_of(f, sig2) == models_of(parse_formula(format_formula(f), sig2), sig2)
+
+    @pytest.mark.parametrize("text, height_", [
+        (" & ".join(["p"] * (MAX_FORMULA_DEPTH + 1)), 2),
+        (" & ".join(["p"] * 2000), 2),
+        ("!" * 100 + "(" + " | ".join(["q"] * 157) + ")", 102),
+        (_nested_chains(86), 87),
+    ], ids=["and-chain", "2000-and-chain", "mixed", "chains"])
+    def test_chains_are_one_level(self, text, height_, sig2):
+        # texts that nested too deep while a chain was as tall as it is long
+        f = parse_formula(text, sig2)
+        assert height(f) == height_
+        assert set(models_of(f, sig2).valuations()) == models_by_truth_table(f, sig2)
+        assert parse_formula(format_formula(f), sig2) == f
 
     @pytest.mark.parametrize("text, position", [
         ("(" * 400 + "p" + ")" * 400, MAX_FORMULA_DEPTH - 1),
         ("(" * MAX_FORMULA_DEPTH + "p" + ")" * MAX_FORMULA_DEPTH, MAX_FORMULA_DEPTH - 1),
         ("!" * MAX_FORMULA_DEPTH + "p", MAX_FORMULA_DEPTH - 1),
-        (" & ".join(["p"] * 2000), 4 * MAX_FORMULA_DEPTH - 2),
-        (" & ".join(["p"] * (MAX_FORMULA_DEPTH + 1)), 4 * MAX_FORMULA_DEPTH - 2),
+        # the 256th operator of the chain: a term and its operator take 5
+        # characters, 6 with <->
+        (" -> ".join(["p"] * (MAX_FORMULA_DEPTH + 1)), 5 * MAX_FORMULA_DEPTH - 3),
+        (" <-> ".join(["p"] * (MAX_FORMULA_DEPTH + 1)), 6 * MAX_FORMULA_DEPTH - 4),
         (" <-> ".join(["p"] * 2000), None),
-        ("!" * 100 + "(" + " | ".join(["q"] * 157) + ")", 0),
-        # heights add up across parentheses, not only along one chain
-        (_nested_chains(86), None),
-    ], ids=["400-parentheses", "parentheses", "negations", "2000-and-chain", "and-chain",
-            "iff-chain", "mixed", "chains"])
+        # a chain adds a level over its tallest operand, here at its first "|"
+        ("!" * (MAX_FORMULA_DEPTH - 1) + "p | " + " | ".join(["q"] * 156), MAX_FORMULA_DEPTH + 1),
+        # levels add up across parentheses: the first "&" of the innermost
+        (_nested_chains(MAX_FORMULA_DEPTH - 1), MAX_FORMULA_DEPTH + 1),
+    ], ids=["400-parentheses", "parentheses", "negations", "implication-chain",
+            "257-iff-chain", "iff-chain", "mixed", "chains"])
     def test_past_the_limit(self, text, position, sig2):
         with pytest.raises(ParseError, match=f"nests more than {MAX_FORMULA_DEPTH} deep") as exc:
             parse_formula(text, sig2)
@@ -206,25 +255,21 @@ class TestModels:
         assert ps(sig2, "!(p & q)") == ps(sig2, "!p | !q")
 
     def test_shared_subtrees_are_evaluated_once(self, monkeypatch):
-        # canonical_formula's 320 minterms at 10 atoms share their leading
-        # conjunctions, and its literals are shared nodes too: a call per
-        # node and minterm would walk each prefix again. The last two atoms
-        # are not free, so a prefix's mask is no minterm's
+        # canonical_formula at 10 atoms is one Or of 320 flat minterms, And
+        # nodes of 10 literals, and its literals are shared nodes. With no
+        # memo, _mask_of is called once per node of the tree, and once on
+        # a negated atom, whose mask the signature keeps
         sig = Signature(tuple("pqrstuvwxy"))
         s = ps(sig, "(p | q & !r) & (x <-> y)")
         f = canonical_formula(s)
-        nodes, todo = set(), [f]
-        while todo:
-            g = todo.pop()
-            if id(g) not in nodes:
-                nodes.add(id(g))
-                todo += [g.operand] if isinstance(g, Not) else [
-                    getattr(g, side) for side in ("left", "right") if hasattr(g, side)]
+        assert isinstance(f, Or) and len(f.operands) == 320
+        assert all(isinstance(t, And) and len(t.operands) == 10 for t in f.operands)
+        assert f.operands[0].operands[0] is f.operands[1].operands[0]
         calls = []
         mask_of = logic._mask_of
         monkeypatch.setattr(logic, "_mask_of", lambda *a: calls.append(1) or mask_of(*a))
         assert models_of(f, sig) == s
-        assert len(nodes) == 1307 and len(calls) <= 3 * len(nodes)
+        assert len(calls) == 1 + 320 * (1 + 10)
 
 
 def _formulas(sig):
@@ -235,8 +280,8 @@ def _formulas(sig):
         base,
         lambda kids: st.one_of(
             st.builds(Not, kids),
-            st.builds(And, kids, kids),
-            st.builds(Or, kids, kids),
+            st.lists(kids, min_size=2, max_size=3).map(lambda ops: And(*ops)),
+            st.lists(kids, min_size=2, max_size=3).map(lambda ops: Or(*ops)),
             st.builds(Implies, kids, kids),
             st.builds(Iff, kids, kids),
         ),

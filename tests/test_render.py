@@ -2,6 +2,8 @@
 
 import random
 
+import pytest
+
 from rankedrev import (
     And,
     Atom,
@@ -14,17 +16,13 @@ from rankedrev import (
     canonical_formula,
     dnf_text,
     models_of,
+    parse_formula,
     theory_text,
 )
 
-from helpers import SIG1, SIG2, SIG3, SIG16, ps
+from helpers import SIG1, SIG2, SIG3, SIG16, height, ps
 
 SIG12 = Signature(SIG16.atoms[:12])
-
-
-def _height(f):
-    kids = [getattr(f, name) for name in ("operand", "left", "right") if hasattr(f, name)]
-    return 1 + max(map(_height, kids), default=0)
 
 
 class TestCanonicalFormula:
@@ -58,20 +56,21 @@ class TestCanonicalFormula:
             assert models_of(canonical_formula(s), SIG3) == s
 
     def test_round_trip_at_twelve_atoms(self):
-        # about 2048 minterms joined pairwise: 11 or 12 levels of
-        # disjunction, where a chain of them was about 2047 deep, over
-        # 11 conjunctions of literals of height 1 or 2
+        # about 2048 minterms: one Or of And nodes of 12 literals, a
+        # negated atom two levels, where minterms joined pairwise made a
+        # tree 24 deep and a chain of them about 2047
         s = PropSet(SIG12, random.Random(12).getrandbits(1 << 12))
         f = canonical_formula(s)
         assert models_of(f, SIG12) == s
-        assert _height(f) <= (s.mask.bit_count() - 1).bit_length() + 11 + 2
+        assert height(f) == 4
         assert models_of(canonical_formula(PropSet(SIG12, 1 << 4095)), SIG12).mask == 1 << 4095
 
     def test_minterms_share_their_leading_literals(self):
+        # each minterm is one flat And; the literals are shared nodes
         f = canonical_formula(PropSet.from_bits(SIG3, "000", "001"))
-        assert f == Or(And(And(Not(Atom("p")), Not(Atom("q"))), Not(Atom("r"))),
-                       And(And(Not(Atom("p")), Not(Atom("q"))), Atom("r")))
-        assert f.left.left is f.right.left
+        assert f == Or(And(Not(Atom("p")), Not(Atom("q")), Not(Atom("r"))),
+                       And(Not(Atom("p")), Not(Atom("q")), Atom("r")))
+        assert f.operands[0].operands[0] is f.operands[1].operands[0]
 
 
 class TestDnfText:
@@ -89,6 +88,25 @@ class TestDnfText:
         for m in range(256):
             s = PropSet(SIG3, m)
             assert ps(SIG3, dnf_text(s)) == s
+
+
+    @pytest.mark.parametrize("sig", [SIG1, SIG2, SIG3], ids=["1atom", "2atoms", "3atoms"])
+    def test_text_parses_to_the_canonical_formula(self, sig):
+        for m in range(sig.universe_mask + 1):
+            s = PropSet(sig, m)
+            assert parse_formula(dnf_text(s), sig) == canonical_formula(s)
+
+    @pytest.mark.parametrize("n, text, models", [(9, "p", 256), (16, "p & q & r & s & t & u & v", 512)],
+                             ids=["9atoms", "16atoms"])
+    def test_text_reads_back_past_the_nesting_limit(self, n, text, models):
+        # more minterms than MAX_FORMULA_DEPTH: a chain of them nested too
+        # deep while it was as tall as it is long
+        sig = Signature(SIG16.atoms[:n])
+        s = ps(sig, text)
+        assert s.size() == models
+        f = parse_formula(dnf_text(s), sig)
+        assert f == canonical_formula(s)
+        assert models_of(f, sig) == s
 
 
 class TestTheoryText:

@@ -2,6 +2,7 @@
 theory-floor models, conservative extension, iteration."""
 
 import pickle
+import re
 
 import pytest
 
@@ -13,6 +14,8 @@ from rankedrev import (
     RankFunction,
     Revision,
     Severity,
+    Signature,
+    SignatureError,
     TableRevision,
     Theory,
     check_rationality,
@@ -244,6 +247,25 @@ class TestIterate:
                     else Severity.MILD
                 )
                 assert step.severity is expected
+
+
+class TestOtherSignature:
+    @pytest.mark.parametrize("sig", [Signature(("r", "s")), SIG3], ids=["other-atoms", "more-atoms"])
+    def test_inputs_over_other_atoms(self, rv0, sig2, sig):
+        # over (r, s) these answered a theory over (p, q); over (p, q, r)
+        # a severe cell read past the row
+        k, f = Theory(PropSet(sig, 1)), PropSet(sig, sig.universe_mask ^ 1)
+        for call in (lambda: rv0.revise(k, ps(sig2, "q")), lambda: rv0.revise(th(sig2, "!q"), f),
+                     lambda: consequences_of(R0, f), lambda: iterate(rv0, k, [ps(sig2, "q")]),
+                     lambda: iterate(rv0, th(sig2, "!q"), [f])):
+            with pytest.raises(SignatureError, match=re.escape(f"is over atoms {sig.atoms}, not")):
+                call()
+
+    def test_an_equal_signature_is_the_same(self, rv0):
+        sig = Signature(("p", "q"))
+        assert sig is not rv0.sig
+        assert rv0.revise(th(sig, "!q"), ps(sig, "q")) == th(rv0.sig, "p & q")
+        assert consequences_of(R0, ps(sig, "true")) == th(rv0.sig, "p & q")
 
 
 class TestTableRevision:
