@@ -25,7 +25,7 @@ import functools
 import operator
 import re
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import compress, count, repeat
 from typing import Iterator
 
 from .errors import ParseError, SignatureError, UnknownAtomError
@@ -34,6 +34,8 @@ MAX_ATOMS = 16
 
 _ATOM_NAME_RE = re.compile(r"[a-z][a-z0-9_]*\Z")
 _RESERVED_WORDS = frozenset({"true", "false"})
+_DIGIT_BYTES = bytes.maketrans(b"01", b"\0\1")  # bytes.translate table: digit -> its value
+_BYTE_MEMBERS = tuple(tuple(v for v in range(8) if m >> v & 1) for m in range(256))
 
 
 @dataclass(frozen=True)
@@ -142,12 +144,13 @@ class PropSet:
         return self.mask == 0
 
     def valuations(self) -> Iterator[int]:
-        m, v = self.mask, 0
-        while m:
-            if m & 1:
-                yield v
-            m >>= 1
-            v += 1
+        """The members in ascending order. Up to 3 atoms they are looked up;
+        past that the mask's binary digits, lowest first, as bytes 0 and 1,
+        select from the valuation numbers, so no shift of the whole mask is
+        made per valuation."""
+        if self.mask < 256:
+            return iter(_BYTE_MEMBERS[self.mask])
+        return compress(count(), bin(self.mask)[:1:-1].encode().translate(_DIGIT_BYTES))
 
     def size(self) -> int:
         return self.mask.bit_count()

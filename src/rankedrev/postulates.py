@@ -546,6 +546,29 @@ class _Block:
             flags ^= 1 << top
         return meet
 
+    def expand_or_levels(self, levels: Sequence[int], ks: int, fs: int,
+                         rest: Callable[[int], int]) -> int:
+        """The column ks & fs, and on the lanes where that is 0 but fs is
+        not, fs's part of the first mask in ``levels`` that meets it: each
+        mask, spread to every lane, meets fs on the lanes not yet answered.
+        A lane that meets none of them is read by ``rest``, one at a time."""
+        meet = ks & fs
+        todo = self.nonzero(fs) ^ self.nonzero(meet)  # the top bit of each such lane
+        nbytes = self.bits // 8
+        for level in levels:
+            if not todo:
+                return meet
+            # (todo << 1) - (todo >> bits - 1) sets every bit of the lanes in todo
+            hit = fs & (todo << 1) - (todo >> self.bits - 1) & int.from_bytes(
+                level.to_bytes(nbytes, "little") * self.size, "little")
+            meet |= hit
+            todo ^= self.nonzero(hit)
+        while todo:
+            shift = todo.bit_length() - self.bits
+            meet |= rest(fs >> shift & (1 << self.bits) - 1) << shift
+            todo ^= 1 << shift + self.bits - 1
+        return meet
+
 
 class _Lane(_Block):
     """The block of one binding, whose columns are the values themselves,

@@ -25,6 +25,9 @@ from .logic import PropSet, Signature, Theory, _check_over
 
 ENUM_MAX_ATOMS = 3
 CONSEQUENCE_TABLE_MAX_ATOMS = 4  # 2**16 entries; 5 atoms would need 2**32
+# level masks kept per function: at 16 atoms 8 KB each, 1 MiB in all; at
+# least the 16 levels a 4-atom function can have, which its table reads
+LEVEL_MASKS_MAX = 128
 
 
 @dataclass(frozen=True, slots=True)
@@ -95,7 +98,7 @@ class RankFunction:
         # byte below the empty byte's 255 whatever the ranks given
         rank = normalize(self)
         nmasks = self.sig.universe_mask + 1
-        levels = [rank.level_mask(l) for l in range(rank.height + 1)]
+        levels = level_masks(rank)
         if nmasks <= 256:
             return tuple(_first_hits(nmasks, levels))
         ranks = rank.ranks
@@ -127,6 +130,27 @@ def _check_row_fits(sig: Signature, what: str) -> None:
     if sig.n > CONSEQUENCE_TABLE_MAX_ATOMS:
         raise TableTooLargeError(f"{what} needs 2**{sig.num_valuations} entries; "
                                  f"at most {CONSEQUENCE_TABLE_MAX_ATOMS} atoms supported")
+
+
+def level_masks(r: RankFunction) -> list[int]:
+    """The masks of r's lowest levels, lowest first: bit v of a level's
+    mask is set when valuation v has that level's rank. Every level, or the
+    lowest LEVEL_MASKS_MAX where r has more.
+
+    Built in bulk: the ranks as one byte per valuation, the last valuation
+    first, then per level one bytes.translate to b"1" where the byte is
+    the level's label and b"0" elsewhere, read by int(..., 2). Ranks past
+    a byte are relabelled first, the levels not kept sharing label 255."""
+    ranks = r.ranks
+    values = sorted(set(ranks))[:LEVEL_MASKS_MAX]
+    if r.height < 256:
+        labels = bytes(ranks[::-1])
+    else:
+        label = dict(zip(values, range(LEVEL_MASKS_MAX)))
+        labels = bytes(label.get(x, 255) for x in ranks[::-1])
+        values = range(len(values))
+    zeros = b"0" * 256
+    return [int(labels.translate(zeros[:v] + b"1" + zeros[v + 1:]), 2) for v in values]
 
 
 def _first_hits(n: int, levels: list[int]) -> list[int]:

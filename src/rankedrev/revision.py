@@ -23,7 +23,7 @@ from typing import Callable, Iterable, Sequence
 
 from .errors import DomainTooLargeError
 from .logic import PropSet, Signature, Theory, _check_over, _masks
-from .ranking import RankFunction, _check_row_fits, normalize
+from .ranking import RankFunction, _check_row_fits, level_masks, normalize
 from .relations import ConsequenceRelation
 
 TABLE_MAX_ATOMS = 3
@@ -142,11 +142,32 @@ class _ExpandOrRow(Revision):
 
 class RankedRevision(_ExpandOrRow):
     """Revision induced by a rank function: severe revisions return the
-    minimum-rank models of the input, mild revisions expand."""
+    minimum-rank models of the input, mild revisions expand.
+
+    A severe cell is the input's part of the lowest level it meets, read
+    from the level masks, which the first severe revision builds. Only a
+    table, or ``consequence_masks``, builds the row over every formula
+    class, which past 4 atoms raises TableTooLargeError."""
 
     def __init__(self, rank: RankFunction):
         super().__init__(rank.sig, rank._consequence_cells)
         self.rank = rank
+
+    @functools.cached_property
+    def levels(self) -> list[int]:
+        return level_masks(self.rank)
+
+    def revise_mask(self, k_mask: int, f_mask: int) -> int:
+        meet = k_mask & f_mask
+        if meet or not f_mask:
+            return meet
+        for level in self.levels:
+            if level & f_mask:
+                return level & f_mask
+        return self.rank.min_models_mask(f_mask)  # above every level kept
+
+    def _revise_lanes(self, lanes, ks: int, fs: int) -> int:
+        return lanes.expand_or_levels(self.levels, ks, fs, self.rank.min_models_mask)
 
     def consequence_masks(self) -> Sequence[int]:
         """The minimum-rank models of every formula, indexed by mask."""

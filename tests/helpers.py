@@ -74,11 +74,11 @@ class OutOfRange(Revision):
 
 def run_capped(snippet: str) -> subprocess.CompletedProcess:
     """Run ``snippet`` in a fresh interpreter that imports the package from
-    the source tree, with its address space capped at 256 MiB by RLIMIT_AS,
-    as the benchmark caps its workload process. Code that tries to allocate
-    a table past the caps then dies with MemoryError in the child, and code
-    that fills one slowly hits the 60 s timeout, instead of exhausting the
-    machine."""
+    the source tree, and ``helpers`` and ``oracles`` from the tests, with
+    its address space capped at 256 MiB by RLIMIT_AS, as the benchmark
+    caps its workload process. Code that tries to allocate a table past
+    the caps then dies with MemoryError in the child, and code that fills
+    one slowly hits the 60 s timeout, instead of exhausting the machine."""
     cap = (
         "import resource\n"
         "_, hard = resource.getrlimit(resource.RLIMIT_AS)\n"
@@ -87,6 +87,6 @@ def run_capped(snippet: str) -> subprocess.CompletedProcess:
         "    cap = min(cap, hard)\n"
         "resource.setrlimit(resource.RLIMIT_AS, (cap, hard))\n"
     )
-    env = dict(os.environ, PYTHONPATH=str(SRC))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join((str(SRC), str(Path(__file__).parent))))
     return subprocess.run([sys.executable, "-c", cap + snippet], env=env,
                           capture_output=True, text=True, timeout=60)

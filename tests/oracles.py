@@ -4,7 +4,8 @@ Everything here recomputes expected values from first principles,
 without going through the code paths under test: a per-valuation truth
 evaluator, a binomial-recurrence counter for ordered set partitions,
 the recursive rank-function enumerator that rebuilds every suffix, a
-sort-based minimum-rank extractor, per-valuation atom masks, the
+sort-based minimum-rank extractor, a ranked revision that reads level
+masks set one valuation at a time, per-valuation atom masks, the
 token-by-token rank-file parser, a constraint search that finds every
 rational choice table at small sizes, the per-mask consequence table,
 the scalar statement of each postulate clause (``HOLDS``, one binding at
@@ -34,6 +35,7 @@ from rankedrev import (
     RankedRevision,
     RankFileError,
     RankFunction,
+    Revision,
     Signature,
     UnderdeterminationWitness,
     WitnessNotFoundError,
@@ -113,6 +115,28 @@ def min_rank_valuations(ranks, valuations) -> frozenset:
     ordered = sorted(vs, key=lambda v: ranks[v])
     best = ranks[ordered[0]]
     return frozenset(v for v in ordered if ranks[v] == best)
+
+
+class MinRankRevision(Revision):
+    """RankedRevision by its definition: K ∧ phi when that is consistent,
+    else phi's part of the lowest rank level that phi meets, from level
+    masks set one valuation at a time. Its columns go through Revision's
+    lane hook, one revise_mask per lane."""
+
+    def __init__(self, rank: RankFunction):
+        super().__init__(rank.sig)
+        levels: dict[int, int] = {}
+        for v, r in enumerate(rank.ranks):
+            levels[r] = levels.get(r, 0) | 1 << v
+        self.levels = [levels[r] for r in sorted(levels)]
+
+    def revise_mask(self, k_mask: int, f_mask: int) -> int:
+        if k_mask & f_mask:
+            return k_mask & f_mask
+        for level in self.levels:
+            if level & f_mask:
+                return level & f_mask
+        return 0
 
 
 def rational_choice_tables(m: int) -> set:

@@ -8,11 +8,13 @@ from pathlib import Path
 
 import pytest
 
-from rankedrev import (Signature, dnf_text, enumerate_rank_functions, format_rank_file,
-                       models_of, parse_formula, random_rank_function)
+from rankedrev import (PostulateId, PropSet, RankedRevision, Signature, dnf_text,
+                       enumerate_rank_functions, format_rank_file, models_of, parse_formula,
+                       random_rank_function, run_suite)
 from rankedrev.cli import main
 
-from helpers import R0, SIG2, SIG3, SIG4, SIG5, SIG16
+from helpers import R0, SIG2, SIG3, SIG4, SIG5, SIG16, ps
+from oracles import MinRankRevision, min_rank_valuations, replay_reference, sampled_reference
 
 R0_FILE = "atoms: p q\n0: 11\n1: 01 10\n2: 00\n"
 
@@ -80,25 +82,45 @@ class TestRevise:
         assert code == 0
         assert json.loads(out) == {"result": "p & q", "severity": "severe"}
 
-    def test_severe_revision_past_the_table_cap_exit_two(self, capsys, rank5_path):
-        code, out, err = run(capsys, "revise", "--rank", rank5_path, "--theory", "p",
-                             "--phi", "!p")
-        assert code == 2
-        assert out == "" and err.startswith("error:") and "at most 4 atoms" in err
+    def test_severe_revision_past_four_atoms(self, capsys, rank5_path):
+        # a severe cell is phi's part of the lowest rank level it meets, so
+        # no table over 2**32 formula classes is needed: revise and trace
+        # answer the minimum-rank models of phi
+        rank = random_rank_function(SIG5, 3, 1)
+
+        def lowest(phi):
+            return dnf_text(PropSet.from_valuations(
+                SIG5, min_rank_valuations(rank.ranks, ps(SIG5, phi).valuations())))
+
+        assert lowest("!p") != dnf_text(ps(SIG5, "!p"))
+        code, out, _ = run(capsys, "revise", "--rank", rank5_path, "--theory", "p",
+                           "--phi", "!p")
+        assert (code, out) == (0, f"{lowest('!p')} [severe]\n")
+        code, out, _ = run(capsys, "trace", "--rank", rank5_path, "--theory", "p",
+                           "--phi", "!p", "--phi", "p")
+        assert code == 0
+        assert out.splitlines() == [f"{dnf_text(ps(SIG5, 'p'))} * !p => {lowest('!p')} [severe]",
+                                    f"{lowest('!p')} * p => {lowest('p')} [severe]"]
         code, out, _ = run(capsys, "revise", "--rank", rank5_path, "--theory", "p",
                            "--phi", "p | q")
         assert code == 0 and out.endswith("[mild]\n")
 
-    def test_sixteen_atoms(self, capsys, rank16_path):
+    def test_sixteen_atoms(self, capsys, rank16, rank16_path):
         every_atom = " & ".join("pqrstuvwxyzabcde")
         code, out, _ = run(capsys, "revise", "--rank", rank16_path, "--theory", every_atom,
                            "--phi", "p | r")
         assert code == 0
         assert out == every_atom + " [mild]\n"
-        code, out, err = run(capsys, "revise", "--rank", rank16_path, "--theory", "p",
-                             "--phi", "!p")
-        assert code == 2
-        assert out == "" and err.startswith("error:") and "at most 4 atoms" in err
+        # severe: the models of !p on the lowest level that !p meets
+        code, out, _ = run(capsys, "revise", "--rank", rank16_path, "--theory", "p",
+                           "--phi", "!p", "--json")
+        assert code == 0
+        record = json.loads(out)
+        assert record["severity"] == "severe"
+        not_p = ps(SIG16, "!p")
+        want = MinRankRevision(rank16).revise_mask(ps(SIG16, "p").mask, not_p.mask)
+        assert 0 < want != not_p.mask
+        assert ps(SIG16, record["result"]).mask == want
 
 
     @pytest.mark.parametrize("n, theory, models", [(9, "p", 256),
@@ -181,21 +203,34 @@ class TestCheck:
         assert code == 2
         assert out == "" and message in err
 
-    def test_sampled_past_the_table_cap_exit_two(self, capsys, rank5_path):
-        code, out, err = run(capsys, "check", "--rank", rank5_path, "--postulates", "all",
-                             "--mode", "sampled", "--seed", "1")
-        assert code == 2
-        assert out == "" and "at most 4 atoms" in err
+    def test_sampled_past_four_atoms(self, capsys, rank5_path):
+        # severe cells come from the rank levels, so sampled mode answers
+        # at 5 atoms: the min-rank oracle's records, and every violation
+        # replays; 5000 samples reach U8 and C2, which ranked revisions fail
+        rank = random_rank_function(SIG5, 3, 1)
+        rv = RankedRevision(rank)
+        for samples, failing in ((500, []), (5000, ["U8", "C2"])):
+            code, out, _ = run(capsys, "check", "--rank", rank5_path, "--postulates", "all",
+                               "--mode", "sampled", "--seed", "1", "--samples", str(samples),
+                               "--json")
+            want = run_suite(MinRankRevision(rank), PostulateId, mode="sampled", seed=1,
+                             samples=samples)
+            assert json.loads(out) == want.to_json_records()
+            assert [v.postulate.name for v in want.violations] == failing
+            assert code == (1 if failing else 0)
+            assert all(v.replay(rv) and replay_reference(v, rv) for v in want.violations)
 
     @pytest.mark.parametrize("postulate", ["U8_1", "C1"])
-    def test_sampled_clause_reaching_a_severe_cell_exit_two(self, capsys, rank5_path, postulate):
+    def test_sampled_clause_reaching_a_severe_cell(self, capsys, rank5_path, postulate):
         # a sampled clause reads each revision column at every drawn
-        # binding, also where its condition does not hold, so a severe
-        # cell that its own conditions would skip still stops the check
-        code, out, err = run(capsys, "check", "--rank", rank5_path, "--postulates", postulate,
-                             "--mode", "sampled", "--seed", "1")
-        assert code == 2
-        assert out == "" and "at most 4 atoms" in err
+        # binding, also where its condition does not hold, so it reads
+        # severe cells that its own conditions would skip: the verdict is
+        # the one of the clause's scalar statement on the min-rank oracle
+        rank = random_rank_function(SIG5, 3, 1)
+        code, out, _ = run(capsys, "check", "--rank", rank5_path, "--postulates", postulate,
+                           "--mode", "sampled", "--seed", "1")
+        assert sampled_reference(MinRankRevision(rank), PostulateId[postulate], 1, 500) is None
+        assert (code, out.splitlines()[1:]) == (0, [f"{postulate} pass"])
 
     def test_atom_count_mismatch_exit_two(self, capsys, rank_path):
         code, _, _ = run(capsys, "check", "--rank", rank_path,

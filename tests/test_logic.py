@@ -3,6 +3,7 @@
 import copy
 import dataclasses
 import pickle
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -67,6 +68,19 @@ class TestSignature:
         assert sig2.valuation_from_bits("10") == 2
         assert sig2.valuation_bits(2) == "10"
         assert sorted(ps(sig2, "p").valuations()) == [2, 3]
+
+    def test_valuations_in_ascending_order(self):
+        # looked up below 256, read from the binary digits from 256 on
+        rng = random.Random(3)
+        for n in (1, 2, 3, 4, 9, 16):
+            sig = Signature(tuple("pqrstuvwxyzabcde"[:n]))
+            uni, size = sig.universe_mask, sig.num_valuations
+            masks = {0, 1, uni, uni - 1, 1 << size - 1, 255 & uni, 256 & uni,
+                     *(rng.getrandbits(size) for _ in range(5))}
+            for m in masks:
+                data = m.to_bytes(max(1, size // 8), "little")
+                assert list(PropSet(sig, m).valuations()) == [
+                    8 * i + b for i, byte in enumerate(data) for b in range(8) if byte >> b & 1]
 
     @pytest.mark.parametrize("atoms", [(), ("p",) * 2, ("P",), ("9x",), ("true",)])
     def test_rejects_bad_atoms(self, atoms):

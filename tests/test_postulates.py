@@ -11,6 +11,7 @@ from itertools import chain, islice
 import pytest
 
 from rankedrev import postulates
+from rankedrev.revision import _ExpandOrRow
 
 from rankedrev import (
     AGM_PLUS_MINIMAL_INFLUENCE,
@@ -878,9 +879,8 @@ class TestSampledMode:
         assert abs(peak(100_000) - peak(100)) < 64 * 1024
 
         # all 25 clauses at 4 atoms, each column over a block of bindings;
-        # the consequence table is built before tracing starts
+        # the first call builds the level masks
         rv = RankedRevision(random_rank_function(SIG4, 16, 5))
-        rv.consequence_masks()
 
         def peak4(samples):
             tracemalloc.start()
@@ -1037,32 +1037,64 @@ class TestLaneForms:
         for i, rv in enumerate(revisions):
             _sampled_against_reference(rv, 300 + i, samples)
 
-    def test_sampled_past_four_atoms_raises_before_any_verdict(self):
-        # a ranked revision's first column reads its consequence row, which
-        # past 4 atoms raises, whatever the bindings: this seed draws no
-        # binding of its first (K, K', phi) block with K ∧ phi, K' ∧ phi or
-        # (K ∪ K') ∧ phi empty, so no lane needs a row cell
-        n = SIG5.universe_mask + 1
-        seed = next(s for s in range(100) if all(
-            k & f and kp & f for k, kp, f in zip(*[iter(next(postulates._draws(s, n, 384)))] * 3)))
-        done = run_capped(f"""
-from rankedrev import (PostulateId, RankedRevision, Signature, TableTooLargeError,
-                       check_postulate, random_rank_function, run_suite)
-rv = RankedRevision(random_rank_function(Signature(tuple("pqrst")), 3, 1))
+    def test_sampled_past_four_atoms_answers(self):
+        # a ranked revision's columns read its level masks, never a row over
+        # 2**32 formula classes: the calls that raised TableTooLargeError at
+        # 5 atoms give the min-rank oracle's verdicts, and every violation
+        # replays
+        done = run_capped("""
+from rankedrev import (PostulateId, RankedRevision, Signature, check_postulate,
+                       random_rank_function, run_suite)
+from oracles import MinRankRevision, replay_reference
+rank = random_rank_function(Signature(tuple("pqrst")), 3, 1)
+rv, oracle = RankedRevision(rank), MinRankRevision(rank)
 for ids in ([PostulateId.U8_1], [PostulateId.K9], [PostulateId.K2], [PostulateId.C2],
             list(PostulateId)):
-    for samples in (1, 500):
-        for call in (lambda: run_suite(rv, ids, mode="sampled", seed={seed}, samples=samples),
-                     lambda: check_postulate(rv, ids[0], mode="sampled", seed={seed},
-                                             samples=samples)):
-            try:
-                call()
-                print("verdict")
-            except TableTooLargeError as e:
-                print(type(e).__name__)
+    for samples in (1, 500, 5000):
+        for seed in (1, 30):
+            got = run_suite(rv, ids, mode="sampled", seed=seed, samples=samples)
+            want = run_suite(oracle, ids, mode="sampled", seed=seed, samples=samples)
+            one = check_postulate(rv, ids[0], mode="sampled", seed=seed, samples=samples)
+            assert got.to_json_records() == want.to_json_records()
+            assert one == got.results[0][1]
+            assert all(v.replay(rv) and replay_reference(v, rv) for v in got.violations)
+            print(len(got.violations))
 """)
         assert done.returncode == 0, done.stderr
-        assert done.stdout.split() == ["TableTooLargeError"] * 20
+        counts = list(map(int, done.stdout.split()))
+        # all 25 clauses at seeds 1 and 30: 500 samples reach a U8 failure
+        # at seed 30, 5000 reach U8 and C2 failures at seed 1
+        assert len(counts) == 30 and counts[-4:] == [0, 1, 2, 1]
+
+    def test_sampled_matches_the_table_path_at_four_atoms(self):
+        # the level masks give the records and replays that the severe
+        # cells read from the 2**16-entry consequence row gave
+        rng = random.Random(19)
+        failing = 0
+        for i in range(64):
+            rank = random_rank_function(SIG4, 1 + i % 16, rng.getrandbits(32))
+            seed = rng.getrandbits(32)
+            got = run_suite(RankedRevision(rank), PostulateId, mode="sampled", seed=seed)
+            table_path = _ExpandOrRow(SIG4, rank.consequence_table)
+            want = run_suite(table_path, PostulateId, mode="sampled", seed=seed)
+            assert json.dumps(got.to_json_records()) == json.dumps(want.to_json_records())
+            assert ([v.replay(RankedRevision(rank)) for v in got.violations]
+                    == [v.replay(table_path) for v in want.violations])
+            failing += len(got.violations)
+        assert failing
+
+    def test_sampled_builds_no_consequence_table(self, monkeypatch):
+        def refuse(rank):
+            raise AssertionError("sampled mode built a consequence table")
+
+        monkeypatch.setattr(RankFunction, "_consequence_cells", refuse)
+        for levels in (1, 5, 16):
+            rv = RankedRevision(random_rank_function(SIG4, levels, levels))
+            report = run_suite(rv, PostulateId, mode="sampled", seed=levels)
+            assert all(v.replay(rv) for v in report.violations)
+            assert check_postulate(rv, PostulateId.K9_2, mode="sampled", seed=3) is None
+        with pytest.raises(AssertionError, match="built a consequence table"):
+            rv.consequence_masks()
 
 
 class TestSuiteReport:

@@ -27,7 +27,7 @@ from rankedrev import (
     random_rank_function,
     sweep_orbits,
 )
-from rankedrev.ranking import count_rank_functions
+from rankedrev.ranking import LEVEL_MASKS_MAX, count_rank_functions, level_masks
 
 from helpers import R0, SIG1, SIG2, SIG3, SIG4, ps, th
 from oracles import (
@@ -134,6 +134,42 @@ class TestConsequenceTable:
         assert table == consequence_table_reference(rank)
         assert table == normalize(rank).consequence_table()
         assert table[0x8000] == 0x8000
+
+
+class TestLevelMasks:
+    """The bulk level builder against level_mask, one valuation at a time."""
+
+    @pytest.mark.parametrize("ranks", [
+        (0,) * 16,
+        tuple(range(15, -1, -1)),
+        (0,) * 15 + (300,),  # a rank past a byte
+        (300,) + (0,) * 15,
+        (0, 256, 300, 1, 2, 3, 4, 5) + (6,) * 8,
+        (5, 5, 9, 20) * 4,
+    ])
+    def test_every_level_lowest_first(self, ranks):
+        rank = RankFunction(SIG4, ranks)
+        assert level_masks(rank) == [rank.level_mask(r) for r in sorted(set(ranks))]
+
+    @pytest.mark.parametrize("sig", [SIG1, SIG2, SIG3, SIG4])
+    def test_random_functions(self, sig):
+        for seed in range(6):
+            rank = random_rank_function(sig, 1 + seed * 3, seed)
+            assert level_masks(rank) == [rank.level_mask(r) for r in range(rank.height + 1)]
+
+    @pytest.mark.parametrize("spread", [1, 2, 7], ids=["height511", "height1022", "height3577"])
+    def test_lowest_kept_past_the_limit(self, spread):
+        # 9 atoms, a level per valuation: only the lowest LEVEL_MASKS_MAX
+        # are built, whether or not the ranks fit a byte
+        sig = Signature(tuple("pqrstuvwx"))
+        order = list(range(sig.num_valuations))
+        random.Random(spread).shuffle(order)
+        rank = RankFunction(sig, [spread * x for x in order])
+        kept = sorted(set(rank.ranks))[:LEVEL_MASKS_MAX]
+        assert level_masks(rank) == [rank.level_mask(r) for r in kept]
+        byte_ranks = RankFunction(sig, [x % 200 for x in order])  # 200 levels, each fits a byte
+        assert level_masks(byte_ranks) == [byte_ranks.level_mask(r)
+                                           for r in range(LEVEL_MASKS_MAX)]
 
 
 class TestRankFunctionValue:

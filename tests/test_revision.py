@@ -6,9 +6,10 @@ import re
 
 import pytest
 
-from rankedrev import revision
+from rankedrev import ranking, revision
 from rankedrev import (
     ConsequenceRelation,
+    PostulateId,
     PropSet,
     RankedRevision,
     RankFunction,
@@ -27,12 +28,14 @@ from rankedrev import (
     random_rank_function,
     relation_of_revision,
     revision_of_relation,
+    run_suite,
     severity_of,
     theory_contains,
     with_theory_floor,
 )
 
 from helpers import R0, SIG1, SIG2, SIG3, SIG4, OutOfRange, ps, run_capped, th
+from oracles import consequence_table_reference
 
 
 class TestRevise:
@@ -247,6 +250,100 @@ class TestIterate:
                     else Severity.MILD
                 )
                 assert step.severity is expected
+
+
+class TestSevereCellsFromLevels:
+    """Severe cells read from the rank function's level masks: scalar and
+    lane by lane, below and above the levels kept, and past 4 atoms under
+    an address-space cap."""
+
+    def test_cells_above_the_kept_levels(self, monkeypatch):
+        # with two level masks kept, the cells of every higher level come
+        # from min_models_mask, one lane at a time in a column
+        monkeypatch.setattr(ranking, "LEVEL_MASKS_MAX", 2)
+        tables, above = {}, []
+
+        def min_models_mask(r, f):
+            above.append(f)
+            return tables[r][f]
+
+        monkeypatch.setattr(RankFunction, "min_models_mask", min_models_mask)
+        for levels in (3, 9, 16):
+            rank = random_rank_function(SIG4, levels, levels)
+            rv = RankedRevision(rank)
+            table = tables[rank] = consequence_table_reference(rank)
+            assert len(rv.levels) == 2
+            assert tuple(rv.revise_mask(0, f) for f in range(1 << 16)) == table
+            called = len(above)
+            for seed in range(3):
+                got = run_suite(rv, PostulateId, mode="sampled", seed=seed)
+                want = run_suite(revision._ExpandOrRow(SIG4, lambda: table),
+                                 PostulateId, mode="sampled", seed=seed)
+                assert got.to_json_records() == want.to_json_records()
+            assert len(above) > called
+
+    def test_past_four_atoms_under_the_cap(self):
+        # severe revise, iterate and a sampled suite at 5 and 16 atoms,
+        # against the min-rank oracle and each clause's scalar statement
+        done = run_capped("""
+from rankedrev import (PostulateId, RankedRevision, Signature, Theory, iterate,
+                       random_rank_function, run_suite)
+from helpers import ps
+from oracles import MinRankRevision, replay_reference, sampled_reference
+for atoms, samples in ((5, 500), (16, 128)):
+    sig = Signature(tuple("pqrstuvwxyzabcde"[:atoms]))
+    rank = random_rank_function(sig, 9, atoms)
+    rv, oracle = RankedRevision(rank), MinRankRevision(rank)
+    k = ps(sig, "p & q & !r")
+    fs = [ps(sig, t) for t in ("!p | !q", "p & q", "p", "false", "true")]
+    steps = iterate(rv, Theory(k), fs)
+    current = k.mask
+    for step, f in zip(steps, fs):
+        assert rv.revise(step.before, f) == step.after
+        current = oracle.revise_mask(current, f.mask)
+        assert step.after.models.mask == current
+    assert [s.severity.value for s in steps] == ["severe", "severe", "mild", "severe", "severe"]
+    for f in fs:
+        assert rv.revise(Theory.bottom(sig), f).models.mask == oracle.revise_mask(0, f.mask)
+    got = run_suite(rv, PostulateId, mode="sampled", seed=atoms, samples=samples)
+    want = run_suite(oracle, PostulateId, mode="sampled", seed=atoms, samples=samples)
+    assert got.to_json_records() == want.to_json_records()
+    for pid in PostulateId:
+        hit = sampled_reference(oracle, pid, atoms, samples)
+        assert (hit and hit[1]) == got.verdict(pid)
+    assert all(v.replay(rv) and replay_reference(v, rv) for v in got.violations)
+    print(atoms, len(rv.levels))
+""")
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "5 9\n16 9\n"
+
+    def test_one_valuation_per_level_at_sixteen_atoms(self):
+        # 65536 levels: the lowest LEVEL_MASKS_MAX are built, and a cell
+        # above them, scalar or in a column, comes from min_models_mask
+        done = run_capped("""
+import random
+from rankedrev import RankedRevision, RankFunction, Theory, PropSet, iterate
+from rankedrev.postulates import _Block
+from rankedrev.ranking import LEVEL_MASKS_MAX
+from helpers import SIG16
+order = list(range(1 << 16))
+random.Random(16).shuffle(order)
+rv = RankedRevision(RankFunction(SIG16, order))
+at_rank = sorted(range(1 << 16), key=order.__getitem__)  # the valuation of each level
+assert rv.levels == [1 << v for v in at_rank[:LEVEL_MASKS_MAX]]
+top = 1 << at_rank[-1]
+lows = (0, 1, LEVEL_MASKS_MAX - 1, LEVEL_MASKS_MAX, 5000, 65535)
+fs = [1 << at_rank[low] | top for low in lows]
+assert [rv.revise_mask(0, f) for f in fs] == [1 << at_rank[low] for low in lows]
+assert [rv.revise_mask(f, f) for f in fs] == fs
+block = _Block(rv, {"K": [0, 0, 0, 0, fs[4], 0], "phi": fs})
+assert block.row == block.pack([1 << at_rank[low] for low in lows[:4]] + [fs[4], top])
+steps = iterate(rv, Theory(PropSet(SIG16, 1 << at_rank[1])), [PropSet(SIG16, f) for f in fs[3:5]])
+assert [s.after.models.mask for s in steps] == [1 << at_rank[low] for low in lows[3:5]]
+print("ok")
+""")
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "ok\n"
 
 
 class TestOtherSignature:
