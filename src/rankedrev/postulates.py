@@ -9,11 +9,11 @@ reports the first counterexample in lexicographic binding order
 reports stable. Sampled mode draws bindings from a seeded generator and
 reports the seed, so every run is replayable.
 
-Each clause is stated once, as a lane form in _LANE_FAILS; every witness
-is found by it but those of the exhaustive KFF pass, _kff_pass.
-Violations are self-certifying: replaying the recorded bindings reads
-the revision afresh, through the clause's lane form, and reproduces the
-clause failure.
+Each clause is stated once, as a lane form in _LANE_FAILS, and every
+witness, sampled or exhaustive, is found by it. Violations are
+self-certifying: replaying the recorded bindings reads the revision
+afresh, through the clause's lane form, and reproduces the clause
+failure.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from .errors import (
     SignatureError,
     WitnessNotFoundError,
 )
-from .logic import PropSet, Signature, Theory, _first_byte, _ints, _masks
+from .logic import PropSet, Signature, Theory, _ints, _masks
 from .ranking import RankFunction, enumerate_rank_functions
 from .render import dnf_text, theory_text
 from .revision import TABLE_MAX_ATOMS, RankedRevision, Revision
@@ -79,7 +79,8 @@ AGM_PLUS_MINIMAL_INFLUENCE = AGM_POSTULATES + (PostulateId.K9,)
 
 # Exhaustive checking of a table whose cells are all model masks runs on
 # its rows of bytes (see logic.py): the deciders on one int per row, the
-# KF and KKF clauses on _Rows, the KFF clauses on the vectors of _kff_pass.
+# lane forms of the KF and KKF clauses on _Rows and of the KFF clauses on
+# _Cube.
 
 
 class _Packed:
@@ -116,14 +117,6 @@ class _Packed:
     bot = functools.cached_property(lambda t: t.repeated(0))  # rev(⊥, y)
     every = functools.cached_property(lambda t: [(1 << 8 * t.nmasks) - 1] * t.nmasks)
     sub_every = functools.cached_property(lambda t: _sub(t, t.every))  # U8_2's and P_KM1's
-
-    def block(self, K: int, index: bytes) -> int:
-        """Over the pairs (phi, psi) of _Pairs: rev(K, index[pair])."""
-        return int.from_bytes(index.translate(self.tab[K]), "little")
-
-    def iterated_block(self, K: int) -> int:
-        """Over the pairs (phi, psi): rev(rev(K, psi), phi)."""
-        return int.from_bytes(b"".join(map(self.rows[K].translate, self.cols)), "little")
 
 
 def _packed(rv: Revision) -> Union[_Packed, bool]:
@@ -215,31 +208,34 @@ def _sup(t, fam):
 
 
 class _Pairs:
-    """Gather indexes and vectors over the pairs (phi, psi), byte
-    phi * nmasks + psi, that depend only on the signature. Conditions are
-    0x80 in the bytes where they hold. For (K, phi) or (K', phi), ``phi``
-    is the first index and ``psi`` the second."""
+    """Gather indexes over the pairs (phi, psi), byte phi * nmasks + psi,
+    and vectors over ``reps`` copies of them, that depend only on the
+    signature. Conditions are 0x80 in the bytes where they hold. For
+    (K, phi) or (K', phi), ``phi`` is the first index and ``psi`` the
+    second."""
 
-    def __init__(self, nmasks: int):
+    def __init__(self, nmasks: int, reps: int):
         xs = range(nmasks)
         self.at_phi = bytes(phi for phi in xs for _ in xs)
         self.at_psi = bytes(xs) * nmasks
         self.at_conj = bytes(phi & psi for phi in xs for psi in xs)
         self.at_disj = bytes(phi | psi for phi in xs for psi in xs)
-        self.ones = int.from_bytes(b"\1" * nmasks * nmasks, "little")
+        self.ones = int.from_bytes(b"\1" * nmasks * nmasks * reps, "little")
         self.low, self.high = 0x7F * self.ones, 0x80 * self.ones
         self.over = (0xFF ^ nmasks - 1) * self.ones  # the bits past a model mask
-        self.phi, self.psi = _ints((self.at_phi, self.at_psi))
-        self.not_psi = 0xFF * self.ones ^ self.psi
-        self.sub = self.high ^ self.nonzero(self.phi & self.not_psi)  # phi ⊆ psi
-        self.apart = self.high ^ self.nonzero(self.phi & self.psi)  # phi ∩ psi = ∅
+        self.phi, self.psi = _ints((self.at_phi * reps, self.at_psi * reps))
+        # in each lane, the number of its copy
+        self.copy = int.from_bytes(b"".join(bytes((i,)) * nmasks * nmasks for i in range(reps)),
+                                   "little")
+        self.entails = self.high ^ self.nonzero((self.phi | self.psi) ^ self.psi)  # phi ⊆ psi
+        self.disjoint = self.high ^ self.nonzero(self.phi & self.psi)  # phi ∩ psi = ∅
 
     def nonzero(self, v: int) -> int:
         # lane-wise v != 0: adding low to a lane's low bits carries into its top bit
         return ((v & self.low) + self.low | v) & self.high
 
 
-_pairs = functools.cache(_Pairs)  # built for the first block over pairs at a size
+_pairs = functools.cache(_Pairs)  # built for the first block over pairs at a size and count
 
 
 @dataclass(frozen=True)
@@ -297,66 +293,6 @@ _CLAUSES: dict[PostulateId, _Clause] = {
                                  "(K*phi) ∩ (K'*phi) = (K ∩ K')*phi",
                                  decide=lambda t: _union_generated(t, t.m.apart)),
 }
-
-
-# The KFF clauses in canonical order: bit i of the pass's live mask stands
-# for _KFF[i], and its vector is entry i of the pass's tuple; the masks
-# name the clauses that read a block or a shared condition.
-_KFF = tuple(pid for pid, clause in _CLAUSES.items() if clause.shape == "KFF")
-_USES_ITERATED = 0b11111111000  # C1, C2, C2P, C3, C4, P_PHIANDPSI, P_PSI, P_GEN
-_USES_CONJ = 0b00100000011  # K7, K8, P_PHIANDPSI
-_USES_CHANGED = 0b11000111000  # C1, C2, C2P, P_PSI, P_GEN
-_USES_WITHIN = 0b10001000100  # K9_2P, C3, P_GEN
-_USES_MEETS = 0b00010000010  # K8, C4
-
-
-def _kff_pass(t: _Packed, pids: list[PostulateId]) -> dict[PostulateId, tuple[int, ...]]:
-    """The lexicographically first failing binding (K, 0, phi, psi) of each
-    KFF clause in ``pids`` that fails. Per K, the blocks over every pair
-    (phi, psi) are built once, each only while a clause that reads it has
-    not failed, and every such clause's violation vector is a few int
-    operations on them; (phi, psi) is the lowest nonzero byte of the
-    first nonzero vector."""
-    n, p = t.nmasks, _pairs(t.nmasks)
-    phi, psi, not_psi, high, nonzero = p.phi, p.psi, p.not_psi, p.high, p.nonzero
-    live = sum(1 << _KFF.index(pid) for pid in pids)
-    # K9_2P: where psi ∈ bot*phi
-    bot_within = high ^ nonzero(t.block(0, p.at_phi) & not_psi) if live & 4 else 0
-    found = {}
-    for K in range(n):
-        r = t.block(K, p.at_phi)  # rev(K, phi)
-        it = t.iterated_block(K) if live & _USES_ITERATED else 0  # rev(rev(K, psi), phi)
-        cj = t.block(K, p.at_conj) if live & _USES_CONJ else 0  # rev(K, phi ∧ psi)
-        kv = K * p.ones
-        rp = r & psi
-        # rev(rev(K, psi), phi) != rev(K, phi); rev(K, phi) ⊆ psi; rev(K, phi) meets psi
-        changed = nonzero(it ^ r) if live & _USES_CHANGED else 0
-        within = high ^ nonzero(r & not_psi) if live & _USES_WITHIN else 0
-        meets = nonzero(rp) if live & _USES_MEETS else 0
-        vecs = (
-            (rp | cj) ^ cj if live & 1 else 0,  # K7
-            meets & nonzero((cj | rp) ^ rp) if live & 2 else 0,  # K8
-            # K9_2P, where K ⊆ psi and psi ∈ bot*phi
-            bot_within & (high ^ within) & (high ^ nonzero(kv & not_psi)) if live & 4 else 0,
-            changed & p.sub if live & 8 else 0,  # C1
-            changed & p.apart if live & 16 else 0,  # C2
-            changed & p.apart & (high ^ nonzero(kv & phi)) if live & 32 else 0,  # C2P
-            nonzero(it & not_psi) & within if live & 64 else 0,  # C3
-            meets & (high ^ nonzero(it & psi)) if live & 128 else 0,  # C4
-            # P_PHIANDPSI, where phi meets rev(K, psi)
-            nonzero(t.block(K, p.at_psi) & phi) & nonzero(it ^ cj) if live & 256 else 0,
-            # P_PSI, where phi misses rev(K, psi ∨ phi)
-            changed & (high ^ nonzero(t.block(K, p.at_disj) & phi)) if live & 512 else 0,
-            changed & within if live & 1024 else 0,  # P_GEN
-        )
-        if any(vecs):
-            for i, v in enumerate(vecs):
-                if v:
-                    found[_KFF[i]] = (K, 0, *divmod(_first_byte(v), n))
-                    live &= ~(1 << i)
-            if not live:
-                return found
-    return found
 
 
 @dataclass(frozen=True)
@@ -599,7 +535,7 @@ class _Rows(_Block):
     bits = 8
 
     def __init__(self, t: _Packed, K: Optional[int] = None):
-        p, self.t, self.outer = _pairs(t.nmasks), t, K
+        p, self.t, self.outer = _pairs(t.nmasks, 1), t, K
         self.size, self.phi, self.bot = t.nmasks * t.nmasks, p.psi, t.bot
         self.high, self.low, self.over = p.high, p.low, p.over
         if K is None:
@@ -620,6 +556,55 @@ class _Rows(_Block):
         return self.row
 
 
+_CUBE = 1 << 16  # byte lanes in a block over (K, phi, psi): every K at 2 atoms, one at 3
+
+
+class _Cube(_Block):
+    """Byte lanes over the KFF clauses' (K, phi, psi) for the K in ``ks``,
+    each K over the pairs (phi, psi) of ``pairs``. A column that revises
+    joins, per K, a pair index translated by row K, or row K translated by
+    every column; ``bot``, rev(⊥, phi), and the conditions on (phi, psi)
+    alone are the same in every block of a table."""
+
+    bits = 8
+
+    def __init__(self, t: _Packed, pairs: _Pairs, bot: int, ks: range):
+        self.t, self.pairs, self.bot, self.ks = t, pairs, bot, ks
+        self.high, self.low, self.phi, self.psi = pairs.high, pairs.low, pairs.phi, pairs.psi
+        self.entails, self.disjoint = pairs.entails, pairs.disjoint
+
+    def joined(self, index: bytes) -> int:
+        """rev(K, index[pair]) at each K."""
+        return int.from_bytes(b"".join([index.translate(self.t.tab[K]) for K in self.ks]), "little")
+
+    K = functools.cached_property(lambda b: b.ks.start * b.pairs.ones | b.pairs.copy)
+    row = functools.cached_property(lambda b: b.joined(b.pairs.at_phi))  # rev(K, phi)
+    by_psi = functools.cached_property(lambda b: b.joined(b.pairs.at_psi))  # rev(K, psi)
+    conj = functools.cached_property(lambda b: b.joined(b.pairs.at_conj))  # rev(K, phi ∧ psi)
+    disj = functools.cached_property(lambda b: b.joined(b.pairs.at_disj))  # rev(K, phi ∨ psi)
+    iterated = functools.cached_property(lambda b: int.from_bytes(  # rev(rev(K, psi), phi)
+        b"".join([b"".join(map(b.t.rows[K].translate, b.t.cols)) for K in b.ks]), "little"))
+
+    def binding(self, i: int) -> tuple[int, ...]:
+        K, pair = divmod(i, len(self.pairs.at_phi))
+        return (self.ks[K], 0, *divmod(pair, self.t.nmasks))
+
+
+def _cubes(t: _Packed) -> Iterator[dict[str, _Block]]:
+    """The KFF blocks of a packed table in binding order, as many K as fit
+    _CUBE lanes in each."""
+    reps = min(t.nmasks, _CUBE // t.nmasks ** 2)
+    p = _pairs(t.nmasks, reps)
+    bot = int.from_bytes(p.at_phi.translate(t.tab[0]) * reps, "little")
+    for K in range(0, t.nmasks, reps):
+        cube = _Cube(t, p, bot, range(K, K + reps))
+        # every KFF clause reads the row; built while the last block still
+        # holds its columns, their memory is reused, where freeing them
+        # first would return it to the system and fault it back in
+        cube.row
+        yield {"KFF": cube}
+
+
 _COLUMNS: dict[str, Callable[[_Block], int]] = {
     "meet": lambda b: b.K & b.phi,  # K ∧ phi
     "row": lambda b: b.rev(b.K, b.phi),  # rev(K, phi)
@@ -630,6 +615,13 @@ _COLUMNS: dict[str, Callable[[_Block], int]] = {
     "iterated": lambda b: b.rev(b.by_psi, b.phi),  # rev(rev(K, psi), phi)
     "conj": lambda b: b.rev(b.K, b.phi & b.psi),  # rev(K, phi ∧ psi)
     "disj": lambda b: b.rev(b.K, b.phi | b.psi),  # rev(K, psi ∨ phi)
+    # the pieces and antecedents of the KFF clauses, most read by several
+    "kept": lambda b: b.row & b.psi,  # K*phi ∧ psi
+    "meets": lambda b: b.nonzero(b.kept),  # ¬psi ∉ K*phi
+    "changed": lambda b: b.nonzero(b.iterated ^ b.row),  # (K*psi)*phi ≠ K*phi
+    "within": lambda b: b.zero(b.row ^ b.kept),  # psi ∈ K*phi: no model of K*phi outside psi
+    "entails": lambda b: b.zero(b.minus(b.phi, b.psi)),  # phi ⊨ psi
+    "disjoint": lambda b: b.zero(b.phi & b.psi),  # phi ⊨ ¬psi
 }
 
 
@@ -645,23 +637,23 @@ _LANE_FAILS: dict[str, Callable[[_Block], int]] = {
     "K5": lambda b: b.nonzero(b.phi) & b.zero(b.row),
     # a second column of rev(K, phi): only a nondeterministic revise fails
     "K6": lambda b: b.row ^ b.rev(b.K, b.phi),
-    "K7": lambda b: b.minus(b.row & b.psi, b.conj),
-    "K8": lambda b: b.nonzero(b.row & b.psi) & b.nonzero(b.minus(b.conj, b.row & b.psi)),
+    "K7": lambda b: b.minus(b.kept, b.conj),
+    "K8": lambda b: b.meets & b.nonzero(b.minus(b.conj, b.kept)),
     "K9": lambda b: b.nonzero(b.row ^ b.prime) & b.zero(b.meet | b.Kp & b.phi),
     "K9_1": lambda b: b.nonzero(b.minus(b.bot, b.row)) & b.zero(b.meet),
     "K9_2": lambda b: b.nonzero(b.minus(b.row, b.bot)) & b.zero(b.meet),
-    "K9_2P": lambda b: b.nonzero(b.minus(b.row, b.psi)) & b.zero(b.minus(b.K | b.bot, b.psi)),
+    "K9_2P": lambda b: b.minus(b.zero(b.minus(b.K | b.bot, b.psi)), b.within),
     "U8": lambda b: b.union ^ (b.row | b.prime),
     "U8_1": lambda b: b.nonzero(b.minus(b.prime, b.row)) & b.zero(b.minus(b.Kp, b.K)),
     "U8_2": lambda b: b.minus(b.union, b.row | b.prime),
-    "C1": lambda b: b.nonzero(b.iterated ^ b.row) & b.zero(b.minus(b.phi, b.psi)),
-    "C2": lambda b: b.nonzero(b.iterated ^ b.row) & b.zero(b.phi & b.psi),
-    "C2P": lambda b: b.nonzero(b.iterated ^ b.row) & b.zero(b.meet | b.phi & b.psi),
-    "C3": lambda b: b.nonzero(b.minus(b.iterated, b.psi)) & b.zero(b.minus(b.row, b.psi)),
-    "C4": lambda b: b.nonzero(b.row & b.psi) & b.zero(b.iterated & b.psi),
+    "C1": lambda b: b.changed & b.entails,
+    "C2": lambda b: b.changed & b.disjoint,
+    "C2P": lambda b: b.changed & b.disjoint & b.zero(b.meet),
+    "C3": lambda b: b.nonzero(b.minus(b.iterated, b.psi)) & b.within,
+    "C4": lambda b: b.meets & b.zero(b.iterated & b.psi),
     "P_PHIANDPSI": lambda b: b.nonzero(b.by_psi & b.phi) & b.nonzero(b.iterated ^ b.conj),
-    "P_PSI": lambda b: b.nonzero(b.iterated ^ b.row) & b.zero(b.disj & b.phi),
-    "P_GEN": lambda b: b.nonzero(b.iterated ^ b.row) & b.zero(b.minus(b.row, b.psi)),
+    "P_PSI": lambda b: b.changed & b.zero(b.disj & b.phi),
+    "P_GEN": lambda b: b.changed & b.within,
     "P_KM1": lambda b: (b.nonzero(b.meet) & b.nonzero(b.Kp & b.phi)
                         & b.nonzero(b.union ^ (b.row | b.prime))),
     "P_K9U81": lambda b: b.nonzero(b.union ^ (b.row | b.prime)) & b.zero(b.meet | b.Kp & b.phi),
@@ -710,9 +702,9 @@ def _pass(rv: Revision, pids: list[PostulateId], mode: str, seed: Optional[int],
           samples: int) -> dict[PostulateId, Violation]:
     """The first violation of each clause in ``pids``, which is not empty:
     among ``samples`` bindings drawn from ``seed``, or exhaustively in
-    lexicographic binding order. A packed table is checked by one _kff_pass
-    and by the lane forms, on _Rows, of the clauses no decider proves; any
-    other table on the blocks of sampled mode fed every binding in turn."""
+    lexicographic binding order. A packed table is checked by the lane
+    forms of the clauses no decider proves, on _Rows and _Cube; any other
+    table on the blocks of sampled mode fed every binding in turn."""
     n = rv.sig.universe_mask + 1
     if mode == "sampled":
         return _lane_pass(rv, pids, lambda width: (
@@ -729,9 +721,9 @@ def _pass(rv: Revision, pids: list[PostulateId], mode: str, seed: Optional[int],
         clause = _CLAUSES[pid]
         if not (clause.decide and clause.decide(t)):
             swept[clause.shape].append(pid)
-    hits = _kff_pass(t, swept["KFF"]) if swept["KFF"] else {}
-    hits.update(_run(swept["KF"], [{"KF": _Rows(t)}] if swept["KF"] else ()))
+    hits = _run(swept["KF"], [{"KF": _Rows(t)}] if swept["KF"] else ())
     hits.update(_run(swept["KKF"], ({"KKF": _Rows(t, K)} for K in range(t.nmasks))))
+    hits.update(_run(swept["KFF"], _cubes(t)))
     return {pid: _make_violation(rv, pid, *hit) for pid, hit in hits.items()}
 
 

@@ -14,11 +14,10 @@ from __future__ import annotations
 import functools
 import math
 import random
-import sys
 from collections import Counter, deque
 from dataclasses import dataclass
 from itertools import chain, repeat
-from typing import Iterator, Sequence
+from typing import Iterator, Optional
 
 from .errors import RankFileError, SignatureTooLargeError, TableTooLargeError
 from .logic import PropSet, Signature, Theory, _check_over
@@ -83,45 +82,15 @@ class RankFunction:
 
     def consequence_table(self) -> tuple[int, ...]:
         """min_models_mask for every PropSet mask, indexed by mask."""
-        return tuple(self._consequence_cells())
+        return self._consequence_cells()
 
-    def _consequence_cells(self) -> Sequence[int]:
-        """consequence_table's entries; at 4 atoms a read-only memoryview.
-
-        At 16 valuations it is built one high byte at a time. With a the
-        first level that the high byte meets and c its part of that level,
-        the entries for all 256 low bytes are two byte planes: the low
-        plane is the low byte's own consequence where its first level is
-        at most a, the high plane is c where that level is at least a."""
+    def _consequence_cells(self, levels: Optional[list[int]] = None) -> tuple[int, ...]:
+        """consequence_table's entries, each mask's part of the first level
+        it meets, read from ``levels``, the function's level masks, when
+        given; past 4 atoms TableTooLargeError."""
         _check_row_fits(self.sig, "consequence table")
-        # relabelled onto 0..h, so at 16 valuations every level fits a
-        # byte below the empty byte's 255 whatever the ranks given
-        rank = normalize(self)
-        nmasks = self.sig.universe_mask + 1
-        levels = level_masks(rank)
-        if nmasks <= 256:
-            return tuple(_first_hits(nmasks, levels))
-        ranks = rank.ranks
-
-        def level(hit: int, base: int) -> int:
-            # the empty byte meets no level
-            return ranks[base + (hit & -hit).bit_length() - 1] if hit else 255
-
-        low = _first_hits(256, levels)
-        low_level = bytes(level(hit, 0) for hit in low)
-        low_planes = {}
-        lows, highs = [], []
-        for c in _first_hits(256, [lvl >> 8 for lvl in levels]):
-            a = level(c, 8)
-            if a not in low_planes:
-                low_planes[a] = bytes(hit if b <= a else 0 for b, hit in zip(low_level, low))
-            lows.append(low_planes[a])
-            highs.append(low_level.translate(bytes(a) + bytes((c,)) * (256 - a)))
-        table = bytearray(2 * nmasks)
-        first = 0 if sys.byteorder == "little" else 1
-        table[first::2] = b"".join(lows)
-        table[1 - first::2] = b"".join(highs)
-        return memoryview(table).toreadonly().cast("H")
+        return tuple(_first_hits(self.sig.universe_mask + 1,
+                                 level_masks(self) if levels is None else levels))
 
 
 def _check_row_fits(sig: Signature, what: str) -> None:

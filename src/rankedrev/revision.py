@@ -19,7 +19,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import DomainTooLargeError
 from .logic import PropSet, Signature, Theory, _check_over, _masks
@@ -106,9 +106,10 @@ def _check_tabulable(sig: Signature) -> None:
 class _ExpandOrRow(Revision):
     """A revision that expands when K ∧ phi is consistent and otherwise
     answers row[phi], whatever K is. The first severe revision calls
-    ``build_row``, which takes no argument, for the row."""
+    ``build_row``, which takes no argument, for the row; a subclass that
+    passes None builds it in its own ``_cells``."""
 
-    def __init__(self, sig: Signature, build_row: Callable[[], Sequence[int]]):
+    def __init__(self, sig: Signature, build_row: Optional[Callable[[], Sequence[int]]]):
         super().__init__(sig)
         self._build_row = build_row
         self._row = None
@@ -147,15 +148,23 @@ class RankedRevision(_ExpandOrRow):
     A severe cell is the input's part of the lowest level it meets, read
     from the level masks, which the first severe revision builds. Only a
     table, or ``consequence_masks``, builds the row over every formula
-    class, which past 4 atoms raises TableTooLargeError."""
+    class from the same masks, which past 4 atoms raises
+    TableTooLargeError."""
 
     def __init__(self, rank: RankFunction):
-        super().__init__(rank.sig, rank._consequence_cells)
+        super().__init__(rank.sig, None)  # the row is built by _cells below
         self.rank = rank
 
     @functools.cached_property
     def levels(self) -> list[int]:
         return level_masks(self.rank)
+
+    def _cells(self) -> Sequence[int]:
+        # a row source that holds the revision would be a reference cycle,
+        # which keeps the revision and its tables until the next collection
+        if self._row is None:
+            self._row = self.rank._consequence_cells(self.levels)
+        return self._row
 
     def revise_mask(self, k_mask: int, f_mask: int) -> int:
         meet = k_mask & f_mask

@@ -530,11 +530,11 @@ def first_violation(rv, pid):
 
 def kff_pass_reference(t, pids):
     """The exhaustive pass over the KFF clauses in ``pids`` one (K, phi)
-    binding at a time, with vectors over psi: the same dict as
-    postulates._kff_pass, {pid: (K, 0, phi, psi)} for each clause that
-    fails. ``t`` is a postulates._Packed table. Bit i of ``live`` stands
-    for ``kff[i]``; the iterated and conjoined vectors are computed at
-    every binding, whichever clauses are live."""
+    binding at a time, with vectors over psi: {pid: (K, 0, phi, psi)} for
+    each clause that fails, at the first failure that exhaustive run_suite
+    and check_postulate must report. ``t`` is a postulates._Packed table.
+    Bit i of ``live`` stands for ``kff[i]``; the iterated and conjoined
+    vectors are computed at every binding, whichever clauses are live."""
     kff = [PostulateId[name] for name in ("K7", "K8", "K9_2P", "C1", "C2", "C2P", "C3", "C4",
                                           "P_PHIANDPSI", "P_PSI", "P_GEN")]
     m, n = t.m, t.nmasks

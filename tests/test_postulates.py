@@ -1,6 +1,7 @@
 """Postulate checkers, impossibility witnesses, implication and
 under-determination searches."""
 
+import functools
 import hashlib
 import json
 import random
@@ -378,7 +379,7 @@ class TestByteRows:
             built.clear()
 
 
-KFF = postulates._KFF  # the clauses of the fused pass, in canonical order
+KFF = tuple(pid for pid, clause in postulates._CLAUSES.items() if clause.shape == "KFF")
 
 
 def _suite_matches_reference(rv):
@@ -391,14 +392,14 @@ def _suite_matches_reference(rv):
 
 
 class TestFusedKffPass:
-    """The eleven KFF clauses share one sweep over (K, phi) in exhaustive
-    run_suite; each still gets its own lexicographically first witness."""
+    """The eleven KFF clauses share one sweep over blocks of (K, phi, psi)
+    in exhaustive run_suite; each still gets its own lexicographically
+    first witness."""
 
     def test_eleven_clauses(self):
         assert [pid.name for pid in KFF] == [
             "K7", "K8", "K9_2P", "C1", "C2", "C2P", "C3", "C4",
             "P_PHIANDPSI", "P_PSI", "P_GEN"]
-        assert set(KFF) == {pid for pid, c in postulates._CLAUSES.items() if c.shape == "KFF"}
 
     def test_two_atom_ranked_revisions(self, revs75):
         for rv in revs75:
@@ -437,37 +438,44 @@ class TestFusedKffPass:
         list(PostulateId), KFF, KFF[:1], KFF[3:], (PostulateId.K7, PostulateId.P_PHIANDPSI)],
         ids=["all", "kff", "k7", "iterated", "conj"])
     def test_shared_vectors_once_per_binding(self, monkeypatch, ids):
-        # the pass builds its blocks over (phi, psi) per binding of K: the
-        # iterated and the conjoined block each at most once per K, and only
-        # while a clause that reads it has not failed
+        # the sweep builds its columns once per block of K: the iterated and
+        # the conjoined column each at most once, and only while a clause
+        # that reads it has not failed. A block holds every K at 2 atoms and
+        # one K at 3 atoms, where every clause fails by K = 1 on the
+        # perturbed table, so the sweep stops there
         calls = Counter()
 
-        class Counting(postulates._Packed):
-            def iterated_block(self, K):
-                calls["iterated", K] += 1
-                return super().iterated_block(K)
+        class Counting(postulates._Cube):
+            @functools.cached_property
+            def iterated(self):
+                calls["iterated", self.ks.start] += 1
+                return super().iterated
 
-            def block(self, K, index):
-                if index is postulates._pairs(self.nmasks).at_conj:
-                    calls["conj", K] += 1
-                return super().block(K, index)
+            @functools.cached_property
+            def conj(self):
+                calls["conj", self.ks.start] += 1
+                return super().conj
 
-        monkeypatch.setattr(postulates, "_Packed", Counting)
+        monkeypatch.setattr(postulates, "_Cube", Counting)
         readers = {"iterated": set(KFF[3:]), "conj": {PostulateId.K7, PostulateId.K8,
                                                       PostulateId.P_PHIANDPSI}}
         ranks = list(islice(enumerate_rank_functions(SIG2), 0, 75, 15))
+        rank3 = random_rank_function(SIG3, 3, 20)
         # ranked tables, and perturbed ones where clauses drop out mid-pass
         for rv in [*map(RankedRevision, ranks),
-                   *(_perturbed_table(RankedRevision(r), 3, 6, 9) for r in ranks)]:
+                   *(_perturbed_table(RankedRevision(r), 3, 6, 9) for r in ranks),
+                   _perturbed_table(RankedRevision(rank3), 1, 200, 8)]:
             calls.clear()
             report = run_suite(rv, ids)
             assert calls and max(calls.values()) == 1, calls.most_common(1)
+            step = 16 if rv.sig is SIG2 else 1
             for kind, reading in readers.items():
-                # built from K = 0 to the last K at which a reader is live
-                last = [v.k.models.mask if v else 15 for pid, v in report.results
-                        if pid in reading]
+                # built from K = 0 to the block of the last K at which a
+                # reader is live
+                last = [v.k.models.mask if v else rv.sig.universe_mask
+                        for pid, v in report.results if pid in reading]
                 built = sorted(K for k, K in calls if k == kind)
-                assert built == (list(range(max(last) + 1)) if last else []), kind
+                assert built == (list(range(0, max(last) + 1, step)) if last else []), kind
 
 
 def _late_three_atom_tables(count, seed):
@@ -482,27 +490,33 @@ def _late_three_atom_tables(count, seed):
         yield rv
 
 
+def _kff_witnesses(rv, pids):
+    """Exhaustive run_suite's first failures of the KFF clauses in pids,
+    in the form of kff_pass_reference."""
+    report = run_suite(rv, pids)
+    return {pid: _bindings(v) for pid, v in report.results if v is not None}
+
+
 class TestKffPassMatchesReference:
-    """The pass over (phi, psi) blocks per K against the pass one (K, phi)
-    at a time: the same dict for the eleven clauses together and for
-    each clause alone."""
+    """Exhaustive run_suite and check_postulate on the KFF clauses against
+    the reference pass one (K, phi) at a time: the same first failures for
+    the eleven clauses together and for each clause alone."""
 
     def test_two_atom_tables(self, revs75):
         for rv in [*revs75, *_perturbed_revisions(revs75, 200, 2002)]:
             t = postulates._packed(rv)
-            assert postulates._kff_pass(t, KFF) == kff_pass_reference(t, KFF)
+            assert _kff_witnesses(rv, KFF) == kff_pass_reference(t, KFF)
             for pid in KFF:
-                assert postulates._kff_pass(t, [pid]) == kff_pass_reference(t, [pid]), pid
+                alone = kff_pass_reference(t, [pid]).get(pid)
+                assert _bindings(check_postulate(rv, pid)) == alone, pid
 
     def test_three_atom_late_witnesses(self):
         late = 0
         for rv in _late_three_atom_tables(3, 707):
-            t = postulates._packed(rv)
-            expected = kff_pass_reference(t, KFF)
-            assert postulates._kff_pass(t, KFF) == expected
+            expected = kff_pass_reference(postulates._packed(rv), KFF)
+            assert _kff_witnesses(rv, KFF) == expected
             for pid in KFF:
-                alone = {pid: expected[pid]} if pid in expected else {}
-                assert postulates._kff_pass(t, [pid]) == alone, pid
+                assert _bindings(check_postulate(rv, pid)) == expected.get(pid), pid
             late += sum(K >= 128 and max(phi, psi) >= 192
                         for K, _, phi, psi in expected.values())
         assert late >= 24, late
@@ -672,30 +686,22 @@ class TestDeciders:
         assert _bindings(v) == first_violation(rv, PostulateId.K9) == (0, 96, 1, 0)
 
     def test_no_sweep_where_a_decider_proves_the_clause(self, revs75, monkeypatch):
-        # every undecided clause is located exactly once: the KF clauses by
-        # one sweep of their lane forms, the KKF clauses by another, the KFF
-        # clauses together by one fused pass
-        swept, sweeps, passes = [], [], []
-        run, fused = postulates._run, postulates._kff_pass
+        # every undecided clause is located exactly once: one sweep of the
+        # lane forms per shape, KF, KKF and KFF
+        swept, sweeps = [], []
+        run = postulates._run
 
         def counting(pids, blocks):
-            sweeps.append(pids)
+            sweeps.append({postulates._CLAUSES[pid].shape for pid in pids})
             swept.extend(pids)
             return run(pids, blocks)
 
-        def counting_fused(t, pids):
-            passes.append(pids)
-            swept.extend(pids)
-            return fused(t, pids)
-
         monkeypatch.setattr(postulates, "_run", counting)
-        monkeypatch.setattr(postulates, "_kff_pass", counting_fused)
         for rv in revs75[::5]:
             swept.clear()
             sweeps.clear()
-            passes.clear()
             report = run_suite(rv, PostulateId)
-            assert len(passes) == 1 and len(sweeps) == 2
+            assert sweeps == [{"KF"}, {"KKF"}, {"KFF"}]
             decided = {pid for pid in PostulateId if pid.name in DECIDED}
             located = {pid for pid in decided if pid in swept}
             assert located == {pid for pid in decided if report.verdict(pid) is not None}
@@ -705,14 +711,16 @@ class TestDeciders:
 
     @pytest.mark.parametrize("sig", [SIG2, SIG3], ids=["2atoms", "3atoms"])
     def test_exhaustive_mode_runs_the_lane_forms(self, sig, monkeypatch):
-        # a KF form, and the form of a KKF clause that its decider does not
-        # prove on a ranked table, that fail on every lane: exhaustive mode
-        # reports them at the first binding, so it reads no other statement
+        # a KF form, the form of a KKF clause that its decider does not
+        # prove on a ranked table, and two KFF forms, that fail on every
+        # lane: exhaustive mode reports them at the first binding, so it
+        # reads no other statement
         rv = RankedRevision(random_rank_function(sig, 3, 2))
-        assert check_postulate(rv, PostulateId.K2) is None
-        for name in ("K2", "U8_1"):
-            monkeypatch.setitem(postulates._LANE_FAILS, name, lambda b: b.high)
-        for pid in (PostulateId.K2, PostulateId.U8_1):
+        pids = [PostulateId[name] for name in ("K2", "U8_1", "K7", "C2P")]
+        for pid in pids:
+            assert pid is PostulateId.U8_1 or check_postulate(rv, pid) is None, pid
+            monkeypatch.setitem(postulates._LANE_FAILS, pid.name, lambda b: b.high)
+        for pid in pids:
             assert _bindings(check_postulate(rv, pid)) == (0, 0, 0, 0), pid
             assert _bindings(run_suite(rv, [pid]).verdict(pid)) == (0, 0, 0, 0), pid
 
@@ -1084,7 +1092,7 @@ for ids in ([PostulateId.U8_1], [PostulateId.K9], [PostulateId.K2], [PostulateId
         assert failing
 
     def test_sampled_builds_no_consequence_table(self, monkeypatch):
-        def refuse(rank):
+        def refuse(rank, *levels):
             raise AssertionError("sampled mode built a consequence table")
 
         monkeypatch.setattr(RankFunction, "_consequence_cells", refuse)
@@ -1340,6 +1348,22 @@ class TestPinnedOutputs:
                 h.update(json.dumps(report.to_json_records(), indent=2).encode())
                 h.update(repr([v.replay(rv) for v in report.violations]).encode())
         assert h.hexdigest() == "2239eb0c483e8a438a90e3d83f134ebe7c1eace7f712e89fe08a17e9fd00fa89"
+
+    def test_three_atom_kff_reports(self):
+        # the JSON report and the replays of the 11 KFF clauses on two
+        # ranked tables, where all but C2 hold, on copies with one cell
+        # changed early and on tables changed late, at K >= 128 and
+        # phi >= 192; pinned before the clauses moved onto their lane forms
+        ranked = [RankedRevision(random_rank_function(SIG3, levels, seed))
+                  for levels, seed in ((3, 20), (8, 21))]
+        h = hashlib.sha256()
+        for rv in [*ranked, _perturbed_table(ranked[0], 1, 200, 8),
+                   _perturbed_table(ranked[1], 0, 77, ranked[1].revise_mask(0, 77) ^ 16),
+                   *_late_three_atom_tables(2, 2020)]:
+            report = run_suite(rv, KFF)
+            h.update(json.dumps(report.to_json_records(), indent=2).encode())
+            h.update(repr([v.replay(rv) for v in report.violations]).encode())
+        assert h.hexdigest() == "47f112512cd7196e5f4c4482ba93890edf0362a7f190de374ac9829f0037100e"
 
 
 class TestDynamicUnderdetermination:

@@ -88,7 +88,8 @@ def _with_levels(sig, levels, rng):
 
 
 class TestConsequenceTable:
-    """The table built by byte planes against the per-mask reference."""
+    """The table, each mask's part of the first level it meets, against
+    the per-mask reference."""
 
     @pytest.mark.parametrize("sig", [SIG1, SIG2, SIG3, SIG4])
     def test_random_functions(self, sig):

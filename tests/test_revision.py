@@ -221,6 +221,20 @@ class TestPickle:
         assert back.rank == rank
         assert tuple(back.consequence_masks()) == rank.consequence_table()
 
+    @pytest.mark.parametrize("sig", [SIG1, SIG2, SIG3, SIG4], ids=["1atom", "2atoms", "3atoms",
+                                                                "4atoms"])
+    def test_consequence_masks_are_the_table(self, sig):
+        # at 4 atoms they were a read-only memoryview, which compared
+        # unequal to the table and did not pickle
+        for levels in (1, 3, sig.num_valuations):
+            rank = random_rank_function(sig, levels, levels)
+            rv = RankedRevision(rank)
+            masks = rv.consequence_masks()
+            assert masks == rank.consequence_table() == consequence_table_reference(rank)
+            assert pickle.loads(pickle.dumps(masks)) == masks
+            back = pickle.loads(pickle.dumps(rv))
+            assert back.consequence_masks() == masks
+
 
 class TestIterate:
     def test_two_step_trace(self, rv0, sig2):
