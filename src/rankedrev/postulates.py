@@ -24,7 +24,6 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from itertools import chain, islice, product, repeat
-from operator import itemgetter
 from struct import Struct, error as StructError
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
@@ -78,9 +77,9 @@ AGM_PLUS_MINIMAL_INFLUENCE = AGM_POSTULATES + (PostulateId.K9,)
 
 
 # Exhaustive checking of a table whose cells are all model masks runs on
-# its rows of bytes (see logic.py): the deciders on one int per row, the
-# lane forms of the KF and KKF clauses on _Rows and of the KFF clauses on
-# _Cube.
+# its rows of bytes (see logic.py): the expand-or-row check on one int per
+# row, the lane forms of the KF and KKF clauses on _Rows and of the KFF
+# clauses on _Cube.
 
 
 class _Packed:
@@ -115,8 +114,13 @@ class _Packed:
 
     flat = functools.cached_property(lambda t: t.joined(t.m.or_idx[0]))  # rev(x, y)
     bot = functools.cached_property(lambda t: t.repeated(0))  # rev(⊥, y)
-    every = functools.cached_property(lambda t: [(1 << 8 * t.nmasks) - 1] * t.nmasks)
-    sub_every = functools.cached_property(lambda t: _sub(t, t.every))  # U8_2's and P_KM1's
+
+    @functools.cached_property
+    def expand_or_row(self) -> bool:
+        """Every row K is K ∧ phi where that is consistent and row ⊥
+        elsewhere: inter[K] | (row ⊥ & apart[K]), as _ExpandOrRow builds it."""
+        bot, m = self.P[0], self.m
+        return all(p == inter | bot & apart for p, inter, apart in zip(self.P, m.inter, m.apart))
 
 
 def _packed(rv: Revision) -> Union[_Packed, bool]:
@@ -132,79 +136,6 @@ def _packed(rv: Revision) -> Union[_Packed, bool]:
             in_range = False
         rv._packed = in_range and _Packed(rows)
     return rv._packed
-
-
-# Deciders for the KKF clauses: True exactly when the clause holds at
-# every (K, K', phi), found on the packed rows without a sweep over
-# (K, K') pairs. Lane (phi, w) is bit w of byte phi; per lane, f(a) is
-# that bit of P[a], and the clause ranges over the sets a whose family
-# vector (apart, meet or every set) has the lane. "sub" is
-# f(a ∪ b) ⊆ f(a) ∪ f(b), "sup" is f(a) ∪ f(b) ⊆ f(a ∪ b); U8 is both over
-# every set, U8_1 (f monotone) sup and U8_2 sub over every set, P_KM1 both
-# over meet and P_K9U81 both over apart. Every family here is closed under union, and meet is upward
-# closed. Sub over every set implies it over meet, which P_KM1 reads.
-
-
-def _dk9(t):
-    # If (K, K') fails at phi, so does (0, K) or (0, K'): apart[0] is all
-    # ones and P[K] != P[K'] on the lane means one of them differs from P[0].
-    P, apart = t.P, t.m.apart
-    return not any((P[0] ^ p) & a for p, a in zip(P, apart))
-
-
-def _union_generated(t, fam):
-    """sub and sup on a family that holds every subset of its members
-    (all sets, or apart): f(a) = f(0) ∪ ⋃ over v ∈ a of f({v})."""
-    P = t.P
-    gen = [P[0]]
-    for a in range(1, t.nmasks):
-        low = a & -a
-        gen.append(gen[a ^ low] | P[low])
-    return not any((p ^ g) & f for p, g, f in zip(P, gen, fam))
-
-
-@functools.cache
-def _zeta_steps(nmasks: int) -> list[tuple[list[int], list[tuple[int, list[int]]]]]:
-    """Per valuation v: the sets holding v and, per other valuation x,
-    x's bit with the sets holding both; the steps of a subset-OR
-    transform over the sets holding v."""
-    bits = [1 << v for v in range(nmasks.bit_length() - 1)]
-    return [([s for s in range(nmasks) if s & vb],
-             [(xb, [s for s in range(nmasks) if s & vb and s & xb])
-              for xb in bits if xb != vb])
-            for vb in bits]
-
-
-@functools.cache
-def _covers(nmasks: int) -> list[tuple[int, int]]:
-    """Every pair (a, a ∪ {x}) with x ∉ a."""
-    bits = [1 << v for v in range(nmasks.bit_length() - 1)]
-    return [(a, a | xb) for xb in bits for a in range(nmasks) if not a & xb]
-
-
-def _sub(t, fam):
-    """On each lane the zero sets (members a with f(a) = 0) are closed
-    under union: no s with f(s) = 1 is the union of the zero sets below
-    it. reach[s] has the lane when a zero set c ⊆ s holds v, and cover[s]
-    when that is so for every v ∈ s."""
-    P, n = t.P, t.nmasks
-    zero = [(p | f) ^ p for p, f in zip(P, fam)]  # f & ~p, without the slower ~
-    cover = [-1] * n
-    for holding, steps in _zeta_steps(n):
-        reach = zero[:]
-        for xb, both in steps:
-            for s in both:
-                reach[s] |= reach[s ^ xb]
-        for s in holding:
-            cover[s] &= reach[s]
-    return not any(P[s] & fam[s] & cover[s] for s in range(1, n))
-
-
-def _sup(t, fam):
-    """f is monotone along every step a -> a ∪ {x} from a member a of an
-    upward closed family; P[a] & ~P[b] is written without the slower ~."""
-    P = t.P
-    return not any(((P[a] | P[b]) ^ P[b]) & fam[a] for a, b in _covers(t.nmasks))
 
 
 class _Pairs:
@@ -241,15 +172,12 @@ _pairs = functools.cache(_Pairs)  # built for the first block over pairs at a si
 @dataclass(frozen=True)
 class _Clause:
     """One postulate: its shape, the column of its lane form (in
-    _LANE_FAILS) that holds the value it reports, its requirement in words
-    and, for some KKF clauses, ``decide``, which tells from the packed
-    table alone whether the clause holds everywhere, so that exhaustive
-    mode locates a witness only after it says the clause fails."""
+    _LANE_FAILS) that holds the value it reports, and its requirement in
+    words."""
 
     shape: str  # "KF": (K, phi); "KKF": (K, K', phi); "KFF": (K, phi, psi)
     observed: str  # the _COLUMNS column holding the value the clause reports
     required: str
-    decide: Optional[Callable[[_Packed], bool]] = None
 
 
 _CLAUSES: dict[PostulateId, _Clause] = {
@@ -261,17 +189,13 @@ _CLAUSES: dict[PostulateId, _Clause] = {
     PostulateId.K6: _Clause("KF", "row", "equivalent inputs revise equally"),
     PostulateId.K7: _Clause("KFF", "conj", "K*(phi ∧ psi) ⊆ Cn(K*phi, psi)"),
     PostulateId.K8: _Clause("KFF", "conj", "if ¬psi ∉ K*phi then Cn(K*phi, psi) ⊆ K*(phi ∧ psi)"),
-    PostulateId.K9: _Clause("KKF", "prime",
-                            "if ¬phi ∈ K and ¬phi ∈ K' then K*phi = K'*phi", decide=_dk9),
+    PostulateId.K9: _Clause("KKF", "prime", "if ¬phi ∈ K and ¬phi ∈ K' then K*phi = K'*phi"),
     PostulateId.K9_1: _Clause("KF", "row", "if ¬phi ∈ K then K*phi ⊆ bot*phi"),
     PostulateId.K9_2: _Clause("KF", "row", "if ¬phi ∈ K then bot*phi ⊆ K*phi"),
     PostulateId.K9_2P: _Clause("KFF", "row", "if psi ∈ K and psi ∈ bot*phi then psi ∈ K*phi"),
-    PostulateId.U8: _Clause("KKF", "union", "(K ∩ K')*phi = (K*phi) ∩ (K'*phi)",
-                            decide=lambda t: _union_generated(t, t.every)),
-    PostulateId.U8_1: _Clause("KKF", "prime", "if K ⊆ K' then K*phi ⊆ K'*phi",
-                              decide=lambda t: _sup(t, t.every)),
-    PostulateId.U8_2: _Clause("KKF", "union", "(K*phi) ∩ (K'*phi) ⊆ (K ∩ K')*phi",
-                              decide=lambda t: t.sub_every),
+    PostulateId.U8: _Clause("KKF", "union", "(K ∩ K')*phi = (K*phi) ∩ (K'*phi)"),
+    PostulateId.U8_1: _Clause("KKF", "prime", "if K ⊆ K' then K*phi ⊆ K'*phi"),
+    PostulateId.U8_2: _Clause("KKF", "union", "(K*phi) ∩ (K'*phi) ⊆ (K ∩ K')*phi"),
     PostulateId.C1: _Clause("KFF", "iterated", "if phi ⊨ psi then (K*psi)*phi = K*phi"),
     PostulateId.C2: _Clause("KFF", "iterated", "if phi ⊨ ¬psi then (K*psi)*phi = K*phi"),
     PostulateId.C2P: _Clause("KFF", "iterated",
@@ -285,14 +209,28 @@ _CLAUSES: dict[PostulateId, _Clause] = {
     PostulateId.P_GEN: _Clause("KFF", "iterated", "if psi ∈ K*phi then (K*psi)*phi = K*phi"),
     PostulateId.P_KM1: _Clause("KKF", "union",
                                "if ¬phi ∉ K and ¬phi ∉ K' then "
-                               "(K ∩ K')*phi = (K*phi) ∩ (K'*phi)",
-                               decide=lambda t: _sup(t, t.m.meet)
-                               and (t.sub_every or _sub(t, t.m.meet))),
+                               "(K ∩ K')*phi = (K*phi) ∩ (K'*phi)"),
     PostulateId.P_K9U81: _Clause("KKF", "union",
                                  "if ¬phi ∈ K and ¬phi ∈ K' then "
-                                 "(K*phi) ∩ (K'*phi) = (K ∩ K')*phi",
-                                 decide=lambda t: _union_generated(t, t.m.apart)),
+                                 "(K*phi) ∩ (K'*phi) = (K ∩ K')*phi"),
 }
+
+# The clauses that hold on every expand-or-row table (_Packed.expand_or_row),
+# whatever its row ⊥: there a severe cell, where K ∧ phi is inconsistent, is
+# row ⊥'s cell, a mild cell is K ∧ phi, and (K ∪ K') ∧ phi, the models of
+# (K ∩ K') ∧ phi, is (K ∧ phi) ∪ (K' ∧ phi). Exhaustive mode sweeps them
+# only on other tables.
+_EXPAND_OR_ROW_HOLDS = frozenset({
+    PostulateId.K9,  # both cells severe: each is row ⊥'s
+    PostulateId.K9_1,  # a severe cell is row ⊥'s: K*phi = bot*phi
+    PostulateId.K9_2,  # the same equality
+    PostulateId.K9_2P,  # K*phi is K ∧ phi ⊆ K ⊆ psi, or bot*phi ⊆ psi
+    # (K ∪ K') ∧ phi consistent: its cell is (K ∧ phi) ∪ (K' ∧ phi), each part
+    # in the mild cell of K or K'; inconsistent: all three cells are row ⊥'s
+    PostulateId.U8_2,
+    PostulateId.P_KM1,  # both mild: (K ∧ phi) ∪ (K' ∧ phi) on both sides
+    PostulateId.P_K9U81,  # both severe, so (K ∪ K') ∧ phi is too: three row ⊥ cells
+})
 
 
 @dataclass(frozen=True)
@@ -464,23 +402,6 @@ class _Block:
     @staticmethod
     def minus(a: int, b: int) -> int:  # a & ~b: ~ of a big int is many times slower
         return (a | b) ^ b
-
-    def expand_or_row(self, row: Sequence[int], ks: int, fs: int) -> int:
-        """The column ks & fs, and row[fs] on the lanes where that is 0: read
-        there one lane at a time, or at once on all lanes, as in rev(⊥, phi)."""
-        meet = ks & fs
-        flags = self.high ^ self.nonzero(meet)  # the top bit of each such lane
-        if flags == self.high:  # itemgetter of two or more indexes gives a tuple
-            return self.pack(itemgetter(0, *self.unpack(fs))(row)[1:])
-        half = 1 << self.bits - 1
-        while flags:
-            top = flags.bit_length() - 1
-            cell = row[fs >> top + 1 - self.bits & 2 * half - 1]
-            if not -half <= cell < half:
-                raise StructError(f"{cell} does not fit a lane")
-            meet |= (cell & 2 * half - 1) << top + 1 - self.bits
-            flags ^= 1 << top
-        return meet
 
     def expand_or_levels(self, levels: Sequence[int], ks: int, fs: int,
                          rest: Callable[[int], int]) -> int:
@@ -703,8 +624,9 @@ def _pass(rv: Revision, pids: list[PostulateId], mode: str, seed: Optional[int],
     """The first violation of each clause in ``pids``, which is not empty:
     among ``samples`` bindings drawn from ``seed``, or exhaustively in
     lexicographic binding order. A packed table is checked by the lane
-    forms of the clauses no decider proves, on _Rows and _Cube; any other
-    table on the blocks of sampled mode fed every binding in turn."""
+    forms of its clauses on _Rows and _Cube, but for those of
+    _EXPAND_OR_ROW_HOLDS on an expand-or-row table, where they hold; any
+    other table on the blocks of sampled mode fed every binding in turn."""
     n = rv.sig.universe_mask + 1
     if mode == "sampled":
         return _lane_pass(rv, pids, lambda width: (
@@ -716,11 +638,11 @@ def _pass(rv: Revision, pids: list[PostulateId], mode: str, seed: Optional[int],
     t = _packed(rv)
     if not t:
         return _lane_pass(rv, pids, functools.partial(_enumerated, n))
+    if t.expand_or_row:
+        pids = [pid for pid in pids if pid not in _EXPAND_OR_ROW_HOLDS]
     swept: dict[str, list[PostulateId]] = {"KF": [], "KKF": [], "KFF": []}
     for pid in pids:
-        clause = _CLAUSES[pid]
-        if not (clause.decide and clause.decide(t)):
-            swept[clause.shape].append(pid)
+        swept[_CLAUSES[pid].shape].append(pid)
     hits = _run(swept["KF"], [{"KF": _Rows(t)}] if swept["KF"] else ())
     hits.update(_run(swept["KKF"], ({"KKF": _Rows(t, K)} for K in range(t.nmasks))))
     hits.update(_run(swept["KFF"], _cubes(t)))
@@ -853,10 +775,11 @@ def check_implication_9p_to_92(rv: Revision) -> Optional[Violation]:
     and K9.2 still fails somewhere.
     """
     _check_preconditions_fit(rv, "the 9.2' to 9.2 implication")
-    for pid in (PostulateId.K1, PostulateId.K2, PostulateId.K9_2P):
-        if check_postulate(rv, pid) is not None:
-            return None
-    v = check_postulate(rv, PostulateId.K9_2)
+    needed = [PostulateId.K1, PostulateId.K2, PostulateId.K9_2P]
+    found = _pass(rv, needed + [PostulateId.K9_2], "exhaustive", None, 0)
+    if any(pid in found for pid in needed):
+        return None
+    v = found.get(PostulateId.K9_2)
     return v and dataclasses.replace(v, required="K1, K2 and K9_2P hold, so K9_2 must: "
                                      + v.required)
 
@@ -895,8 +818,10 @@ def find_impossibility_witness(
         which = ImpossibilityTarget(which)
     if verify_preconditions:
         _check_preconditions_fit(rv, f"witness search for {which.value}")
-        for pid in _IMPOSSIBILITY_PRECONDITIONS[which]:
-            if check_postulate(rv, pid) is not None:
+        needed = _IMPOSSIBILITY_PRECONDITIONS[which]
+        found = _pass(rv, list(needed), "exhaustive", None, 0)
+        for pid in needed:
+            if pid in found:
                 raise ValueError(
                     f"witness search for {which.value} assumes {pid.name} holds, "
                     "but this revision violates it"

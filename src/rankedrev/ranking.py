@@ -54,13 +54,6 @@ class RankFunction:
         used = set(self.ranks)
         return used == set(range(len(used)))
 
-    def level_mask(self, level: int) -> int:
-        m = 0
-        for v, r in enumerate(self.ranks):
-            if r == level:
-                m |= 1 << v
-        return m
-
     def min_models_mask(self, f_mask: int) -> int:
         """The minimum-rank valuations of f_mask (0 when f_mask is 0)."""
         if f_mask == 0:

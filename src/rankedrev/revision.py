@@ -122,9 +122,6 @@ class _ExpandOrRow(Revision):
     def revise_mask(self, k_mask: int, f_mask: int) -> int:
         return k_mask & f_mask or self._cells()[f_mask]
 
-    def _revise_lanes(self, lanes, ks: int, fs: int) -> int:
-        return lanes.expand_or_row(self._cells(), ks, fs)
-
     def _tabulate(self) -> Sequence[Sequence[int]]:
         """One packed row per theory: byte phi of inter[K] | (ROW & apart[K])
         is K & phi when that is nonzero, else row[phi]. A row with a cell

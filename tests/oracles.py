@@ -2,19 +2,19 @@
 
 Everything here recomputes expected values from first principles,
 without going through the code paths under test: a per-valuation truth
-evaluator, a binomial-recurrence counter for ordered set partitions,
-the recursive rank-function enumerator that rebuilds every suffix, a
-sort-based minimum-rank extractor, a ranked revision that reads level
-masks set one valuation at a time, per-valuation atom masks, the
-token-by-token rank-file parser, a constraint search that finds every
-rational choice table at small sizes, the per-mask consequence table,
-the scalar statement of each postulate clause (``HOLDS``, one binding at
-a time, the reference that the lane forms, the fused KFF pass and
-``Violation.replay`` are compared against), the
-per-binding postulate sweep built on it, the rationality sweep, the
-exhaustive (K, phi, psi) pass one (K, phi) at a time, sampled mode run
-one clause at a time, and the under-determination scan by revise_mask
-over every pair of rank functions.
+evaluator, a binomial-recurrence counter for ordered set partitions, the
+recursive rank-function enumerator that rebuilds every suffix, a
+sort-based minimum-rank extractor, the mask of one rank level and a
+ranked revision that reads level masks, both set one valuation at a
+time, per-valuation atom masks, the token-by-token rank-file parser, a
+constraint search that finds every rational choice table at small sizes,
+the per-mask consequence table, the scalar statement of each postulate
+clause (``HOLDS``, one binding at a time, the reference that the lane
+forms, the fused KFF pass and ``Violation.replay`` are compared
+against), the per-binding postulate sweep built on it, the rationality
+sweep, the exhaustive (K, phi, psi) pass one (K, phi) at a time, sampled
+mode run one clause at a time, and the under-determination scan by
+revise_mask over every pair of rank functions.
 """
 
 from __future__ import annotations
@@ -248,10 +248,20 @@ def parse_rank_file_reference(text: str):
     return RankFunction(sig, tuple(ranks[v] for v in range(sig.num_valuations)))
 
 
+def level_mask(r, level):
+    """The mask of r's valuations of rank ``level``, set one valuation at
+    a time: the reference for ranking.level_masks."""
+    m = 0
+    for v, rank in enumerate(r.ranks):
+        if rank == level:
+            m |= 1 << v
+    return m
+
+
 def consequence_table_reference(r):
     """RankFunction.consequence_table one mask at a time: entry f is f's
     part of the first level that f meets."""
-    levels = [r.level_mask(l) for l in range(r.height + 1)]
+    levels = [level_mask(r, l) for l in range(r.height + 1)]
     table = [0] * (r.sig.universe_mask + 1)
     for f in range(1, r.sig.universe_mask + 1):
         for lvl in levels:

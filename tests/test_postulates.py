@@ -7,7 +7,7 @@ import json
 import random
 import tracemalloc
 from collections import Counter
-from itertools import chain, islice
+from itertools import chain, islice, product
 
 import pytest
 
@@ -563,7 +563,10 @@ class TestOrbitSweep:
             assert verdicts(rv) == expected[sizes(rv.rank)]
 
 
-DECIDED = ("K9", "U8", "U8_1", "U8_2", "P_KM1", "P_K9U81")
+# the clauses that hold on every expand-or-row table, whatever its row ⊥
+BY_CONSTRUCTION = tuple(PostulateId[name] for name in ("K9", "K9_1", "K9_2", "K9_2P",
+                                                       "U8_2", "P_KM1", "P_K9U81"))
+KKF_IDS = [pid for pid, clause in postulates._CLAUSES.items() if clause.shape == "KKF"]
 
 
 def _union_homomorphic(sig, rng):
@@ -582,36 +585,120 @@ def _union_homomorphic(sig, rng):
     return TableRevision.from_function(sig, cell)
 
 
-def _lane_sweep(rv, pid):
-    """The exhaustive sweep of a KKF clause alone, its lane form on the
-    block over (K', phi) per K without the decider;
-    TestPackedKernelsMatchReference checks it against first_violation at
-    sizes where that is fast."""
+def _expand_or_row(sig, row):
+    """The revision that expands where K ∧ phi is consistent and
+    otherwise answers row[phi]."""
+    return _ExpandOrRow(sig, functools.partial(tuple, row))
+
+
+def _lane_sweep(rv, pids):
+    """The first failure of each clause in pids by its lane form over
+    every binding of the packed table, none left out for the table's
+    shape; TestPackedKernelsMatchReference checks these sweeps against
+    first_violation at sizes where that is fast."""
     t = postulates._packed(rv)
-    blocks = ({"KKF": postulates._Rows(t, K)} for K in range(t.nmasks))
-    return postulates._run([pid], blocks).get(pid)
+    blocks = {"KF": lambda: [{"KF": postulates._Rows(t)}],
+              "KKF": lambda: ({"KKF": postulates._Rows(t, K)} for K in range(t.nmasks)),
+              "KFF": lambda: postulates._cubes(t)}
+    hits = {}
+    for shape, make in blocks.items():
+        hits.update(postulates._run(
+            [pid for pid in pids if postulates._CLAUSES[pid].shape == shape], make()))
+    return hits
+
+
+def _kkf_verdicts(rv):
+    """Every KKF clause by check_postulate against the per-binding
+    reference: the same first witness. Returns name -> holds."""
+    verdicts = {}
+    for pid in KKF_IDS:
+        expected = first_violation(rv, pid)
+        assert _bindings(check_postulate(rv, pid)) == expected, pid
+        verdicts[pid.name] = expected is None
+    return verdicts
 
 
 class TestDeciders:
-    """The deciders of the symmetric KKF clauses against the per-binding
-    reference: the same verdict, and after a failing verdict the same
-    first witness."""
+    """What settles a clause without a sweep: on an expand-or-row table
+    the clauses of _EXPAND_OR_ROW_HOLDS hold whatever row ⊥ is, and on
+    every other table they are swept. The KKF clauses, most of them in
+    that set, against the per-binding reference: the same verdict and
+    the same first witness."""
 
-    def _check(self, rv, oracle=first_violation):
-        verdicts = {}
-        for name in DECIDED:
-            pid = PostulateId[name]
-            expected = oracle(rv, pid)
-            decide = postulates._CLAUSES[pid].decide
-            assert decide(postulates._packed(rv)) == (expected is None), pid
-            assert _bindings(check_postulate(rv, pid)) == expected, pid
-            verdicts[name] = expected is None
-        return verdicts
+    def test_skipped_set(self):
+        assert postulates._EXPAND_OR_ROW_HOLDS == set(BY_CONSTRUCTION)
+
+    @pytest.mark.parametrize("sig", [SIG1, SIG2], ids=["1atom", "2atoms"])
+    def test_expand_or_row_tables_hold_the_skipped_clauses(self, sig):
+        # rows of any cells, so that most are not within phi and other
+        # clauses fail: every row at one atom, random rows at two
+        nm = sig.universe_mask + 1
+        rng = random.Random(4040)
+        rows = (product(range(nm), repeat=nm) if sig is SIG1
+                else ([rng.randrange(nm) for _ in range(nm)] for _ in range(24)))
+        failing = 0
+        for row in rows:
+            rv = _expand_or_row(sig, row)
+            assert postulates._packed(rv).expand_or_row
+            for pid in BY_CONSTRUCTION:
+                assert first_violation(rv, pid) is None, pid
+            failing += first_violation(rv, PostulateId.K2) is not None
+        assert failing >= (200 if sig is SIG1 else 20), failing
+
+    def test_expand_or_row_tables_at_three_atoms(self):
+        # first_violation would take 16.7M bindings per clause here, so the
+        # clauses are swept on their lane forms with nothing skipped
+        rng = random.Random(4041)
+        for within in (False, True):
+            row = [rng.randrange(256) & (f if within else 255) for f in range(256)]
+            rv = _expand_or_row(SIG3, row)
+            assert postulates._packed(rv).expand_or_row
+            assert _lane_sweep(rv, BY_CONSTRUCTION) == {}
+            assert (check_postulate(rv, PostulateId.K2) is None) == within
+
+    def test_expand_or_row_check(self, revs75, sig3):
+        rank = next(islice(enumerate_rank_functions(sig3), 4321, None))
+        for ranked in (revs75[40], RankedRevision(rank)):
+            sig = ranked.sig
+            base = th(sig, "p & !q")
+            same = (ranked, revision_of_relation(relation_of_revision(ranked, base)),
+                    conservative_extension(ranked, base),
+                    conservative_extension(_random_table(sig, random.Random(7)), base),
+                    _perturbed_table(ranked, 3, 5, ranked.revise_mask(3, 5)))
+            for rv in same:
+                assert postulates._packed(rv).expand_or_row
+            # a mild cell, a severe cell and a cell of row ⊥ that a severe
+            # cell of another row repeats
+            for K, phi in ((3, 5), (1, 2), (0, 1)):
+                changed = _perturbed_table(ranked, K, phi, ranked.revise_mask(K, phi) ^ 1)
+                assert not postulates._packed(changed).expand_or_row, (K, phi)
+
+    def test_perturbed_table_sweeps_the_skipped_clauses(self, revs75, monkeypatch):
+        swept = []
+        run = postulates._run
+
+        def counting(pids, blocks):
+            swept.extend(pids)
+            return run(pids, blocks)
+
+        monkeypatch.setattr(postulates, "_run", counting)
+        for rv in revs75[::15]:
+            swept.clear()
+            assert run_suite(rv, BY_CONSTRUCTION).all_pass
+            assert swept == []
+            changed = _perturbed_table(rv, 5, 2, rv.revise_mask(5, 2) ^ 2)
+            report = run_suite(changed, BY_CONSTRUCTION)
+            assert len(swept) == len(set(swept)) == len(BY_CONSTRUCTION)
+            assert set(swept) == set(BY_CONSTRUCTION)
+            for pid in BY_CONSTRUCTION:
+                assert _bindings(report.verdict(pid)) == first_violation(changed, pid), pid
+            assert not report.all_pass
 
     def test_two_atom_ranked_revisions(self, revs75):
         for rv in revs75:
-            assert self._check(rv) == {"K9": True, "U8": False, "U8_1": False, "U8_2": True,
-                                       "P_KM1": True, "P_K9U81": True}
+            assert postulates._packed(rv).expand_or_row
+            assert _kkf_verdicts(rv) == {"K9": True, "U8": False, "U8_1": False, "U8_2": True,
+                                         "P_KM1": True, "P_K9U81": True}
 
     @pytest.mark.parametrize("sig", [SIG1, SIG2], ids=["1atom", "2atoms"])
     def test_perturbed_and_random_tables(self, sig, revs75):
@@ -619,14 +706,14 @@ class TestDeciders:
         ranked = revs75 if sig is SIG2 else [RankedRevision(r)
                                              for r in enumerate_rank_functions(sig)]
         nm = sig.universe_mask + 1
-        passes = dict.fromkeys(DECIDED, 0)
+        passes = dict.fromkeys((pid.name for pid in KKF_IDS), 0)
         for _ in range(150):
             rv = ranked[rng.randrange(len(ranked))]
             for _ in range(rng.randint(1, 3)):
                 rv = _perturbed_table(rv, rng.randrange(nm), rng.randrange(nm),
                                       rng.randrange(nm))
             for tables in (rv, _random_table(sig, rng)):
-                for name, holds in self._check(tables).items():
+                for name, holds in _kkf_verdicts(tables).items():
                     passes[name] += holds
         # every clause fails somewhere, and all but U8 and U8_1 also hold
         # somewhere; they hold on the union-homomorphic tables below
@@ -637,26 +724,28 @@ class TestDeciders:
     def test_union_homomorphic_tables(self, sig):
         rng = random.Random(5005)
         nm = sig.universe_mask + 1
-        passes = dict.fromkeys(DECIDED, 0)
+        passes = dict.fromkeys((pid.name for pid in KKF_IDS), 0)
         for _ in range(100):
             rv = _union_homomorphic(sig, rng)
-            assert {k: v for k, v in self._check(rv).items() if k != "K9"} == {
+            assert {k: v for k, v in _kkf_verdicts(rv).items() if k != "K9"} == {
                 "U8": True, "U8_1": True, "U8_2": True, "P_KM1": True, "P_K9U81": True}
             # one changed cell breaks some of them and keeps others
             rv = _perturbed_table(rv, rng.randrange(nm), rng.randrange(nm),
                                   rng.randrange(nm))
-            for name, holds in self._check(rv).items():
+            for name, holds in _kkf_verdicts(rv).items():
                 passes[name] += holds
         assert all(0 < n < 100 for name, n in passes.items() if name != "K9"), passes
 
     def test_three_atom_union_homomorphic_tables(self):
-        # a passing clause costs first_violation 16.7M bindings at three
-        # atoms, so the holding verdicts are compared with the lane sweep
+        # not expand-or-row, so every clause is swept; a passing clause
+        # costs first_violation 16.7M bindings at three atoms, so only the
+        # failing K9 is compared with it
         rng = random.Random(6006)
         for _ in range(2):
             rv = _union_homomorphic(SIG3, rng)
-            assert self._check(rv, _lane_sweep) == {"K9": False, "U8": True, "U8_1": True,
-                                                    "U8_2": True, "P_KM1": True, "P_K9U81": True}
+            assert not postulates._packed(rv).expand_or_row
+            report = run_suite(rv, KKF_IDS)
+            assert [pid.name for pid in KKF_IDS if report.verdict(pid) is not None] == ["K9"]
             v = check_postulate(rv, PostulateId.K9)
             assert _bindings(v) == first_violation(rv, PostulateId.K9)
 
@@ -673,7 +762,6 @@ class TestDeciders:
         extra = next(1 << w for w in range(8) if not cell >> w & 1)
         rv = _perturbed_table(base, 3, phi, cell | extra)
         pid = PostulateId[name]
-        assert not postulates._CLAUSES[pid].decide(postulates._packed(rv))
         v = check_postulate(rv, pid)
         assert _bindings(v) == first_violation(rv, pid) == (1, 2, phi, 0)
 
@@ -681,13 +769,15 @@ class TestDeciders:
         rank = next(islice(enumerate_rank_functions(sig3), 4321, None))
         rv = RankedRevision(rank)
         rv = _perturbed_table(rv, 96, 1, rv.revise_mask(96, 1) ^ 1)
-        assert not postulates._CLAUSES[PostulateId.K9].decide(postulates._packed(rv))
+        assert not postulates._packed(rv).expand_or_row
         v = check_postulate(rv, PostulateId.K9)
         assert _bindings(v) == first_violation(rv, PostulateId.K9) == (0, 96, 1, 0)
 
     def test_no_sweep_where_a_decider_proves_the_clause(self, revs75, monkeypatch):
-        # every undecided clause is located exactly once: one sweep of the
-        # lane forms per shape, KF, KKF and KFF
+        # on a ranked table every clause but the skipped ones is located
+        # exactly once, by one sweep of the lane forms per shape, KF, KKF
+        # and KFF; the preconditions of the implication and of the
+        # impossibility witnesses are checked in one such pass
         swept, sweeps = [], []
         run = postulates._run
 
@@ -702,19 +792,23 @@ class TestDeciders:
             sweeps.clear()
             report = run_suite(rv, PostulateId)
             assert sweeps == [{"KF"}, {"KKF"}, {"KFF"}]
-            decided = {pid for pid in PostulateId if pid.name in DECIDED}
-            located = {pid for pid in decided if pid in swept}
-            assert located == {pid for pid in decided if report.verdict(pid) is not None}
-            assert located == {PostulateId.U8, PostulateId.U8_1}
-            assert len(swept) == len(PostulateId) - len(decided) + 2
+            assert set(swept) == set(PostulateId) - set(BY_CONSTRUCTION)
             assert len(set(swept)) == len(swept)
+            assert all(report.verdict(pid) is None for pid in BY_CONSTRUCTION)
+            for search, pids in ((check_implication_9p_to_92, ["K1", "K2"]),
+                                 (lambda rv: find_impossibility_witness(rv, "C2_vs_K1K4"),
+                                  ["K1", "K2", "K3", "K4"])):
+                swept.clear()
+                sweeps.clear()
+                search(rv)
+                assert sweeps == [{"KF"}, set(), set()]
+                assert swept == [PostulateId[name] for name in pids]
 
     @pytest.mark.parametrize("sig", [SIG2, SIG3], ids=["2atoms", "3atoms"])
     def test_exhaustive_mode_runs_the_lane_forms(self, sig, monkeypatch):
-        # a KF form, the form of a KKF clause that its decider does not
-        # prove on a ranked table, and two KFF forms, that fail on every
-        # lane: exhaustive mode reports them at the first binding, so it
-        # reads no other statement
+        # a KF form, the form of a KKF clause that a ranked table does not
+        # skip, and two KFF forms, that fail on every lane: exhaustive mode
+        # reports them at the first binding, so it reads no other statement
         rv = RankedRevision(random_rank_function(sig, 3, 2))
         pids = [PostulateId[name] for name in ("K2", "U8_1", "K7", "C2P")]
         for pid in pids:

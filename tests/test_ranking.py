@@ -34,6 +34,7 @@ from oracles import (
     consequence_table_reference,
     enumerate_rank_functions_reference,
     fubini,
+    level_mask,
     min_rank_valuations,
     parse_rank_file_reference,
 )
@@ -73,7 +74,7 @@ class TestConsequences:
         assert "at most 4 atoms" in str(exc.value)
         # single queries still work there
         full = PropSet.full(rank.sig)
-        assert consequences_of(rank, full).models.mask == rank.level_mask(0)
+        assert consequences_of(rank, full).models.mask == level_mask(rank, 0)
 
 
 def _with_levels(sig, levels, rng):
@@ -118,7 +119,7 @@ class TestConsequenceTable:
         rank = RankFunction(SIG4, ranks)
         table = rank.consequence_table()
         assert table == consequence_table_reference(rank)
-        assert table[0] == 0 and table[1] == 1 and table[0xFFFF] == rank.level_mask(0)
+        assert table[0] == 0 and table[1] == 1 and table[0xFFFF] == level_mask(rank, 0)
 
 
     @pytest.mark.parametrize("ranks", [
@@ -138,7 +139,8 @@ class TestConsequenceTable:
 
 
 class TestLevelMasks:
-    """The bulk level builder against level_mask, one valuation at a time."""
+    """The bulk level builder against the oracle's level_mask, one valuation
+    at a time."""
 
     @pytest.mark.parametrize("ranks", [
         (0,) * 16,
@@ -150,13 +152,13 @@ class TestLevelMasks:
     ])
     def test_every_level_lowest_first(self, ranks):
         rank = RankFunction(SIG4, ranks)
-        assert level_masks(rank) == [rank.level_mask(r) for r in sorted(set(ranks))]
+        assert level_masks(rank) == [level_mask(rank, r) for r in sorted(set(ranks))]
 
     @pytest.mark.parametrize("sig", [SIG1, SIG2, SIG3, SIG4])
     def test_random_functions(self, sig):
         for seed in range(6):
             rank = random_rank_function(sig, 1 + seed * 3, seed)
-            assert level_masks(rank) == [rank.level_mask(r) for r in range(rank.height + 1)]
+            assert level_masks(rank) == [level_mask(rank, r) for r in range(rank.height + 1)]
 
     @pytest.mark.parametrize("spread", [1, 2, 7], ids=["height511", "height1022", "height3577"])
     def test_lowest_kept_past_the_limit(self, spread):
@@ -167,9 +169,9 @@ class TestLevelMasks:
         random.Random(spread).shuffle(order)
         rank = RankFunction(sig, [spread * x for x in order])
         kept = sorted(set(rank.ranks))[:LEVEL_MASKS_MAX]
-        assert level_masks(rank) == [rank.level_mask(r) for r in kept]
+        assert level_masks(rank) == [level_mask(rank, r) for r in kept]
         byte_ranks = RankFunction(sig, [x % 200 for x in order])  # 200 levels, each fits a byte
-        assert level_masks(byte_ranks) == [byte_ranks.level_mask(r)
+        assert level_masks(byte_ranks) == [level_mask(byte_ranks, r)
                                            for r in range(LEVEL_MASKS_MAX)]
 
 
